@@ -9,6 +9,7 @@ wall_time fields, which necessarily vary between runs.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -44,25 +45,35 @@ def _load_mesh_arg(value):
         return meshmod.builtin_mesh(value)
     if not os.path.exists(value):
         raise FileNotFoundError(f"mesh file not found: {value}")
-    with open(value, "r", encoding="utf-8") as fh:
-        return meshmod.load_mesh(fh.read())
+    try:
+        with open(value, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MeshFormatError(f"mesh file is not UTF-8: {exc}") from exc
+    return meshmod.load_mesh(text)
 
 
 def _load_r0(value, n):
-    """Scalar text for a uniform metric, else a path to a JSON list."""
+    """Scalar text for a uniform metric, else a path to a JSON list of
+    exactly n finite numbers (no booleans, strings, nulls or lists)."""
     try:
         return np.full(n, float(value))
     except ValueError:
         pass
     if not os.path.exists(value):
         raise FileNotFoundError(f"radius file not found: {value}")
-    with open(value, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, list) or len(data) != n:
+    try:
+        with open(value, "r", encoding="utf-8") as fh:
+            # integers parse as floats, so an overlong one becomes inf
+            data = json.load(fh, parse_int=float)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MeshValidationError(f"radius file is not UTF-8 JSON: {exc}") from exc
+    if not (isinstance(data, list) and len(data) == n
+            and all(type(x) is float and math.isfinite(x) for x in data)):
         raise MeshValidationError(
-            f"radius file must hold a list of {n} numbers"
+            f"radius file must hold a list of {n} finite numbers"
         )
-    return np.array([float(x) for x in data])
+    return np.array(data)
 
 
 def _emit(doc, out_path):
@@ -134,6 +145,8 @@ def cmd_flow(args):
         raise _Usage(f"--t-max must be positive, got {args.t_max}")
     if not (args.k_tol > 0.0):
         raise _Usage(f"--k-tol must be positive, got {args.k_tol}")
+    if args.trace_stride < 1:
+        raise _Usage(f"--trace-stride must be at least 1, got {args.trace_stride}")
     mesh = _load_mesh_arg(args.mesh)
     r0 = _load_r0(args.r0, mesh.vertex_count)
     cfg = flow.FlowConfig(

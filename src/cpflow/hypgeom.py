@@ -8,7 +8,7 @@ ratio loses all precision once angles shrink below ~1e-8.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +65,8 @@ class TrianglePacking:
 
     radii: tuple
     weights: tuple
+    _cos: tuple = field(init=False, repr=False, compare=False)
+    _gammas: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.radii) != 3 or len(self.weights) != 3:
@@ -74,13 +76,16 @@ class TrianglePacking:
         for t, w in enumerate(self.weights):
             if not (0.0 <= w < math.pi):
                 raise ValueError(f"weight {t} = {w!r} outside [0, pi)")
+        g = tuple(math.cos(w) for w in self.weights)
+        object.__setattr__(self, "_cos", g)
+        object.__setattr__(self, "_gammas", tuple(
+            g[t] + g[(t + 1) % 3] * g[(t + 2) % 3] for t in range(3)))
 
     def cos_weights(self):
-        return tuple(math.cos(w) for w in self.weights)
+        return self._cos
 
     def gammas(self):
-        g = self.cos_weights()
-        return tuple(g[t] + g[(t + 1) % 3] * g[(t + 2) % 3] for t in range(3))
+        return self._gammas
 
     def satisfies_star(self):
         return all(g >= 0.0 for g in self.gammas())
@@ -123,7 +128,10 @@ def triangle_geometry(tp: TrianglePacking) -> TriangleGeometry:
                 f"triangle inequality fails on edge {t}: half-excess {e!r}"
             )
         excess.append(e)
-    sinh_s = math.sinh(s)
+    try:
+        sinh_s = math.sinh(s)
+    except OverflowError:       # math.sinh raises where numpy gives inf
+        sinh_s = math.inf
     if not math.isfinite(sinh_s):
         raise RadiusOverflowError(f"perimeter {2 * s!r} overflows sinh")
     sinh_exc = [math.sinh(e) for e in excess]

@@ -6,23 +6,42 @@ ends at i. A loop edge (both ends at the same vertex) contributes to A_i
 twice and to nothing else: its difference term in the operator vanishes
 identically, which is the only extension consistent with dK/du on
 non-simplicial meshes.
+
+`curvature` and `assemble` evaluate every face in one numpy pass. The pass
+repeats the shifted identities of `hypgeom` operation for operation, on
+index arrays built once per mesh on first use, and scatters into K, B and A
+with `np.bincount` in the order a loop over faces would accumulate, so runs
+are bitwise reproducible. The dense n x n `LaplacianAssembly.L` is built
+only when it is first read; the flow never reads it. `hypgeom` is the
+per-triangle route, for the single-triangle suites and as the tests'
+independent oracle.
 """
 
 import math
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
-from . import hypgeom
 from .errors import (
     DegenerateFaceError,
     NumericalConsistencyError,
     RadiusOverflowError,
+    StarConditionError,
 )
-from .hypgeom import RADIUS_CAP, TrianglePacking
+from .hypgeom import A_NORM_FLOOR, RADIUS_CAP
 from .mesh import WeightedTriangulation
 
 AB_CONSISTENCY_RTOL = 1e-9
+
+# rows of a per-corner (3, F) array: corner t + 1 and t + 2 (mod 3), and
+# the corner pair (a, b), a < b, opposite corner t
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+_PAIR_A = np.array([1, 0, 0])
+_PAIR_B = np.array([2, 2, 1])
 
 
 def validate_radii(mesh: WeightedTriangulation, r) -> np.ndarray:
@@ -31,8 +50,9 @@ def validate_radii(mesh: WeightedTriangulation, r) -> np.ndarray:
         raise ValueError(
             f"radii shape {r.shape} != ({mesh.vertex_count},)"
         )
-    if not np.all(np.isfinite(r)) or np.any(r <= 0.0) or np.any(r > RADIUS_CAP):
-        bad = int(np.argmin(np.where(np.isfinite(r) & (r > 0) & (r <= RADIUS_CAP), 1, 0)))
+    ok = (r > 0.0) & (r <= RADIUS_CAP)      # false at nan
+    if not ok.all():
+        bad = int(np.argmin(ok))
         raise RadiusOverflowError(
             f"radius at vertex {bad} = {r[bad]!r} outside (0, {RADIUS_CAP}]"
         )
@@ -56,24 +76,131 @@ def r_of_u(u) -> np.ndarray:
     return np.log1p(np.exp(u)) - np.log(-np.expm1(u))
 
 
-def _face_packing(mesh, r, fid):
-    f = mesh.faces[fid]
-    radii = tuple(float(r[v]) for v in f.corners)
-    return TrianglePacking(radii, mesh.face_weights(fid))
+# -- per-mesh arrays ---------------------------------------------------------
+
+_ARRAYS = weakref.WeakKeyDictionary()   # meshes are immutable
+
+
+def _mesh_arrays(mesh):
+    arrays = _ARRAYS.get(mesh)
+    if arrays is None:
+        arrays = _ARRAYS[mesh] = _build_arrays(mesh)
+    return arrays
+
+
+def _build_arrays(mesh):
+    """Index and weight arrays of a mesh. Per-corner arrays are (3, F): row
+    t holds corner t of every face. The scatter indices list the corners
+    face by face, the order of a loop over faces."""
+    corner_ids = np.array([f.corners for f in mesh.faces], dtype=np.intp)
+    edge_ids = np.array([f.edges for f in mesh.faces], dtype=np.intp)
+    corners, edges = np.ascontiguousarray(corner_ids.T), np.ascontiguousarray(edge_ids.T)
+    ends = np.array([(e.a, e.b) for e in mesh.edges], dtype=np.intp)
+    phi = np.array([e.phi for e in mesh.edges])
+    g = np.cos(phi).take(edges)
+    gammas = g + g.take(_NEXT, axis=0) * g.take(_PREV, axis=0)
+    bad = np.argwhere(gammas.T < 0.0)
+    star = ""
+    if len(bad):
+        fid, t = bad[0]
+        star = (f"face {fid} corner {t}: corner condition fails, "
+                f"gamma {float(gammas[t, fid])!r}")
+    nonloop = np.flatnonzero(ends[:, 0] != ends[:, 1])
+    links = ends[nonloop]
+    return SimpleNamespace(
+        corners=corners,                    # (3, F) vertex ids
+        edges=edges,                        # (3, F) edge ids, edge t opposite corner t
+        corner_ids=corner_ids.ravel(),      # (3F,) vertex ids, face by face
+        edge_ids=edge_ids.ravel(),          # (3F,) edge ids, face by face
+        ends=ends,                          # (E, 2) edge endpoints
+        cos_half=np.cos(0.5 * phi),
+        sin_half=np.sin(0.5 * phi),
+        one_minus_g2=1.0 - g * g,           # (3, F), g = cos of the opposite weight
+        gammas=gammas,                      # (3, F) corner values of the star condition
+        star_violation=star,                # names the first corner with gamma < 0
+        nonloop=nonloop,                    # ids of the edges with two distinct ends
+        links=links,                        # (E', 2) their endpoints
+        loop_edges=tuple(int(e) for e in np.flatnonzero(ends[:, 0] == ends[:, 1])),
+        # -A f first, then the ends of each link: the order of an edge loop
+        apply_index=np.concatenate((np.arange(mesh.vertex_count), links.ravel())),
+    )
+
+
+# -- the face kernel ---------------------------------------------------------
+
+def _require(ok, error, what):
+    """Raise error naming the first face (last axis of ok) where ok fails."""
+    if not ok.all():
+        fid = int(np.argmin(ok.reshape(-1, ok.shape[-1]).all(axis=0)))
+        raise error(f"face {fid}: {what}")
+
+
+def _face_kernel(mesh, r, with_jacobian):
+    """K, and optionally the angle derivatives, over all faces at once.
+
+    Returns (arrays, wm1, K, jac): wm1 is cosh l - 1 per edge, and jac
+    (3, F) holds d theta_a / d u_b for the corner pair (a, b), a < b,
+    opposite each corner, or None. The checks are those of
+    `hypgeom.triangle_geometry` and `hypgeom.angle_jacobian`, plus a
+    finiteness check where a double overflows into nan.
+    """
+    arrays = _mesh_arrays(mesh)
+    edges = arrays.edges
+    ra, rb = r.take(arrays.ends[:, 0]), r.take(arrays.ends[:, 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        cp = arrays.cos_half * np.sinh(0.5 * (ra + rb))
+        sm = arrays.sin_half * np.sinh(0.5 * (ra - rb))
+        wm1 = 2.0 * cp * cp + 2.0 * sm * sm
+        _require(np.isfinite(wm1.take(edges)), RadiusOverflowError,
+                 "radii overflow cosh of an edge length")
+        sinh_l = np.where(wm1 > 1.0, wm1 * np.sqrt(1.0 + 2.0 / wm1),
+                          np.sqrt(wm1 * (wm1 + 2.0)))
+        length = np.log1p(wm1 + sinh_l).take(edges)
+        shl = sinh_l.take(edges)
+
+        # half perimeter and its excesses; positivity is the triangle inequality
+        s = 0.5 * (length[0] + length[1] + length[2])
+        excess = 0.5 * (length.take(_NEXT, axis=0) + length.take(_PREV, axis=0) - length)
+        _require(excess > 0.0, DegenerateFaceError, "triangle inequality fails")
+        sinh_s = np.sinh(s)
+        _require(np.isfinite(sinh_s), RadiusOverflowError, "perimeter overflows sinh")
+        sinh_exc = np.sinh(excess)
+        # 1 - cos and 1 + cos of the corner angles, nonnegative products
+        den = shl.take(_NEXT, axis=0) * shl.take(_PREV, axis=0)
+        delta = 2.0 * sinh_exc.take(_NEXT, axis=0) * sinh_exc.take(_PREV, axis=0) / den
+        sigma = 2.0 * sinh_s * sinh_exc / den
+        angles = np.arctan2(np.sqrt(delta * sigma), 0.5 * (sigma - delta))
+        _require(np.isfinite(angles), RadiusOverflowError, "radii overflow the corner angles")
+        area = math.pi - angles[0] - angles[1] - angles[2]
+        _require(area > 0.0, DegenerateFaceError, "nonpositive area")
+        cone = np.bincount(arrays.corner_ids, angles.T.ravel(), minlength=mesh.vertex_count)
+        K = 2.0 * math.pi - cone
+        if not with_jacobian:
+            return arrays, wm1, K, None
+        if arrays.star_violation:
+            raise StarConditionError(arrays.star_violation)
+
+        # pair derivatives: hypgeom._numerator over a_norm sinh^2 l_ab
+        a_norm = 2.0 * np.sqrt(sinh_s * sinh_exc[0] * sinh_exc[1] * sinh_exc[2])
+        S, C = np.sinh(r).take(arrays.corners), np.cosh(r).take(arrays.corners)
+        sa, sb = S.take(_PAIR_A, axis=0), S.take(_PAIR_B, axis=0)
+        gam = arrays.gammas
+        num = (
+            C * sa * sa * sb * sb * arrays.one_minus_g2
+            + C.take(_PAIR_A, axis=0) * sa * sb * sb * S * gam.take(_PAIR_B, axis=0)
+            + C.take(_PAIR_B, axis=0) * sa * sa * sb * S * gam.take(_PAIR_A, axis=0)
+        )
+        den = a_norm * shl * shl
+        _require(den >= A_NORM_FLOOR, DegenerateFaceError, "angle normalization below floor")
+        jac = num / den
+        _require(np.isfinite(jac), RadiusOverflowError, "radii overflow the angle derivatives")
+    return arrays, wm1, K, jac
 
 
 def curvature(mesh: WeightedTriangulation, r) -> np.ndarray:
     """K_i = 2 pi minus the cone angle at vertex i."""
     r = validate_radii(mesh, r)
-    cone = np.zeros(mesh.vertex_count)
-    for fid in range(mesh.face_count):
-        try:
-            geom = hypgeom.triangle_geometry(_face_packing(mesh, r, fid))
-        except DegenerateFaceError as exc:
-            raise DegenerateFaceError(f"face {fid}: {exc}") from exc
-        for t, v in enumerate(mesh.faces[fid].corners):
-            cone[v] += geom.angles[t]
-    return 2.0 * math.pi - cone
+    return _face_kernel(mesh, r, False)[2]
 
 
 @dataclass
@@ -82,78 +209,69 @@ class LaplacianAssembly:
     K: np.ndarray              # curvature per vertex
     B: np.ndarray              # per-edge coefficient
     A: np.ndarray              # per-vertex coefficient
-    L: np.ndarray              # dense symmetric dK/du
     cosh_l: np.ndarray         # per-edge cosh of the edge length
     cosh_l_minus_1: np.ndarray
     ab_residual: float = 0.0   # max relative gap between the two A routes
     zero_b_edges: list = field(default_factory=list)
     loop_edges: tuple = ()
 
+    @cached_property
+    def L(self) -> np.ndarray:
+        """Dense symmetric dK/du, built on first access.
+
+        L_ij = -sum of B_e over the non-loop edges joining i and j, and
+        L_ii = A_i + sum of B_e over the non-loop edges at i; each entry
+        sums in ascending edge id, and both triangles are written from one
+        sum, so L is exactly symmetric.
+        """
+        arrays = _mesh_arrays(self.mesh)
+        n = self.mesh.vertex_count
+        links = arrays.links
+        b = self.B[arrays.nonloop]
+        pairs, which = np.unique(links.min(axis=1) * n + links.max(axis=1), return_inverse=True)
+        off = -np.bincount(which, b)
+        i, j = np.divmod(pairs, n)
+        L = np.zeros((n, n))
+        L[i, j] = off
+        L[j, i] = off
+        L[np.diag_indices(n)] = np.bincount(links.ravel(), np.repeat(b, 2), minlength=n) + self.A
+        return L
+
 
 def assemble(mesh: WeightedTriangulation, r) -> LaplacianAssembly:
-    """Build K, B, A and L at the given metric.
+    """Build K, B and A at the given metric; L is built when first read.
 
-    Accumulation runs in ascending edge id then face id so repeated runs
-    are bitwise identical. A is stored from the edge-sum route and checked
-    against the direct per-corner area-derivative route to 1e-9 relative.
+    Accumulation runs in ascending face id, corner by corner, then edge id,
+    so repeated runs are bitwise identical. A is stored from the edge-sum
+    route and checked against the direct per-corner area-derivative route
+    to 1e-9 relative.
     """
     r = validate_radii(mesh, r)
-    n, ne = mesh.vertex_count, mesh.edge_count
-    wm1 = np.zeros(ne)
-    for eid, e in enumerate(mesh.edges):
-        wm1[eid] = hypgeom.cosh_length_minus_one(r[e.a], r[e.b], e.phi)
-    cone = np.zeros(n)
-    B = np.zeros(ne)
-    a_direct = np.zeros(n)
-    for fid in range(mesh.face_count):
-        f = mesh.faces[fid]
-        tp = _face_packing(mesh, r, fid)
-        try:
-            geom = hypgeom.triangle_geometry(tp)
-            J = hypgeom.angle_jacobian(tp, geom)
-        except DegenerateFaceError as exc:
-            raise DegenerateFaceError(f"face {fid}: {exc}") from exc
-        for t in range(3):
-            cone[f.corners[t]] += geom.angles[t]
-            t1, t2 = (t + 1) % 3, (t + 2) % 3
-            B[f.edges[t]] += J[t1, t2]
-            # direct route for A: area derivative at this corner
-            for s in (t1, t2):
-                a_direct[f.corners[t]] += J[s, t] * wm1[f.edges[3 - t - s]]
-    K = 2.0 * math.pi - cone
-
-    A = np.zeros(n)
-    for eid, e in enumerate(mesh.edges):
-        contrib = B[eid] * wm1[eid]
-        A[e.a] += contrib
-        A[e.b] += contrib           # loop edge: both ends at one vertex
-    ab_residual = 0.0
-    for i in range(n):
-        rel = abs(a_direct[i] - A[i]) / (1.0 + abs(A[i]))
-        ab_residual = max(ab_residual, rel)
-        if rel > AB_CONSISTENCY_RTOL:
-            raise NumericalConsistencyError(
-                f"vertex {i}: area-derivative route {a_direct[i]!r} vs "
-                f"edge-sum route {A[i]!r} disagree beyond 1e-9 relative"
-            )
-
-    L = np.zeros((n, n))
-    loops = []
-    for eid, e in enumerate(mesh.edges):
-        if e.a == e.b:
-            loops.append(eid)
-            continue            # difference term vanishes; only A sees loops
-        L[e.a, e.a] += B[eid]
-        L[e.b, e.b] += B[eid]
-        L[e.a, e.b] -= B[eid]
-        L[e.b, e.a] -= B[eid]
-    L[np.diag_indices(n)] += A
-    zero_b = [eid for eid in range(ne) if B[eid] == 0.0]
+    arrays, wm1, K, jac = _face_kernel(mesh, r, True)
+    n = mesh.vertex_count
+    B = np.bincount(arrays.edge_ids, jac.T.ravel(), minlength=mesh.edge_count)
+    # direct route for A: corner t gains d theta_s / d u_t times cosh l - 1
+    # of the edge joining s and t, for s = t + 1 and then t + 2
+    x = jac * wm1.take(arrays.edges)
+    a_direct = np.bincount(
+        np.repeat(arrays.corner_ids, 2),
+        np.stack((x.take(_PREV, axis=0).T, x.take(_NEXT, axis=0).T), axis=2).ravel(),
+        minlength=n)
+    # edge-sum route; a loop edge adds to its vertex twice
+    A = np.bincount(arrays.ends.ravel(), np.repeat(B * wm1, 2), minlength=n)
+    rel = np.abs(a_direct - A) / (1.0 + np.abs(A))
+    if np.any(rel > AB_CONSISTENCY_RTOL):
+        i = int(np.argmax(rel > AB_CONSISTENCY_RTOL))
+        raise NumericalConsistencyError(
+            f"vertex {i}: area-derivative route {a_direct[i]!r} vs "
+            f"edge-sum route {A[i]!r} disagree beyond 1e-9 relative"
+        )
     return LaplacianAssembly(
-        mesh=mesh, K=K, B=B, A=A, L=L,
+        mesh=mesh, K=K, B=B, A=A,
         cosh_l=1.0 + wm1, cosh_l_minus_1=wm1,
-        ab_residual=ab_residual,
-        zero_b_edges=zero_b, loop_edges=tuple(loops),
+        ab_residual=float(np.max(rel)),
+        zero_b_edges=np.flatnonzero(B == 0.0).tolist(),
+        loop_edges=arrays.loop_edges,
     )
 
 
@@ -162,17 +280,7 @@ def apply_delta(asm: LaplacianAssembly, f) -> np.ndarray:
 
     Edge-sum form; equals -L f to rounding.
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (asm.mesh.vertex_count,):
-        raise ValueError(f"vector shape {f.shape} != ({asm.mesh.vertex_count},)")
-    out = -asm.A * f
-    for eid, e in enumerate(asm.mesh.edges):
-        if e.a == e.b:
-            continue
-        d = asm.B[eid] * (f[e.b] - f[e.a])
-        out[e.a] += d
-        out[e.b] -= d
-    return out
+    return apply_p_delta(asm, f, 2.0)
 
 
 def apply_p_delta(asm: LaplacianAssembly, f, p: float) -> np.ndarray:
@@ -180,18 +288,17 @@ def apply_p_delta(asm: LaplacianAssembly, f, p: float) -> np.ndarray:
     if not (p > 1.0):
         raise ValueError(f"p must exceed 1, got {p!r}")
     f = np.asarray(f, dtype=float)
-    if f.shape != (asm.mesh.vertex_count,):
-        raise ValueError(f"vector shape {f.shape} != ({asm.mesh.vertex_count},)")
-    out = -asm.A * f
-    for eid, e in enumerate(asm.mesh.edges):
-        if e.a == e.b:
-            continue
-        d = f[e.b] - f[e.a]
-        if d != 0.0:
-            w = asm.B[eid] * abs(d) ** (p - 2.0) * d
-            out[e.a] += w
-            out[e.b] -= w
-    return out
+    n = asm.mesh.vertex_count
+    if f.shape != (n,):
+        raise ValueError(f"vector shape {f.shape} != ({n},)")
+    arrays = _mesh_arrays(asm.mesh)
+    d = f.take(arrays.links[:, 1]) - f.take(arrays.links[:, 0])
+    mag = np.abs(d)
+    mag[d == 0.0] = 1.0         # keeps 0 ** (p - 2) from giving inf * 0 below p = 2
+    w = asm.B.take(arrays.nonloop) * mag ** (p - 2.0) * d
+    # -A_i f_i first, then +w at one end and -w at the other, edge by edge
+    terms = np.concatenate((-asm.A * f, np.stack((w, -w), axis=1).ravel()))
+    return np.bincount(arrays.apply_index, terms, minlength=n)
 
 
 def calabi_energy(K) -> float:

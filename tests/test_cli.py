@@ -2,6 +2,8 @@ import json
 import math
 import re
 
+import pytest
+
 from cpflow import cli
 from cpflow.mesh import builtin_mesh, save_mesh
 
@@ -172,3 +174,47 @@ def test_threads_env_validation(capsys, monkeypatch):
     monkeypatch.setenv("CPFLOW_THREADS", "zero")
     code, _, _ = run_cli(capsys, "check", "--mesh", "tetra")
     assert code == 1
+
+
+def test_flow_trace_stride_below_one_is_usage_error(capsys):
+    for stride in ("0", "-3"):
+        code, _, err = run_cli(capsys, "flow", "--mesh", "genus2_min", "--trace-stride", stride)
+        assert code == 5
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [
+    b'[1.0, "x"]',
+    b"[1.0, 1.",                 # truncated JSON
+    b"[1.0, \xff\xfe]",          # not UTF-8
+    b"[true, 1.0]",
+    b"[null, 1.0]",
+    b"[[1], [2]]",
+    b"[1.0, NaN]",
+    b"[1.0, 1e999]",
+    b'{"r": [1.0, 1.0]}',
+])
+def test_malformed_r0_file_is_validation_error(capsys, tmp_path, content):
+    path = tmp_path / "r.json"
+    path.write_bytes(content)
+    for cmd in ("flow", "laplacian"):
+        code, _, err = run_cli(capsys, cmd, "--mesh", "genus2_min", "--r0", str(path))
+        assert code == 1
+        assert "Traceback" not in err
+        assert "radius file" in err
+
+
+def test_r0_file_accepts_integers(capsys, tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text("[1, 2]")
+    code, out, _ = run_cli(capsys, "laplacian", "--mesh", "genus2_min", "--r0", str(path))
+    assert code == 0
+    assert len(json.loads(out)["K"]) == 2
+
+
+def test_non_utf8_mesh_file_is_validation_error(capsys, tmp_path):
+    path = tmp_path / "mesh.json"
+    path.write_bytes(b'{"vertices": \xff}')
+    code, _, err = run_cli(capsys, "check", "--mesh", str(path))
+    assert code == 1
+    assert "Traceback" not in err

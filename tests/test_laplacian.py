@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpflow.errors import RadiusOverflowError
+import oracles
+from cpflow import hypgeom
+from cpflow.errors import RadiusOverflowError, StarConditionError
 from cpflow.laplacian import (
     apply_delta,
     apply_p_delta,
@@ -15,12 +17,22 @@ from cpflow.laplacian import (
     spd_check,
     u_of_r,
 )
-from cpflow.mesh import builtin_mesh
+from cpflow.mesh import (
+    Edge,
+    Face,
+    WeightedTriangulation,
+    builtin_mesh,
+    simplicial_from_faces,
+)
 from cpflow.verify import fd_curvature_jacobian, sample_star_mesh_weights, sample_rng
 from oracles import GENUS2_FLAT_RC, GENUS2_FLAT_RV, U_OF_R1
 
 TETRA = builtin_mesh("tetra")
 GENUS2 = builtin_mesh("genus2_min")
+OCTA = simplicial_from_faces(6, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1),
+                                 (5, 2, 1), (5, 3, 2), (5, 4, 3), (5, 1, 4)])
+MESHES = (TETRA, GENUS2, OCTA)
+EPS = np.finfo(float).eps
 
 
 # -- coordinate transform ------------------------------------------------------
@@ -243,3 +255,154 @@ def test_dimension_mismatch():
         apply_delta(asm, np.zeros(3))
     with pytest.raises(ValueError):
         curvature(TETRA, np.ones(3))
+
+
+# -- the face kernel against the scalar loops ----------------------------------------
+
+def _draw(base, rng, r_lo, r_hi):
+    """Weights U[0, pi/2] (the corner condition holds) and log-uniform radii."""
+    mesh = base.with_weights(rng.uniform(0.0, 0.5 * math.pi, base.edge_count))
+    r = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), mesh.vertex_count))
+    return mesh, r
+
+
+def _thinness(mesh, r):
+    """max over faces of s / min(s - l_t): the factor by which the half
+    excess l_b + l_c - l_a, which both routes form from the lengths,
+    magnifies a last-digit difference in a length."""
+    kappa = 1.0
+    for fid in range(mesh.face_count):
+        lengths = hypgeom.triangle_geometry(oracles.face_packing(mesh, r, fid)).lengths
+        s = 0.5 * sum(lengths)
+        kappa = max(kappa, s / min(s - x for x in lengths))
+    return kappa
+
+
+def test_kernel_matches_scalar_loops():
+    # numpy's sinh, log1p and arctan2 may differ from libm's in the last
+    # digit. On a thin face the half excess cancels, so two lengths one
+    # digit apart move each of the two excess factors of a term by up to
+    # 2 kappa eps relative. Entries are compared relative to themselves,
+    # K = 2 pi - cone relative to the cone angle.
+    for k, base in enumerate(MESHES):
+        for i in range(25):
+            mesh, r = _draw(base, np.random.default_rng([k, i]), 1e-6, 50.0)
+            K, B, A, L = oracles.assemble_loop(mesh, r)
+            asm = assemble(mesh, r)
+            tol = 1e-13 + 4.0 * _thinness(mesh, r) * EPS
+            for got, want in ((asm.B, B), (asm.A, A), (asm.L, L)):
+                assert np.all(np.abs(got - want) <= tol * np.abs(want))
+            cone = 2.0 * math.pi - K
+            for got in (asm.K, curvature(mesh, r)):
+                assert np.all(np.abs(got - K) <= tol * cone)
+            assert np.array_equal(curvature(mesh, r), asm.K)
+
+
+def _star_violating_tetra():
+    phis = [0.0] * 6
+    f = TETRA.faces[0]
+    phis[f.edges[0]] = phis[f.edges[1]] = 0.6 * math.pi     # gamma < 0 at corner 2
+    return TETRA.with_weights(phis)
+
+
+@pytest.mark.parametrize("mesh, r, error", [
+    (TETRA, [700.0, 12.0, 1.0, 1.0], RadiusOverflowError),      # cosh l - 1 overflows
+    (TETRA, [700.0, 700.0, 1.0, 1.0], RadiusOverflowError),
+    (TETRA, [300.0] * 4, RadiusOverflowError),                   # sinh of the half perimeter
+    (TETRA, [1.0, 1.0, 0.0, 1.0], RadiusOverflowError),
+    (TETRA, [1.0, -1.0, 1.0, 1.0], RadiusOverflowError),
+    (TETRA, [1.0, math.nan, 1.0, 1.0], RadiusOverflowError),
+    (TETRA, [1.0, 1.0, 1.0, 700.5], RadiusOverflowError),
+    (_star_violating_tetra(), [1.0, 1.2, 0.8, 1.0], StarConditionError),
+    (_star_violating_tetra(), [5.0] * 4, StarConditionError),
+])
+def test_kernel_raises_what_the_scalar_loops_raise(mesh, r, error):
+    r = np.array(r)
+    with pytest.raises(error):
+        oracles.assemble_loop(mesh, r)
+    with pytest.raises(error):
+        assemble(mesh, r)
+
+
+def test_star_violation_leaves_curvature_alone():
+    mesh, r = _star_violating_tetra(), np.array([1.0, 1.2, 0.8, 1.0])
+    K = oracles.curvature_loop(mesh, r)
+    assert np.all(np.abs(curvature(mesh, r) - K) <= 1e-13 * (2.0 * math.pi - K))
+
+
+def test_kernel_raises_where_scalar_loops_give_nan():
+    for v in (150.0, 200.0):
+        K, B, _, _ = oracles.assemble_loop(TETRA, np.full(4, v))
+        assert np.isnan(B).any()
+        with pytest.raises(RadiusOverflowError):
+            assemble(TETRA, np.full(4, v))
+
+
+def _relabel(mesh, r, rng):
+    """Permute vertex, edge and face ids, flip edge ends and rotate each
+    face's corners; returns the new mesh and radii and the permutations."""
+    vp = rng.permutation(mesh.vertex_count)
+    ep = rng.permutation(mesh.edge_count)
+    fp = rng.permutation(mesh.face_count)
+    edges = [None] * mesh.edge_count
+    for eid, e in enumerate(mesh.edges):
+        a, b = int(vp[e.a]), int(vp[e.b])
+        edges[ep[eid]] = Edge(a, b, e.phi) if rng.random() < 0.5 else Edge(b, a, e.phi)
+    faces = [None] * mesh.face_count
+    for fid, f in enumerate(mesh.faces):
+        k = int(rng.integers(3))
+        faces[fp[fid]] = Face(
+            tuple(int(vp[f.corners[(t + k) % 3]]) for t in range(3)),
+            tuple(int(ep[f.edges[(t + k) % 3]]) for t in range(3)))
+    r_new = np.empty_like(r)
+    r_new[vp] = r
+    return WeightedTriangulation(mesh.vertex_count, edges, faces), r_new, vp, ep
+
+
+@given(st.sampled_from(range(len(MESHES))), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_relabelling_permutes_K_B_A(k, seed):
+    rng = np.random.default_rng(seed)
+    mesh, r = _draw(MESHES[k], rng, 0.05, 20.0)
+    relabelled, r_new, vp, ep = _relabel(mesh, r, rng)
+    asm, new = assemble(mesh, r), assemble(relabelled, r_new)
+    for got, want in ((new.K[vp], asm.K), (new.B[ep], asm.B), (new.A[vp], asm.A)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+# -- L on request and the edge-sum operators ------------------------------------------
+
+def test_L_is_built_on_first_access():
+    for k, base in enumerate(MESHES):
+        mesh, r = _draw(base, np.random.default_rng([k, 99]), 0.1, 10.0)
+        asm = assemble(mesh, r)
+        assert "L" not in asm.__dict__
+        L = asm.L
+        assert asm.L is L
+        assert np.array_equal(L, L.T)
+        n = mesh.vertex_count
+        rows = L @ np.ones(n)
+        assert np.all(np.abs(rows - asm.A) <= n * EPS * np.sum(np.abs(L), axis=1))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_apply_p_delta_matches_edge_loop(p):
+    for k, base in enumerate(MESHES):
+        for i in range(10):
+            rng = np.random.default_rng([k, i, 7])
+            mesh, r = _draw(base, rng, 0.1, 10.0)
+            asm = assemble(mesh, r)
+            for f in (rng.normal(size=mesh.vertex_count), asm.K):
+                want = oracles.apply_p_delta_loop(mesh, asm.B, asm.A, f, p)
+                got = apply_p_delta(asm, f, p)
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_zero_difference_contributes_zero_below_p2():
+    asm = assemble(OCTA, np.linspace(0.5, 2.0, 6))
+    f = np.array([1.0, 1.0, 1.0, -2.0, 0.5, 0.5])     # several edges with f_i = f_j
+    for p in (1.1, 1.5, 1.9):
+        out = apply_p_delta(asm, f, p)
+        want = oracles.apply_p_delta_loop(OCTA, asm.B, asm.A, f, p)
+        assert np.all(np.isfinite(out))
+        assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
