@@ -28,7 +28,6 @@ from .hypgeom import (
     TriangleGeometry,
     TrianglePacking,
     angle_jacobian,
-    edge_length,
     glickenstein_residual,
     triangle_geometry,
 )

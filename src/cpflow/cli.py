@@ -17,12 +17,7 @@ import time
 import numpy as np
 
 from . import flow, jsonio, laplacian, mesh as meshmod, verify
-from .errors import (
-    CpflowError,
-    MeshFormatError,
-    MeshValidationError,
-    StarConditionError,
-)
+from .errors import CpflowError, MeshFormatError, MeshValidationError, StarConditionError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -85,20 +80,6 @@ def _emit(doc, out_path):
         sys.stdout.write(text)
 
 
-def _check_threads_env():
-    raw = os.environ.get("CPFLOW_THREADS")
-    if raw is None:
-        return
-    try:
-        v = int(raw)
-    except ValueError:
-        raise MeshValidationError(f"CPFLOW_THREADS must be an integer, got {raw!r}")
-    if v < 1:
-        raise MeshValidationError("CPFLOW_THREADS must be >= 1")
-    # sweeps currently run on one worker; the cap is accepted for forward
-    # compatibility and validated only
-
-
 def cmd_check(args):
     mesh = _load_mesh_arg(args.mesh)
     report = meshmod.check_star_condition(mesh)
@@ -141,8 +122,8 @@ def cmd_flow(args):
         raise _Usage(f"--p must exceed 1, got {args.p}")
     if not (args.dt > 0.0):
         raise _Usage(f"--dt must be positive, got {args.dt}")
-    if not (args.t_max > 0.0):
-        raise _Usage(f"--t-max must be positive, got {args.t_max}")
+    if not (0.0 < args.t_max < math.inf):
+        raise _Usage(f"--t-max must be positive and finite, got {args.t_max}")
     if not (args.k_tol > 0.0):
         raise _Usage(f"--k-tol must be positive, got {args.k_tol}")
     if args.trace_stride < 1:
@@ -165,9 +146,7 @@ def cmd_flow(args):
     if args.out:
         with open(args.out + ".csv", "w", encoding="utf-8") as fh:
             fh.write(trace.to_csv())
-        _emit(summary, args.out + ".json")
-    else:
-        _emit(summary, None)
+    _emit(summary, args.out and args.out + ".json")
     if args.trace_json:
         _emit(trace.to_dict(), args.trace_json)
     return EXIT_STEP_FAILURE if trace.termination == "step_failure" else EXIT_OK
@@ -180,6 +159,8 @@ def cmd_verify(args):
         raise _Usage("--samples must be positive")
     if args.grid < 10:
         raise _Usage("--grid must be at least 10")
+    if args.seed < 0:
+        raise _Usage(f"--seed must be nonnegative, got {args.seed}")
     mesh = _load_mesh_arg(args.mesh) if args.mesh else None
     report = verify.run_suite(args.suite, args.samples, args.seed, args.grid, mesh)
     _emit(report.to_dict(), args.out)
@@ -190,7 +171,10 @@ def cmd_bounds(args):
     if not (args.R > 0.0):
         raise _Usage(f"--R must be positive, got {args.R}")
     mesh = _load_mesh_arg(args.mesh)
-    consts = verify.floor_bound_constants(mesh, args.R)
+    try:
+        consts = verify.floor_bound_constants(mesh, args.R)
+    except ValueError as exc:       # a floor so small that a**14 underflows
+        raise _Usage(str(exc)) from None
     _emit(consts.to_dict(), args.out)
     return EXIT_OK
 
@@ -255,29 +239,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        _check_threads_env()
         return args.func(args)
     except _Usage as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_IO
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_IO
-    except MeshFormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VIOLATION
-    except MeshValidationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VIOLATION
+        return _fail(exc, EXIT_USAGE)
+    except OSError as exc:          # FileNotFoundError included
+        return _fail(exc, EXIT_IO)
     except StarConditionError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_STAR
-    except CpflowError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VIOLATION
+        return _fail(exc, EXIT_STAR)
+    except CpflowError as exc:      # mesh format and validation errors included
+        return _fail(exc, EXIT_VIOLATION)
+
+
+def _fail(exc, code):
+    sys.stderr.write(f"error: {exc}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -92,14 +92,9 @@ class FlowTrace:
         from .jsonio import format_float as ff
         lines = ["t,energy,max_abs_K,min_r,max_abs_u_vel,dt"]
         for s in self.samples:
-            lines.append(",".join([
-                ff(s.t).strip('"'),
-                ff(s.calabi_energy).strip('"'),
-                ff(float(np.max(np.abs(s.K)))).strip('"'),
-                ff(s.min_r).strip('"'),
-                ff(s.max_abs_u_velocity).strip('"'),
-                ff(s.dt_used).strip('"'),
-            ]))
+            values = (s.t, s.calabi_energy, float(np.max(np.abs(s.K))),
+                      s.min_r, s.max_abs_u_velocity, s.dt_used)
+            lines.append(",".join(ff(v).strip('"') for v in values))
         return "\n".join(lines) + "\n"
 
     def to_dict(self):
@@ -159,9 +154,7 @@ def _rhs_at_u(mesh, u, p):
     """Evaluate the flow field at a stage point; raises if inadmissible."""
     if np.any(u >= 0.0) or not np.all(np.isfinite(u)):
         raise RadiusOverflowError("stage left the admissible set (u >= 0)")
-    r = laplacian.r_of_u(u)
-    asm = laplacian.assemble(mesh, r)
-    return laplacian.apply_p_delta(asm, asm.K, p)
+    return flow_rhs(mesh, laplacian.r_of_u(u), p)
 
 
 _REJECTABLE = (RadiusOverflowError, DegenerateFaceError, NumericalConsistencyError, ValueError)
@@ -226,10 +219,12 @@ def run_flow(mesh: WeightedTriangulation, r0, cfg: FlowConfig) -> FlowTrace:
     sup_a = float(np.max(asm.A))
     sup_b = float(np.max(asm.B))
     t = 0.0
-    samples = [FlowSample(
-        t=0.0, r=r.copy(), K=K.copy(), calabi_energy=energy,
-        max_abs_u_velocity=c_emp, min_r=float(np.min(r)), dt_used=0.0,
-    )]
+
+    def sample(velocity, dt_used):
+        return FlowSample(t=t, r=r.copy(), K=K.copy(), calabi_energy=energy,
+                          max_abs_u_velocity=velocity, min_r=float(np.min(r)), dt_used=dt_used)
+
+    samples = [sample(c_emp, 0.0)]
     steps = 0
     termination = None
     failure = None
@@ -261,17 +256,9 @@ def run_flow(mesh: WeightedTriangulation, r0, cfg: FlowConfig) -> FlowTrace:
         sup_a = max(sup_a, float(np.max(asm.A)))
         sup_b = max(sup_b, float(np.max(asm.B)))
         if steps % cfg.trace_stride == 0 or _terminal_next(K, t, cfg):
-            samples.append(FlowSample(
-                t=t, r=r.copy(), K=K.copy(), calabi_energy=energy,
-                max_abs_u_velocity=diag.max_abs_u_velocity,
-                min_r=float(np.min(r)), dt_used=diag.dt_used,
-            ))
+            samples.append(sample(diag.max_abs_u_velocity, diag.dt_used))
     if samples[-1].t != t:
-        samples.append(FlowSample(
-            t=t, r=r.copy(), K=K.copy(), calabi_energy=energy,
-            max_abs_u_velocity=float(np.max(np.abs(rhs_now))),
-            min_r=float(np.min(r)), dt_used=0.0,
-        ))
+        samples.append(sample(float(np.max(np.abs(rhs_now))), 0.0))
     trace = FlowTrace(
         samples=samples, termination=termination, steps=steps,
         c_emp=c_emp, sup_A=sup_a, sup_B=sup_b, failure=failure,

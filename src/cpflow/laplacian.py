@@ -7,14 +7,13 @@ twice and to nothing else: its difference term in the operator vanishes
 identically, which is the only extension consistent with dK/du on
 non-simplicial meshes.
 
-`curvature` and `assemble` evaluate every face in one numpy pass. The pass
-repeats the shifted identities of `hypgeom` operation for operation, on
-index arrays built once per mesh on first use, and scatters into K, B and A
-with `np.bincount` in the order a loop over faces would accumulate, so runs
-are bitwise reproducible. The dense n x n `LaplacianAssembly.L` is built
-only when it is first read; the flow never reads it. `hypgeom` is the
-per-triangle route, for the single-triangle suites and as the tests'
-independent oracle.
+`curvature` and `assemble` evaluate the edge terms of `hypgeom` once per
+edge, gather them to the faces on index arrays built once per mesh on
+first use, evaluate all faces in one call of the `hypgeom` triangle
+kernel, and scatter into K, B and A with `np.bincount` in the order a loop
+over faces would accumulate, so runs are bitwise reproducible. The dense
+n x n `LaplacianAssembly.L` is built only when it is first read; the flow
+never reads it.
 """
 
 import math
@@ -25,23 +24,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (
-    DegenerateFaceError,
-    NumericalConsistencyError,
-    RadiusOverflowError,
-    StarConditionError,
-)
-from .hypgeom import A_NORM_FLOOR, RADIUS_CAP
+from . import hypgeom
+from .errors import NumericalConsistencyError, RadiusOverflowError, StarConditionError
+from .hypgeom import NEXT, PREV, RADIUS_CAP
 from .mesh import WeightedTriangulation
 
 AB_CONSISTENCY_RTOL = 1e-9
-
-# rows of a per-corner (3, F) array: corner t + 1 and t + 2 (mod 3), and
-# the corner pair (a, b), a < b, opposite corner t
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
-_PAIR_A = np.array([1, 0, 0])
-_PAIR_B = np.array([2, 2, 1])
 
 
 def validate_radii(mesh: WeightedTriangulation, r) -> np.ndarray:
@@ -89,34 +77,38 @@ def _mesh_arrays(mesh):
 
 
 def _build_arrays(mesh):
-    """Index and weight arrays of a mesh. Per-corner arrays are (3, F): row
-    t holds corner t of every face. The scatter indices list the corners
-    face by face, the order of a loop over faces."""
+    """Index arrays and the face weights of a mesh. Per-corner arrays are
+    (3, F): row t holds corner t of every face. The scatter indices list
+    the corners face by face, the order of a loop over faces."""
     corner_ids = np.array([f.corners for f in mesh.faces], dtype=np.intp)
     edge_ids = np.array([f.edges for f in mesh.faces], dtype=np.intp)
     corners, edges = np.ascontiguousarray(corner_ids.T), np.ascontiguousarray(edge_ids.T)
     ends = np.array([(e.a, e.b) for e in mesh.edges], dtype=np.intp)
     phi = np.array([e.phi for e in mesh.edges])
-    g = np.cos(phi).take(edges)
-    gammas = g + g.take(_NEXT, axis=0) * g.take(_PREV, axis=0)
-    bad = np.argwhere(gammas.T < 0.0)
+    # the radii are set per call with `with_radii`
+    packing = hypgeom.TrianglePacking(np.ones(corners.shape), phi.take(edges))
+    bad = np.argwhere(packing.gammas.T < 0.0)
     star = ""
     if len(bad):
         fid, t = bad[0]
         star = (f"face {fid} corner {t}: corner condition fails, "
-                f"gamma {float(gammas[t, fid])!r}")
+                f"gamma {float(packing.gammas[t, fid])!r}")
     nonloop = np.flatnonzero(ends[:, 0] != ends[:, 1])
     links = ends[nonloop]
+    # the terms of the direct route for A, face by face and corner by
+    # corner: rows t + 2, then t + 1, of a (3, F) array, flattened
+    F = mesh.face_count
+    rows = np.stack((PREV, NEXT), axis=1)[None, :, :] * F + np.arange(F)[:, None, None]
     return SimpleNamespace(
         corners=corners,                    # (3, F) vertex ids
         edges=edges,                        # (3, F) edge ids, edge t opposite corner t
         corner_ids=corner_ids.ravel(),      # (3F,) vertex ids, face by face
         edge_ids=edge_ids.ravel(),          # (3F,) edge ids, face by face
+        a_direct_ids=np.repeat(corner_ids.ravel(), 2),
+        a_direct_terms=rows.ravel(),
         ends=ends,                          # (E, 2) edge endpoints
-        cos_half=np.cos(0.5 * phi),
-        sin_half=np.sin(0.5 * phi),
-        one_minus_g2=1.0 - g * g,           # (3, F), g = cos of the opposite weight
-        gammas=gammas,                      # (3, F) corner values of the star condition
+        half=hypgeom.half_angles(phi),      # cos and sin of half the edge weights
+        packing=packing,                    # the face weights, (3, F)
         star_violation=star,                # names the first corner with gamma < 0
         nonloop=nonloop,                    # ids of the edges with two distinct ends
         links=links,                        # (E', 2) their endpoints
@@ -128,79 +120,23 @@ def _build_arrays(mesh):
 
 # -- the face kernel ---------------------------------------------------------
 
-def _require(ok, error, what):
-    """Raise error naming the first face (last axis of ok) where ok fails."""
-    if not ok.all():
-        fid = int(np.argmin(ok.reshape(-1, ok.shape[-1]).all(axis=0)))
-        raise error(f"face {fid}: {what}")
-
-
-def _face_kernel(mesh, r, with_jacobian):
-    """K, and optionally the angle derivatives, over all faces at once.
-
-    Returns (arrays, wm1, K, jac): wm1 is cosh l - 1 per edge, and jac
-    (3, F) holds d theta_a / d u_b for the corner pair (a, b), a < b,
-    opposite each corner, or None. The checks are those of
-    `hypgeom.triangle_geometry` and `hypgeom.angle_jacobian`, plus a
-    finiteness check where a double overflows into nan.
-    """
+def _face_geometry(mesh, r):
+    """Geometry of all faces at once, and K: the `hypgeom` kernel
+    evaluates each edge once and every face in one call, and the angles
+    are scattered into K. Returns (arrays, wm1, geom, K), wm1 the
+    cosh l - 1 of each edge."""
     arrays = _mesh_arrays(mesh)
-    edges = arrays.edges
-    ra, rb = r.take(arrays.ends[:, 0]), r.take(arrays.ends[:, 1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        cp = arrays.cos_half * np.sinh(0.5 * (ra + rb))
-        sm = arrays.sin_half * np.sinh(0.5 * (ra - rb))
-        wm1 = 2.0 * cp * cp + 2.0 * sm * sm
-        _require(np.isfinite(wm1.take(edges)), RadiusOverflowError,
-                 "radii overflow cosh of an edge length")
-        sinh_l = np.where(wm1 > 1.0, wm1 * np.sqrt(1.0 + 2.0 / wm1),
-                          np.sqrt(wm1 * (wm1 + 2.0)))
-        length = np.log1p(wm1 + sinh_l).take(edges)
-        shl = sinh_l.take(edges)
-
-        # half perimeter and its excesses; positivity is the triangle inequality
-        s = 0.5 * (length[0] + length[1] + length[2])
-        excess = 0.5 * (length.take(_NEXT, axis=0) + length.take(_PREV, axis=0) - length)
-        _require(excess > 0.0, DegenerateFaceError, "triangle inequality fails")
-        sinh_s = np.sinh(s)
-        _require(np.isfinite(sinh_s), RadiusOverflowError, "perimeter overflows sinh")
-        sinh_exc = np.sinh(excess)
-        # 1 - cos and 1 + cos of the corner angles, nonnegative products
-        den = shl.take(_NEXT, axis=0) * shl.take(_PREV, axis=0)
-        delta = 2.0 * sinh_exc.take(_NEXT, axis=0) * sinh_exc.take(_PREV, axis=0) / den
-        sigma = 2.0 * sinh_s * sinh_exc / den
-        angles = np.arctan2(np.sqrt(delta * sigma), 0.5 * (sigma - delta))
-        _require(np.isfinite(angles), RadiusOverflowError, "radii overflow the corner angles")
-        area = math.pi - angles[0] - angles[1] - angles[2]
-        _require(area > 0.0, DegenerateFaceError, "nonpositive area")
-        cone = np.bincount(arrays.corner_ids, angles.T.ravel(), minlength=mesh.vertex_count)
-        K = 2.0 * math.pi - cone
-        if not with_jacobian:
-            return arrays, wm1, K, None
-        if arrays.star_violation:
-            raise StarConditionError(arrays.star_violation)
-
-        # pair derivatives: hypgeom._numerator over a_norm sinh^2 l_ab
-        a_norm = 2.0 * np.sqrt(sinh_s * sinh_exc[0] * sinh_exc[1] * sinh_exc[2])
-        S, C = np.sinh(r).take(arrays.corners), np.cosh(r).take(arrays.corners)
-        sa, sb = S.take(_PAIR_A, axis=0), S.take(_PAIR_B, axis=0)
-        gam = arrays.gammas
-        num = (
-            C * sa * sa * sb * sb * arrays.one_minus_g2
-            + C.take(_PAIR_A, axis=0) * sa * sb * sb * S * gam.take(_PAIR_B, axis=0)
-            + C.take(_PAIR_B, axis=0) * sa * sa * sb * S * gam.take(_PAIR_A, axis=0)
-        )
-        den = a_norm * shl * shl
-        _require(den >= A_NORM_FLOOR, DegenerateFaceError, "angle normalization below floor")
-        jac = num / den
-        _require(np.isfinite(jac), RadiusOverflowError, "radii overflow the angle derivatives")
-    return arrays, wm1, K, jac
+    ends = arrays.ends
+    terms = hypgeom.edge_terms(r.take(ends[:, 0]), r.take(ends[:, 1]), arrays.half)
+    geom = hypgeom.triangle_geometry(edges=tuple(x.take(arrays.edges) for x in terms))
+    cone = np.bincount(arrays.corner_ids, geom.angles.T.ravel(), minlength=mesh.vertex_count)
+    return arrays, terms[0], geom, 2.0 * math.pi - cone
 
 
 def curvature(mesh: WeightedTriangulation, r) -> np.ndarray:
     """K_i = 2 pi minus the cone angle at vertex i."""
     r = validate_radii(mesh, r)
-    return _face_kernel(mesh, r, False)[2]
+    return _face_geometry(mesh, r)[3]
 
 
 @dataclass
@@ -247,16 +183,18 @@ def assemble(mesh: WeightedTriangulation, r) -> LaplacianAssembly:
     to 1e-9 relative.
     """
     r = validate_radii(mesh, r)
-    arrays, wm1, K, jac = _face_kernel(mesh, r, True)
+    arrays, wm1, geom, K = _face_geometry(mesh, r)
+    if arrays.star_violation:
+        raise StarConditionError(arrays.star_violation)
+    # d theta_a / d u_b for the corner pair (a, b), a < b, opposite each corner
+    jac = hypgeom.pair_derivative(
+        arrays.packing.with_radii(r, arrays.corners), hypgeom.PAIR_A, hypgeom.PAIR_B, geom)
     n = mesh.vertex_count
     B = np.bincount(arrays.edge_ids, jac.T.ravel(), minlength=mesh.edge_count)
     # direct route for A: corner t gains d theta_s / d u_t times cosh l - 1
     # of the edge joining s and t, for s = t + 1 and then t + 2
-    x = jac * wm1.take(arrays.edges)
-    a_direct = np.bincount(
-        np.repeat(arrays.corner_ids, 2),
-        np.stack((x.take(_PREV, axis=0).T, x.take(_NEXT, axis=0).T), axis=2).ravel(),
-        minlength=n)
+    x = jac * geom.cosh_l_minus_1
+    a_direct = np.bincount(arrays.a_direct_ids, x.ravel().take(arrays.a_direct_terms), minlength=n)
     # edge-sum route; a loop edge adds to its vertex twice
     A = np.bincount(arrays.ends.ravel(), np.repeat(B * wm1, 2), minlength=n)
     rel = np.abs(a_direct - A) / (1.0 + np.abs(A))

@@ -8,25 +8,19 @@ an empty violation list is a pass.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import hypgeom, laplacian
 from .errors import DegenerateFaceError
-from .hypgeom import TrianglePacking
+from .hypgeom import NEXT, PREV, ROWS, TrianglePacking
 from .mesh import (
     WeightedTriangulation,
     builtin_mesh,
     corner_gammas,
     simplicial_from_faces,
 )
-
-SUITE_NAMES = (
-    "identities", "jacobians", "spd", "theorem1",
-    "theorem2", "prop24", "prop31", "lemma52",
-)
-
 
 # -- reproducible sampling ----------------------------------------------------
 
@@ -53,46 +47,54 @@ def sample_star_mesh_weights(mesh, rng, max_tries=1_000_000):
     satisfies the corner condition."""
     for _ in range(max_tries):
         phis = rng.uniform(0.0, math.pi, mesh.edge_count)
-        ok = True
-        for f in mesh.faces:
-            if min(corner_gammas(tuple(phis[e] for e in f.edges))) < 0.0:
-                ok = False
-                break
-        if ok:
+        if all(min(corner_gammas(tuple(phis[e] for e in f.edges))) >= 0.0 for f in mesh.faces):
             return mesh.with_weights(phis)
     raise RuntimeError("weight rejection sampling did not terminate")
 
 
-def sample_star_triangle(rng, r_lo, r_hi):
-    radii = tuple(float(x) for x in log_uniform(rng, r_lo, r_hi, 3))
-    weights = sample_star_face_weights(rng)
+def sample_star_triangles(seed, ids, r_lo, r_hi):
+    """The star triangles of the sample ids in one packing; triangle i
+    draws its log-uniform radii, then its weights, from sample_rng(seed, i)."""
+    radii, weights = np.empty((3, len(ids))), np.empty((3, len(ids)))
+    for k, i in enumerate(ids):
+        rng = sample_rng(seed, i)
+        radii[:, k] = log_uniform(rng, r_lo, r_hi, 3)
+        weights[:, k] = sample_star_face_weights(rng)
     return TrianglePacking(radii, weights)
+
+
+# samples per kernel call of a triangle suite: a batch holds ~800 bytes
+# per sample at its peak, so this keeps a suite within ~2 MB of memory
+_BATCH = 2_000
 
 
 # -- finite-difference oracles -------------------------------------------------
 
 def fd_angle_jacobian(tp: TrianglePacking, h: float = 1e-5) -> np.ndarray:
-    """Central differences of the corner angles with respect to u."""
+    """(3, 3, N) central differences of the corner angles with respect to
+    u, one kernel call per triangle and step; a triangle whose stencil
+    leaves the admissible set is retried once at h / 10."""
     if not (1e-7 <= h <= 1e-3):
         raise ValueError(f"step {h!r} outside [1e-7, 1e-3]")
-    u0 = laplacian.u_of_r(np.array(tp.radii))
+    u0 = laplacian.u_of_r(tp.radii)
+    out = np.empty((3, 3, u0.shape[1]))
+    for i in range(u0.shape[1]):
+        out[:, :, i] = _fd_triangle(u0[:, i], tp.weights[:, i], h)
+    return out
+
+
+def _fd_triangle(u0, weights, h):
     for attempt_h in (h, 0.1 * h):
+        if np.any(u0 + attempt_h >= 0.0):
+            continue            # perturbed u leaves the domain
+        # columns u0 + h e_b, then u0 - h e_b, for b = 0, 1, 2
+        u = u0[:, None] + attempt_h * np.kron(np.eye(3), [1.0, -1.0])
+        tp = TrianglePacking(laplacian.r_of_u(u), np.repeat(weights[:, None], 6, axis=1))
         try:
-            out = np.zeros((3, 3))
-            for b in range(3):
-                up = u0.copy(); up[b] += attempt_h
-                um = u0.copy(); um[b] -= attempt_h
-                if up[b] >= 0.0:
-                    raise DegenerateFaceError("perturbed u leaves the domain")
-                gp = hypgeom.triangle_geometry(
-                    TrianglePacking(tuple(laplacian.r_of_u(up)), tp.weights))
-                gm = hypgeom.triangle_geometry(
-                    TrianglePacking(tuple(laplacian.r_of_u(um)), tp.weights))
-                for a in range(3):
-                    out[a, b] = (gp.angles[a] - gm.angles[a]) / (2.0 * attempt_h)
-            return out
+            angles = hypgeom.triangle_geometry(tp).angles
         except DegenerateFaceError:
             continue
+        return (angles[:, 0::2] - angles[:, 1::2]) / (2.0 * attempt_h)
     raise DegenerateFaceError("finite-difference stencil leaves the admissible set")
 
 
@@ -100,30 +102,25 @@ def fd_curvature_jacobian(mesh, r, h: float = 1e-5) -> np.ndarray:
     """Central differences of the curvature vector with respect to u."""
     if not (1e-7 <= h <= 1e-3):
         raise ValueError(f"step {h!r} outside [1e-7, 1e-3]")
-    r = laplacian.validate_radii(mesh, r)
-    u0 = laplacian.u_of_r(r)
-    n = mesh.vertex_count
+    u0 = laplacian.u_of_r(laplacian.validate_radii(mesh, r))
     for attempt_h in (h, 0.1 * h):
+        if np.any(u0 + attempt_h >= 0.0):
+            continue            # perturbed u leaves the domain
         try:
-            out = np.zeros((n, n))
-            for j in range(n):
-                up = u0.copy(); up[j] += attempt_h
-                um = u0.copy(); um[j] -= attempt_h
-                if up[j] >= 0.0:
-                    raise DegenerateFaceError("perturbed u leaves the domain")
-                kp = laplacian.curvature(mesh, laplacian.r_of_u(up))
-                km = laplacian.curvature(mesh, laplacian.r_of_u(um))
-                out[:, j] = (kp - km) / (2.0 * attempt_h)
-            return out
+            columns = [laplacian.curvature(mesh, laplacian.r_of_u(u0 + d))
+                       - laplacian.curvature(mesh, laplacian.r_of_u(u0 - d))
+                       for d in attempt_h * np.eye(mesh.vertex_count)]
         except DegenerateFaceError:
             continue
+        return np.stack(columns, axis=1) / (2.0 * attempt_h)
     raise DegenerateFaceError("finite-difference stencil leaves the admissible set")
 
 
 def matrix_rel_error(candidate, reference):
-    """Max entry deviation normalized by the largest reference entry."""
-    scale = max(float(np.max(np.abs(reference))), 1e-300)
-    return float(np.max(np.abs(candidate - reference))) / scale
+    """Max entry deviation normalized by the largest reference entry, per
+    matrix: the first two axes span a matrix, any further axis a batch."""
+    scale = np.maximum(np.max(np.abs(reference), axis=(0, 1)), 1e-300)
+    return np.max(np.abs(candidate - reference), axis=(0, 1)) / scale
 
 
 # -- explicit bound constants under a radius floor -----------------------------
@@ -136,6 +133,7 @@ class BoundConstants:
     m1: float
     m2: float
     m3: float
+    m4_per_face: tuple   # per face: one value per edge position
     m5: float
     m6: float
     m7: float
@@ -144,17 +142,9 @@ class BoundConstants:
     a2: float
     a3: float
     n_vertices: int
-    m4_per_face: tuple   # per face: one value per edge position
 
     def to_dict(self):
-        return {
-            "R": self.R, "a": self.a, "phi_bar": self.phi_bar,
-            "m1": self.m1, "m2": self.m2, "m3": self.m3,
-            "m4_per_face": [list(row) for row in self.m4_per_face],
-            "m5": self.m5, "m6": self.m6, "m7": self.m7, "m8": self.m8,
-            "a1": self.a1, "a2": self.a2, "a3": self.a3,
-            "n_vertices": self.n_vertices,
-        }
+        return asdict(self)
 
 
 def floor_bound_constants(mesh: WeightedTriangulation, r_floor: float) -> BoundConstants:
@@ -170,8 +160,12 @@ def floor_bound_constants(mesh: WeightedTriangulation, r_floor: float) -> BoundC
     m8 = 128.0 * one_pb * a**12
     d14 = 64.0 * a**14 * one_pb**2
     a1 = d14 / 15.0
-    a3 = 5.0 / (d14 * math.sqrt(one_pb))
+    a3 = 5.0 / (d14 * math.sqrt(one_pb)) if d14 > 0.0 else math.inf
     a2 = mesh.vertex_count * a3
+    if not math.isfinite(a2):
+        raise ValueError(
+            f"radius floor {r_floor!r} is too small: a**14 underflows, so the "
+            "bound constants leave double range")
     m4 = []
     for fid in range(mesh.face_count):
         g = [math.cos(w) for w in mesh.face_weights(fid)]
@@ -193,7 +187,8 @@ def floor_bound_constants(mesh: WeightedTriangulation, r_floor: float) -> BoundC
 
 @dataclass(frozen=True)
 class SubstitutedCoords:
-    """x = (e^(2 r_i) - 1)/2 and friends, plus the face weight polynomials."""
+    """x = (e^(2 r_i) - 1)/2 and friends, plus the face weight polynomials;
+    scalars, or arrays of points."""
 
     x: float
     y: float
@@ -209,10 +204,10 @@ class SubstitutedCoords:
 
     @classmethod
     def from_radii(cls, r_i, r_j, r_k, w_ij, w_ik, w_jk):
-        x = 0.5 * math.expm1(2.0 * r_i)
-        y = 0.5 * math.expm1(2.0 * r_j)
-        z = 0.5 * math.expm1(2.0 * r_k)
-        pij, pik, pjk = math.cos(w_ij), math.cos(w_ik), math.cos(w_jk)
+        x = 0.5 * np.expm1(2.0 * r_i)
+        y = 0.5 * np.expm1(2.0 * r_j)
+        z = 0.5 * np.expm1(2.0 * r_k)
+        pij, pik, pjk = np.cos(w_ij), np.cos(w_ik), np.cos(w_jk)
         return cls(
             x=x, y=y, z=z,
             a1=1.0 - pij * pij, a2=1.0 - pik * pik, a3=1.0 - pjk * pjk,
@@ -221,8 +216,10 @@ class SubstitutedCoords:
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def poly_forms(co: SubstitutedCoords):
-    """The four substituted polynomial forms (f, g1, g2, q)."""
+    """The four substituted polynomial forms (f, g1, g2, q); overflow gives
+    inf or nan."""
     x, y, z, p = co.x, co.y, co.z, co.phi_ij
     a1, a2, a3 = co.a1, co.a2, co.a3
     b1, b2, b3 = co.b1, co.b2, co.b3
@@ -242,50 +239,44 @@ def poly_forms(co: SubstitutedCoords):
         + 2.0 * b2 * x * y * y * z + 2.0 * b3 * x * x * y * z
         + 2.0 * b1 * x * y * z * z
     )
-    root = math.sqrt(4.0 * x * y + 2.0 * x + 2.0 * y + 1.0)
+    root = np.sqrt(4.0 * x * y + 2.0 * x + 2.0 * y + 1.0)
     # q = (1+p) x y + x + y + 1 - root, rewritten so it never cancels
     q = (1.0 + p) * x * y + (x - y) * (x - y) / (x + y + 1.0 + root)
     return f, g1, g2, q
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def poly_pair_derivative(co: SubstitutedCoords):
     """(t1, t2) where t1 = d theta_j / d u_i and t2 = t1 (cosh l_ij - 1),
-    evaluated purely from the substituted polynomial forms."""
+    evaluated purely from the substituted polynomial forms.
+
+    nan marks a point the polynomial route cannot represent: g1 or g2 not
+    positive (an inadmissible point), or the forms, the denominator or the
+    results outside double range.
+    """
     f, g1, g2, q = poly_forms(co)
-    if not (g1 > 0.0) or not (g2 > 0.0):
-        raise DegenerateFaceError(f"inadmissible substituted point: g1={g1!r} g2={g2!r}")
-    if not (math.isfinite(f) and math.isfinite(g1) and math.isfinite(g2)):
-        raise OverflowError("substituted polynomial forms overflow double range")
-    den = g1 * math.sqrt(g2)
-    if not math.isfinite(den) or den == 0.0:
-        raise OverflowError("substituted polynomial denominator leaves double range")
-    t1 = f * math.sqrt((2.0 * co.x + 1.0) * (2.0 * co.y + 1.0)) / den
+    den = g1 * np.sqrt(g2)
+    t1 = f * np.sqrt((2.0 * co.x + 1.0) * (2.0 * co.y + 1.0)) / den
     t2 = f * q / den
-    if not (math.isfinite(t1) and math.isfinite(t2)):
-        raise OverflowError("substituted polynomial forms overflow double range")
-    return t1, t2
+    ok = ((g1 > 0.0) & (g2 > 0.0) & np.isfinite(f) & np.isfinite(g1) & np.isfinite(g2)
+          & np.isfinite(den) & (den != 0.0) & np.isfinite(t1) & np.isfinite(t2))
+    return np.where(ok, t1, np.nan), np.where(ok, t2, np.nan)
 
 
 def closed_form_pair(tp: TrianglePacking, geom=None):
-    """t1 and t2 for each edge role straight from the triangle kernel.
+    """(t1, t2) for each edge role straight from the triangle kernel.
 
-    Returns {edge position: (t1, t2)}, where the edge at position t joins
-    corners t+1 and t+2. The discriminant denominator is used because it
-    is built from radii products alone and keeps full precision at the
-    mixed-extreme radii the boundary rays visit; its agreement with the
-    production denominator is certified separately.
+    Both are (3, N): row t is the edge joining corners t+1 and t+2, with
+    t1 = d theta_{t+2} / d u_{t+1} and t2 = t1 (cosh l_t - 1). The
+    discriminant denominator is used because it is built from radii
+    products alone and keeps full precision at the mixed-extreme radii the
+    boundary rays visit; its agreement with the production denominator is
+    certified separately.
     """
     if geom is None:
         geom = hypgeom.triangle_geometry(tp)
-    out = {}
-    for t in range(3):
-        a, b = (t + 1) % 3, (t + 2) % 3
-        t1 = hypgeom.pair_derivative(tp, b, a, geom, use_delta=True)
-        t2 = t1 * hypgeom.cosh_length_minus_one(
-            tp.radii[a], tp.radii[b], tp.weights[t]
-        )
-        out[t] = (t1, t2)
-    return out
+    t1 = hypgeom.pair_derivative(tp, PREV, NEXT, geom, use_delta=True)
+    return t1, t1 * geom.cosh_l_minus_1
 
 
 # -- brute-force inequality on cosine triples -----------------------------------
@@ -293,26 +284,26 @@ def closed_form_pair(tp: TrianglePacking, geom=None):
 def cosine_inequality_bruteforce(c: float, grid_n: int):
     """Exhaustive minimum of 2 - x^2 - y^2 + (x+yz) + (y+xz) + (z+xy) over
     the inclusive grid {c + k (1-c)/grid_n}^3 restricted to points with
-    x+yz, y+xz, z+xy all nonnegative. Returns (min value, argmin)."""
+    x+yz, y+xz, z+xy all nonnegative. Returns (min value, argmin); the
+    argmin is the first minimum in x, then y, then z order."""
     if not (-1.0 < c <= 0.0):
         raise ValueError(f"c must lie in (-1, 0], got {c!r}")
     if grid_n < 10:
         raise ValueError(f"grid_n must be at least 10, got {grid_n}")
-    ticks = [c + k * (1.0 - c) / grid_n for k in range(grid_n + 1)]
-    best = math.inf
-    argmin = None
-    for x in ticks:
-        for y in ticks:
-            for z in ticks:
-                cxy = x + y * z
-                cyx = y + x * z
-                czx = z + x * y
-                if cxy < 0.0 or cyx < 0.0 or czx < 0.0:
-                    continue
-                val = 2.0 - x * x - y * y + cxy + cyx + czx
-                if val < best:
-                    best = val
-                    argmin = (x, y, z)
+    ticks = np.array([c + k * (1.0 - c) / grid_n for k in range(grid_n + 1)])
+    y, z = ticks[None, :, None], ticks[None, None, :]
+    best, argmin = math.inf, None
+    # x values per pass, so that a pass holds ~2**15 points and ~2 MB
+    slab = max(1, 2**15 // (grid_n + 1) ** 2)
+    for lo in range(0, grid_n + 1, slab):
+        x = ticks[lo:lo + slab, None, None]
+        cxy, cyx, czx = x + y * z, y + x * z, z + x * y
+        val = np.where((cxy >= 0.0) & (cyx >= 0.0) & (czx >= 0.0),
+                       2.0 - x * x - y * y + cxy + cyx + czx, math.inf)
+        i, j, k = np.unravel_index(np.argmin(val), val.shape)
+        if val[i, j, k] < best:
+            best = float(val[i, j, k])
+            argmin = (float(x[i, 0, 0]), float(ticks[j]), float(ticks[k]))
     return best, argmin
 
 
@@ -333,16 +324,15 @@ def angle_decay_threshold(weights, epsilon, r_other_range, samples=24, seed=0):
     pairs += [tuple(log_uniform(rng, lo_r, hi_r, 2)) for _ in range(samples)]
     cap = min(hypgeom.RADIUS_CAP, 708.0 - hi_r)
 
+    # one triangle per pair (r_j, r_k) and multiple of l for r_i
+    others = np.repeat(np.array(pairs).T, 3, axis=1)
+    mults = np.tile([1.0, 2.0, 4.0], len(pairs))
+    w = np.repeat(np.array(weights, dtype=float)[:, None], others.shape[1], axis=1)
+
     def angle_small(l):
-        for rj, rk in pairs:
-            for mult in (1.0, 2.0, 4.0):
-                ri = min(mult * l, cap)
-                geom = hypgeom.triangle_geometry(
-                    TrianglePacking((ri, rj, rk), tuple(weights))
-                )
-                if not (geom.angles[0] < epsilon):
-                    return False
-        return True
+        radii = np.vstack((np.minimum(mults * l, cap), others))
+        geom = hypgeom.triangle_geometry(TrianglePacking(radii, w))
+        return bool(np.all(geom.angles[0] < epsilon))
 
     l_min = 1e-6
     hi = 1.0
@@ -400,20 +390,41 @@ class SweepReport:
         if not (value >= bound):
             self.violate(sample, quantity, value, bound)
 
+    def check_batch(self, samples, checks):
+        """check_upper and check_lower over a batch of samples.
+
+        checks lists (quantity, values, bound, kind[, mask]) in the order
+        they apply to one sample, values and mask one entry per sample.
+        "upper" and "lower" record the sup or inf where mask holds and fail
+        where the bound does not; "fail" fails where mask holds. Violations
+        are listed sample by sample, as a loop over the samples lists them.
+        """
+        failed = []
+        for quantity, values, bound, kind, *mask in checks:
+            applies = mask[0] if mask else np.ones(np.shape(values), dtype=bool)
+            if kind == "fail":
+                failed.append(applies)
+                continue
+            if applies.any():
+                chosen = values[applies]
+                if kind == "upper":
+                    self.record_sup(quantity, chosen.max())
+                else:
+                    self.record_inf(quantity, chosen.min())
+            ok = values <= bound if kind == "upper" else values >= bound
+            failed.append(applies & ~ok)
+        for i in np.flatnonzero(np.any(failed, axis=0)):
+            for (quantity, values, bound, *_), bad in zip(checks, failed):
+                if bad[i]:
+                    self.violate(samples[i], quantity, values[i], bound)
+
     @property
     def passed(self):
         return not self.violations
 
     def to_dict(self):
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "samples": self.samples,
-            "sups": dict(sorted(self.sups.items())),
-            "infs": dict(sorted(self.infs.items())),
-            "violations": self.violations,
-            "wall_time": self.wall_time,
-        }
+        return {**asdict(self), "sups": dict(sorted(self.sups.items())),
+                "infs": dict(sorted(self.infs.items()))}
 
 
 # -- individual sweeps -------------------------------------------------------------
@@ -428,44 +439,52 @@ FD_SYMMETRY_ATOL = 1e-6
 AB_IDENTITY_RTOL = 1e-9
 
 
+# the corner pairs (a, b), a < b
+_LO = np.array([0, 0, 1])
+_HI = np.array([1, 2, 2])
+
+
 def run_identities(samples=10_000, seed=42, r_lo=1e-3, r_hi=1e2):
     """Row identity with chain-rule diagonals, pairwise symmetry, sign of
     the off-diagonal derivatives, and equality of the two denominator
     representations, on random admissible triangles."""
     rep = SweepReport("identities", seed, samples)
-    start = time.perf_counter()
-    for i in range(samples):
-        rng = sample_rng(seed, i)
-        tp = sample_star_triangle(rng, r_lo, r_hi)
-        geom = hypgeom.triangle_geometry(tp)
-        for a in range(3):
-            o1, o2 = (a + 1) % 3, (a + 2) % 3
-            j1 = hypgeom.pair_derivative(tp, a, o1, geom)
-            j2 = hypgeom.pair_derivative(tp, a, o2, geom)
-            t1 = geom.cosh_l[3 - a - o1] * j1
-            t2 = geom.cosh_l[3 - a - o2] * j2
-            diag = hypgeom.chain_rule_diagonal(tp, a, geom)
-            rel = abs(diag + t1 + t2) / (1.0 + abs(diag) + abs(t1) + abs(t2))
-            rep.check_upper(i, "row_identity_residual", rel, IDENTITY_RESIDUAL_RTOL)
-            rep.check_lower(i, "offdiag_min", min(j1, j2), 0.0)
-        for a in range(3):
-            for b in range(a + 1, 3):
-                s1 = hypgeom.pair_derivative(tp, a, b, geom)
-                s2 = hypgeom.pair_derivative(tp, b, a, geom)
-                rel = abs(s1 - s2) / max(abs(s1), abs(s2), 1e-300)
-                rep.check_upper(i, "pair_symmetry", rel, SYMMETRY_RTOL)
-                d1 = hypgeom.pair_derivative(tp, a, b, geom, use_delta=True)
-                rel = abs(d1 - s1) / max(abs(s1), abs(d1), 1e-300)
-                rep.check_upper(i, "denominator_equivalence", rel, DENOMINATOR_EQUIV_RTOL)
-        for a in range(3):
-            # corner independence of the normalization (law of sines)
-            per_corner = (geom.sinh_l[(a + 1) % 3] * geom.sinh_l[(a + 2) % 3]
-                          * geom.sin_angles[a])
-            rel = abs(per_corner - geom.a_norm) / geom.a_norm
-            rep.check_upper(i, "law_of_sines", rel, DENOMINATOR_EQUIV_RTOL)
-        rep.check_lower(i, "area_min", geom.area, 0.0)
-    rep.wall_time = time.perf_counter() - start
+    for lo in range(0, samples, _BATCH):
+        ids = range(lo, min(lo + _BATCH, samples))
+        rep.check_batch(ids, _identity_checks(sample_star_triangles(seed, ids, r_lo, r_hi)))
     return rep
+
+
+def _identity_checks(tp):
+    geom = hypgeom.triangle_geometry(tp)
+    row = hypgeom.glickenstein_residual(tp, geom, relative=True)
+    offdiag = np.minimum(hypgeom.pair_derivative(tp, ROWS, NEXT, geom),
+                         hypgeom.pair_derivative(tp, ROWS, PREV, geom))
+    s1 = hypgeom.pair_derivative(tp, _LO, _HI, geom)
+    s2 = hypgeom.pair_derivative(tp, _HI, _LO, geom)
+    d1 = hypgeom.pair_derivative(tp, _LO, _HI, geom, use_delta=True)
+    symmetry = np.abs(s1 - s2) / np.maximum(np.maximum(np.abs(s1), np.abs(s2)), 1e-300)
+    denominators = np.abs(d1 - s1) / np.maximum(np.maximum(np.abs(s1), np.abs(d1)), 1e-300)
+    # corner independence of the normalization (law of sines)
+    per_corner = geom.sinh_l.take(NEXT, axis=0) * geom.sinh_l.take(PREV, axis=0) * geom.sin_angles
+    sines = np.abs(per_corner - geom.a_norm) / geom.a_norm
+    checks = []
+    for a in range(3):
+        checks += [("row_identity_residual", row[a], IDENTITY_RESIDUAL_RTOL, "upper"),
+                   ("offdiag_min", offdiag[a], 0.0, "lower")]
+    for k in range(3):
+        checks += [("pair_symmetry", symmetry[k], SYMMETRY_RTOL, "upper"),
+                   ("denominator_equivalence", denominators[k], DENOMINATOR_EQUIV_RTOL, "upper")]
+    checks += [("law_of_sines", sines[a], DENOMINATOR_EQUIV_RTOL, "upper") for a in range(3)]
+    checks.append(("area_min", geom.area, 0.0, "lower"))
+    return checks
+
+
+def _targets(mesh):
+    """(name, mesh) pairs of a mesh suite: the given mesh, else the built-in ones."""
+    if mesh is not None:
+        return [("mesh", mesh)]
+    return [(name, builtin_mesh(name)) for name in ("tetra", "genus2_min")]
 
 
 def _octahedron():
@@ -479,19 +498,12 @@ def run_jacobians(samples=1_000, seed=42, mesh_metrics=100, mesh=None):
     angle Jacobians, then mesh-level curvature Jacobians, their symmetry,
     and the zero pattern across non-adjacent vertex pairs."""
     rep = SweepReport("jacobians", seed, samples)
-    start = time.perf_counter()
-    for i in range(samples):
-        rng = sample_rng(seed, i)
-        tp = sample_star_triangle(rng, 0.1, 10.0)
-        J = hypgeom.angle_jacobian(tp)
-        fd = fd_angle_jacobian(tp, 1e-5)
-        rep.check_upper(i, "angle_fd_matrix_rel", matrix_rel_error(fd, J), ANGLE_FD_RTOL)
-    if mesh is None:
-        meshes = [("tetra", builtin_mesh("tetra")),
-                  ("genus2_min", builtin_mesh("genus2_min"))]
-    else:
-        meshes = [("mesh", mesh)]
-    for name, base in meshes:
+    for lo in range(0, samples, _BATCH):
+        ids = range(lo, min(lo + _BATCH, samples))
+        tp = sample_star_triangles(seed, ids, 0.1, 10.0)
+        err = matrix_rel_error(fd_angle_jacobian(tp, 1e-5), hypgeom.angle_jacobian(tp))
+        rep.check_batch(ids, [("angle_fd_matrix_rel", err, ANGLE_FD_RTOL, "upper")])
+    for name, base in _targets(mesh):
         for i in range(mesh_metrics):
             rng = sample_rng(seed, 10_000 + i)
             mesh = base if i % 2 == 0 else sample_star_mesh_weights(base, rng)
@@ -515,7 +527,6 @@ def run_jacobians(samples=1_000, seed=42, mesh_metrics=100, mesh=None):
         for a, b in nonadjacent:
             rep.check_upper(f"octa:{i}", "nonadjacent_fd_entry",
                             abs(float(fd[a, b])), CURVATURE_FD_ATOL)
-    rep.wall_time = time.perf_counter() - start
     return rep
 
 
@@ -523,11 +534,7 @@ def run_spd(samples=100, seed=42, mesh=None):
     """Positive definiteness and exact symmetry of L on random admissible
     metrics over the built-in meshes."""
     rep = SweepReport("spd", seed, samples)
-    start = time.perf_counter()
-    targets = [("tetra", None), ("genus2_min", None)] if mesh is None \
-        else [("mesh", mesh)]
-    for name, given in targets:
-        base = given if given is not None else builtin_mesh(name)
+    for name, base in _targets(mesh):
         for i in range(samples):
             rng = sample_rng(seed, i if name == "tetra" else 50_000 + i)
             mesh = sample_star_mesh_weights(base, rng)
@@ -542,7 +549,6 @@ def run_spd(samples=100, seed=42, mesh=None):
             rep.check_lower(f"{name}:{i}", "diag_dominance_margin", float(np.min(margin)), 0.0)
             rel = np.max(np.abs(margin - asm.A) / (1.0 + np.abs(asm.A)))
             rep.check_upper(f"{name}:{i}", "dominance_margin_vs_A", float(rel), 1e-9)
-    rep.wall_time = time.perf_counter() - start
     return rep
 
 
@@ -550,7 +556,6 @@ def sweep_floor_bounds(mesh, r_floor, samples, seed, label=""):
     """Certify a1 <= A_i <= a2 and 0 <= B_e <= a3 for radii in
     [r_floor, r_floor + 5], including the floor itself."""
     rep = SweepReport("theorem1", seed, samples)
-    start = time.perf_counter()
     consts = floor_bound_constants(mesh, r_floor)
     n = mesh.vertex_count
     metrics = [("boundary", np.full(n, r_floor))]
@@ -566,7 +571,6 @@ def sweep_floor_bounds(mesh, r_floor, samples, seed, label=""):
         rep.check_upper(sid, f"B_max{tag}", float(np.max(asm.B)), consts.a3)
         rep.check_upper(sid, f"ab_identity_residual{tag}",
                         asm.ab_residual, AB_IDENTITY_RTOL)
-    rep.wall_time = time.perf_counter() - start
     return rep
 
 
@@ -574,21 +578,16 @@ def run_theorem1(samples=1_000, seed=42, floors=(0.25, 0.5, 1.0), mesh=None):
     """Floor-bound certification on the tetrahedron with zero and with
     mixed admissible weights."""
     rep = SweepReport("theorem1", seed, samples)
-    start = time.perf_counter()
     base = mesh if mesh is not None else builtin_mesh("tetra")
+    mixed = sample_star_mesh_weights(base, sample_rng(seed, 90_000))
     for r_floor in floors:
-        for mode in ("zero", "mixed"):
-            if mode == "zero":
-                mesh = base
-            else:
-                mesh = sample_star_mesh_weights(base, sample_rng(seed, 90_000))
+        for mode, mesh in (("zero", base), ("mixed", mixed)):
             label = f"R={r_floor},{mode}"
             sub = sweep_floor_bounds(mesh, r_floor, samples, seed, label)
             rep.sups.update(sub.sups)
             rep.infs.update(sub.infs)
             rep.violations.extend(sub.violations)
     rep.samples = samples * len(floors) * 2
-    rep.wall_time = time.perf_counter() - start
     return rep
 
 
@@ -619,25 +618,12 @@ def _uniform_bound_rays():
         ts = _log_space(1e-6 / min(d), 1.0, _RAY_POINTS)
         pts = [tuple(t * x for x in d) for t in ts]
         rays.append((f"all_to_zero{d}", pts, _boundary_decade_count(ts)))
-    for pair in ((0, 1), (0, 2), (1, 2)):
-        for third in (0.5, 20.0):
-            ts = _log_space(1e-6, 1.0, _RAY_POINTS)
-            pts = []
-            for t in ts:
-                r = [third] * 3
-                r[pair[0]] = t
-                r[pair[1]] = t
-                pts.append(tuple(r))
-            rays.append((f"two_to_zero{pair}@{third}", pts, _boundary_decade_count(ts)))
-    for axis in (0, 1, 2):
-        for others in (0.5, 20.0):
-            ts = _log_space(1e-6, 1.0, _RAY_POINTS)
-            pts = []
-            for t in ts:
-                r = [others] * 3
-                r[axis] = t
-                pts.append(tuple(r))
-            rays.append((f"one_to_zero{axis}@{others}", pts, _boundary_decade_count(ts)))
+    ts = _log_space(1e-6, 1.0, _RAY_POINTS)
+    for name, axes in ([(f"two_to_zero{p}", p) for p in ((0, 1), (0, 2), (1, 2))]
+                       + [(f"one_to_zero{k}", (k,)) for k in range(3)]):
+        for fixed in (0.5, 20.0):
+            pts = [tuple(t if k in axes else fixed for k in range(3)) for t in ts]
+            rays.append((f"{name}@{fixed}", pts, _boundary_decade_count(ts)))
     for idx, d in enumerate(((1.0, 1.0, 1.0), (1.0, 1.0, 0.01))):
         ss = _log_space(1e2 / max(d), 1.0, _RAY_POINTS)   # descending scale
         pts = [tuple(s * x for x in d) for s in ss]
@@ -645,51 +631,13 @@ def _uniform_bound_rays():
     return rays
 
 
-def _eval_triple_point(weights, radii, rep, sample_tag, cross_checks):
-    tp = TrianglePacking(tuple(radii), tuple(weights))
-    geom = hypgeom.triangle_geometry(tp)
-    pairs = closed_form_pair(tp, geom)
-    values = {}
-    for t, (t1, t2) in pairs.items():
-        if not (math.isfinite(t1) and math.isfinite(t2)):
-            rep.violate(sample_tag, f"finite_t1_t2[edge{t}]", t1, math.inf)
-            continue
-        rep.check_lower(sample_tag, "t1_min", t1, 0.0)
-        rep.check_lower(sample_tag, "t2_min", t2, 0.0)
-        rep.record_sup("t1_sup", t1)
-        rep.record_sup("t2_sup", t2)
-        values[t] = (t1, t2)
-        a, b = (t + 1) % 3, (t + 2) % 3
-        co = SubstitutedCoords.from_radii(
-            radii[a], radii[b], radii[t],
-            weights[t], weights[b], weights[a],
-        )
-        try:
-            p1, p2 = poly_pair_derivative(co)
-        except (DegenerateFaceError, OverflowError):
-            continue          # polynomial route not representable here
-        if math.isfinite(p1) and math.isfinite(p2):
-            # below ~1e-250 both routes are deep in underflow scale and a
-            # relative comparison is meaningless
-            rel1 = 0.0 if max(abs(t1), abs(p1)) < 1e-250 else \
-                abs(p1 - t1) / max(abs(t1), abs(p1))
-            rel2 = 0.0 if max(abs(t2), abs(p2)) < 1e-250 else \
-                abs(p2 - t2) / max(abs(t2), abs(p2))
-            cross_checks.append(max(rel1, rel2))
-            rep.check_upper(sample_tag, "poly_cross_check", max(rel1, rel2),
-                            DENOMINATOR_EQUIV_RTOL)
-    # per-corner positivity of the face contribution to A
-    for corner in range(3):
-        o1, o2 = (corner + 1) % 3, (corner + 2) % 3
-        total = 0.0
-        for b in (o1, o2):
-            t = 3 - corner - b
-            t1, t2 = pairs[t]
-            total += t2
-        rep.check_lower(sample_tag, "face_A_contribution", total, 0.0)
-        if total <= 0.0:
-            rep.violate(sample_tag, "face_A_contribution_nonpositive", total, 0.0)
-    return values
+@np.errstate(invalid="ignore", divide="ignore")
+def _rel_gap(p, t):
+    """|p - t| relative to the larger magnitude; 0 below 1e-250, where both
+    routes are deep in underflow scale and a relative comparison is
+    meaningless."""
+    big = np.maximum(np.abs(t), np.abs(p))
+    return np.where(big < 1e-250, 0.0, np.abs(p - t) / big)
 
 
 def sweep_uniform_bounds(weight_triples, seed=42, grid_per_axis=6, degree=3):
@@ -697,60 +645,80 @@ def sweep_uniform_bounds(weight_triples, seed=42, grid_per_axis=6, degree=3):
     boundary rays, asserting finiteness and nonnegativity of the edge
     derivative forms, cross-checking the polynomial representation, and
     requiring the running sup to stabilize on the boundary decade of
-    every ray."""
+    every ray. Each triple is one kernel call over all its points."""
     rep = SweepReport("theorem2", seed, 0)
-    start = time.perf_counter()
-    n_points = 0
     grid = np.exp(np.linspace(math.log(1e-6), math.log(1e2), grid_per_axis))
+    grid_points = [(x, y, z) for x in grid for y in grid for z in grid]
+    segments = [("grid", grid_points, 0)] + _uniform_bound_rays()
+    names = [f"grid({x:.1e},{y:.1e},{z:.1e})" for x, y, z in grid_points]
+    names += [f"{ray}:{i}" for ray, pts, _ in segments[1:] for i in range(len(pts))]
+    radii = np.array([p for _, pts, _ in segments for p in pts]).T
     for w_idx, weights in enumerate(weight_triples):
         if min(corner_gammas(tuple(weights))) < 0.0:
             raise ValueError(f"weight triple {w_idx} violates the corner condition")
-        cross = []
-        triple_sup_key_1 = f"t1_sup[w{w_idx}]"
-        triple_sup_key_2 = f"t2_sup[w{w_idx}]"
-        for xi in grid:
-            for yi in grid:
-                for zi in grid:
-                    tag = f"w{w_idx}:grid({xi:.1e},{yi:.1e},{zi:.1e})"
-                    vals = _eval_triple_point(weights, (xi, yi, zi), rep, tag, cross)
-                    n_points += 1
-                    for t1, t2 in vals.values():
-                        rep.record_sup(triple_sup_key_1, t1)
-                        rep.record_sup(triple_sup_key_2, t2)
-        for ray_name, pts, n_boundary in _uniform_bound_rays():
-            seq1, seq2 = [], []
-            for p_idx, radii in enumerate(pts):
-                tag = f"w{w_idx}:{ray_name}:{p_idx}"
-                vals = _eval_triple_point(weights, radii, rep, tag, cross)
-                n_points += 1
-                m1 = max((v[0] for v in vals.values()), default=0.0)
-                m2 = max((v[1] for v in vals.values()), default=0.0)
-                seq1.append(m1)
-                seq2.append(m2)
-                rep.record_sup(triple_sup_key_1, m1)
-                rep.record_sup(triple_sup_key_2, m2)
+        w = np.repeat(np.array(weights, dtype=float)[:, None], radii.shape[1], axis=1)
+        t1, t2 = closed_form_pair(TrianglePacking(radii, w))
+        finite = np.isfinite(t1) & np.isfinite(t2)
+        # edge t joins corners i = t + 1 and j = t + 2
+        p1, p2 = poly_pair_derivative(SubstitutedCoords.from_radii(
+            radii.take(NEXT, axis=0), radii.take(PREV, axis=0), radii,
+            w, w.take(PREV, axis=0), w.take(NEXT, axis=0)))
+        crossed = finite & np.isfinite(p1) & np.isfinite(p2)
+        cross = np.maximum(_rel_gap(p1, t1), _rel_gap(p2, t2))
+        # per corner, the face's contribution to A: t2 of the two edges at it
+        face_a = t2.take(PREV, axis=0) + t2.take(NEXT, axis=0)
+        if finite.any():
+            rep.record_sup("t1_sup", t1[finite].max())
+            rep.record_sup("t2_sup", t2[finite].max())
+        # per point, the largest finite t1 and t2 over the edges, else 0
+        has = finite.any(axis=0)
+        m1 = np.where(has, np.where(finite, t1, -math.inf).max(axis=0), 0.0)
+        m2 = np.where(has, np.where(finite, t2, -math.inf).max(axis=0), 0.0)
+        key1, key2 = f"t1_sup[w{w_idx}]", f"t2_sup[w{w_idx}]"
+        labels = [f"w{w_idx}:{name}" for name in names]
+        end = 0
+        for ray_name, pts, n_boundary in segments:
+            seg = slice(end, end + len(pts))
+            end = seg.stop
+            checks = []
+            for t in range(3):
+                ok = finite[t, seg]
+                checks += [(f"finite_t1_t2[edge{t}]", t1[t, seg], math.inf, "fail", ~ok),
+                           ("t1_min", t1[t, seg], 0.0, "lower", ok),
+                           ("t2_min", t2[t, seg], 0.0, "lower", ok),
+                           ("poly_cross_check", cross[t, seg], DENOMINATOR_EQUIV_RTOL, "upper",
+                            crossed[t, seg])]
+            for corner in range(3):
+                a = face_a[corner, seg]
+                checks += [("face_A_contribution", a, 0.0, "lower"),
+                           ("face_A_contribution_nonpositive", a, 0.0, "fail", a <= 0.0)]
+            rep.check_batch(labels[seg], checks)
+            if ray_name == "grid":
+                if has[seg].any():      # the grid records edge values, not point maxima
+                    rep.record_sup(key1, m1[seg][has[seg]].max())
+                    rep.record_sup(key2, m2[seg][has[seg]].max())
+                continue
+            rep.record_sup(key1, m1[seg].max())
+            rep.record_sup(key2, m2[seg].max())
             if ray_name.startswith("large_r"):
                 continue    # stabilization is certified on the r -> 0 rays
-            for kind, seq in (("t1", seq1), ("t2", seq2)):
+            for kind, seq in (("t1", m1[seg]), ("t2", m2[seg])):
                 # the boundary decade (indices < n_boundary) must not lift
                 # the running sup by more than 5%: that is the numerical
                 # content of "the sup stabilizes along the ray"
-                sup_rest = max(seq[n_boundary:], default=0.0)
-                sup_all = max(seq)
+                sup_rest = float(seq[n_boundary:].max()) if len(seq) > n_boundary else 0.0
+                sup_all = float(seq.max())
                 if sup_all > (1.0 + STABILIZATION_RTOL) * sup_rest + 1e-12:
                     rep.violate(
                         f"w{w_idx}:{ray_name}", f"{kind}_sup_stabilization",
                         sup_all, (1.0 + STABILIZATION_RTOL) * sup_rest,
                     )
-        m1 = rep.sups.get(triple_sup_key_1, 0.0)
-        m2 = rep.sups.get(triple_sup_key_2, 0.0)
-        rep.record_sup(f"C1_candidate[w{w_idx}]", 2.0 * degree * m2)
-        rep.record_sup(f"C2_candidate[w{w_idx}]", 2.0 * m1)
-        if cross:
-            rep.record_sup("poly_cross_check_max", max(cross))
-        rep.record_sup(f"poly_cross_checked[w{w_idx}]", float(len(cross)))
-    rep.samples = n_points
-    rep.wall_time = time.perf_counter() - start
+        rep.record_sup(f"C1_candidate[w{w_idx}]", 2.0 * degree * rep.sups.get(key2, 0.0))
+        rep.record_sup(f"C2_candidate[w{w_idx}]", 2.0 * rep.sups.get(key1, 0.0))
+        if crossed.any():
+            rep.record_sup("poly_cross_check_max", cross[crossed].max())
+        rep.record_sup(f"poly_cross_checked[w{w_idx}]", float(np.count_nonzero(crossed)))
+    rep.samples = radii.shape[1] * len(weight_triples)
     return rep
 
 
@@ -765,10 +733,8 @@ def default_weight_triples(count=20, seed=42):
         (0.5, 0.5, 0.5),
         (math.pi / 2, math.pi / 2, math.pi / 2),
     ]
-    i = 0
-    while len(triples) < count:
-        triples.append(sample_star_face_weights(sample_rng(seed, 70_000 + i)))
-        i += 1
+    triples += [sample_star_face_weights(sample_rng(seed, 70_000 + i))
+                for i in range(count - len(triples))]
     return triples
 
 
@@ -780,13 +746,9 @@ def run_prop24(samples=1_000, seed=42, mesh=None):
     """Zero-weight bounds 0 < B < 1 and 0 < A_i < d_i cosh 1 on the
     built-in meshes over random metrics."""
     rep = SweepReport("prop24", seed, samples)
-    start = time.perf_counter()
     cosh1 = math.cosh(1.0)
-    if mesh is None:
-        targets = [(n, builtin_mesh(n)) for n in ("tetra", "genus2_min")]
-    else:
-        targets = [("mesh", mesh.with_uniform_weight(0.0))]   # hypothesis: zero weights
-    for name, mesh in targets:
+    # hypothesis: zero weights
+    for name, mesh in _targets(None if mesh is None else mesh.with_uniform_weight(0.0)):
         deg = np.asarray(mesh.degrees(), dtype=float)
         for i in range(samples):
             rng = sample_rng(seed, i if name == "tetra" else 60_000 + i)
@@ -804,7 +766,6 @@ def run_prop24(samples=1_000, seed=42, mesh=None):
                             float(np.max(ratio)), 1.0)
             if np.any(asm.A <= 0.0) or np.any(ratio >= 1.0):
                 rep.violate(f"{name}:{i}", "A_bounds", float(np.max(ratio)), 1.0)
-    rep.wall_time = time.perf_counter() - start
     return rep
 
 
@@ -812,13 +773,11 @@ def run_prop31(grid_n=50, seed=42, c_values=(0.0, -0.3, -0.7, -0.99)):
     """Constrained grid minima of the cosine-triple expression; the bound
     1 + c is exact, no tolerance."""
     rep = SweepReport("prop31", seed, len(c_values))
-    start = time.perf_counter()
     for c in c_values:
         val, arg = cosine_inequality_bruteforce(c, grid_n)
         rep.record_inf(f"min[c={c:g}]", val)
         if not (val >= 1.0 + c):
             rep.violate(f"c={c:g}", "grid_minimum", val, 1.0 + c)
-    rep.wall_time = time.perf_counter() - start
     return rep
 
 
@@ -826,16 +785,12 @@ def run_lemma52(seed=42):
     """Angle decay thresholds: finite for every epsilon, monotone as
     epsilon shrinks."""
     rep = SweepReport("lemma52", seed, 0)
-    start = time.perf_counter()
-    panels = [("zero", (0.0, 0.0, 0.0))]
-    for i in range(2):
-        panels.append((f"mixed{i}", sample_star_face_weights(sample_rng(seed, 80_000 + i))))
-    n = 0
+    panels = [("zero", (0.0, 0.0, 0.0))] + [
+        (f"mixed{i}", sample_star_face_weights(sample_rng(seed, 80_000 + i))) for i in range(2)]
     for name, weights in panels:
         last = None
         for eps in (1e-3, 1e-6):
             thr, found = angle_decay_threshold(weights, eps, (0.1, 10.0), seed=seed)
-            n += 1
             rep.record_sup(f"threshold[{name},eps={eps:g}]", thr)
             if not found:
                 rep.violate(f"{name}:eps={eps:g}", "threshold_not_found", thr,
@@ -845,32 +800,39 @@ def run_lemma52(seed=42):
             last = thr
         thr_pi, _ = angle_decay_threshold(weights, math.pi, (0.1, 10.0), seed=seed)
         rep.record_inf(f"threshold[{name},eps=pi]", thr_pi)
-        n += 1
-    rep.samples = n
-    rep.wall_time = time.perf_counter() - start
+    rep.samples = 3 * len(panels)       # two epsilons and pi per panel
     return rep
 
 
-def run_suite(name, samples=None, seed=42, grid=50, mesh=None):
-    """Dispatch a named certification suite with its default sizes.
+# name -> (suite, default size); prop31's size is its grid, lemma52 has none
+SUITES = {
+    "identities": (run_identities, 10_000),
+    "jacobians": (run_jacobians, 1_000),
+    "spd": (run_spd, 100),
+    "theorem1": (run_theorem1, 1_000),
+    "theorem2": (run_theorem2, 20),
+    "prop24": (run_prop24, 1_000),
+    "prop31": (run_prop31, 50),
+    "lemma52": (run_lemma52, None),
+}
+SUITE_NAMES = tuple(SUITES)
+MESH_SUITES = ("jacobians", "spd", "theorem1", "prop24")
 
-    mesh replaces the built-in targets for the mesh-specific suites; the
-    triangle-level suites ignore it.
+
+def run_suite(name, samples=None, seed=42, grid=None, mesh=None):
+    """Run a named certification suite, by default at its default size,
+    and time it.
+
+    samples sets the size, or grid for prop31; mesh replaces the built-in
+    targets of the mesh-specific suites, and the triangle-level suites
+    ignore it.
     """
-    if name == "identities":
-        return run_identities(samples or 10_000, seed)
-    if name == "jacobians":
-        return run_jacobians(samples or 1_000, seed, mesh=mesh)
-    if name == "spd":
-        return run_spd(samples or 100, seed, mesh=mesh)
-    if name == "theorem1":
-        return run_theorem1(samples or 1_000, seed, mesh=mesh)
-    if name == "theorem2":
-        return run_theorem2(samples or 20, seed)
-    if name == "prop24":
-        return run_prop24(samples or 1_000, seed, mesh=mesh)
-    if name == "prop31":
-        return run_prop31(grid, seed)
-    if name == "lemma52":
-        return run_lemma52(seed)
-    raise ValueError(f"unknown suite {name!r}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    run, size = SUITES[name]
+    args = () if size is None else ((grid if name == "prop31" else samples) or size,)
+    kwargs = {"mesh": mesh} if name in MESH_SUITES else {}
+    start = time.perf_counter()
+    rep = run(*args, seed=seed, **kwargs)
+    rep.wall_time = time.perf_counter() - start
+    return rep

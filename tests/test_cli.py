@@ -167,15 +167,6 @@ def test_flow_csv_deterministic(capsys, tmp_path):
     assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("CPFLOW_THREADS", "4")
-    code, _, _ = run_cli(capsys, "check", "--mesh", "tetra")
-    assert code == 0
-    monkeypatch.setenv("CPFLOW_THREADS", "zero")
-    code, _, _ = run_cli(capsys, "check", "--mesh", "tetra")
-    assert code == 1
-
-
 def test_flow_trace_stride_below_one_is_usage_error(capsys):
     for stride in ("0", "-3"):
         code, _, err = run_cli(capsys, "flow", "--mesh", "genus2_min", "--trace-stride", stride)
@@ -217,4 +208,15 @@ def test_non_utf8_mesh_file_is_validation_error(capsys, tmp_path):
     path.write_bytes(b'{"vertices": \xff}')
     code, _, err = run_cli(capsys, "check", "--mesh", str(path))
     assert code == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--mesh", "tetra", "--R", "1e-300"],     # a**14 underflows to 0
+    ["verify", "--suite", "identities", "--seed", "-1"],
+    ["flow", "--mesh", "tetra", "--t-max", "inf"],     # tetra never converges
+])
+def test_out_of_range_input_is_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 5
     assert "Traceback" not in err

@@ -272,7 +272,7 @@ def _thinness(mesh, r):
     magnifies a last-digit difference in a length."""
     kappa = 1.0
     for fid in range(mesh.face_count):
-        lengths = hypgeom.triangle_geometry(oracles.face_packing(mesh, r, fid)).lengths
+        lengths = oracles.triangle_geometry(oracles.face_packing(mesh, r, fid)).lengths
         s = 0.5 * sum(lengths)
         kappa = max(kappa, s / min(s - x for x in lengths))
     return kappa
@@ -298,6 +298,11 @@ def test_kernel_matches_scalar_loops():
             assert np.array_equal(curvature(mesh, r), asm.K)
 
 
+# radii where the `math` reference returns nan instead of raising (see
+# test_kernel_raises_where_scalar_loops_give_nan)
+_NAN_IN_REFERENCE = ([150.0] * 4, [200.0] * 4)
+
+
 def _star_violating_tetra():
     phis = [0.0] * 6
     f = TETRA.faces[0]
@@ -315,13 +320,21 @@ def _star_violating_tetra():
     (TETRA, [1.0, 1.0, 1.0, 700.5], RadiusOverflowError),
     (_star_violating_tetra(), [1.0, 1.2, 0.8, 1.0], StarConditionError),
     (_star_violating_tetra(), [5.0] * 4, StarConditionError),
+    (TETRA, [150.0] * 4, RadiusOverflowError),                   # pair derivatives inf / inf
+    (TETRA, [200.0] * 4, RadiusOverflowError),                   # corner angles nan
 ])
 def test_kernel_raises_what_the_scalar_loops_raise(mesh, r, error):
     r = np.array(r)
     with pytest.raises(error):
-        oracles.assemble_loop(mesh, r)
-    with pytest.raises(error):
         assemble(mesh, r)
+    with pytest.raises(error):      # the single-triangle route, face by face
+        for fid, f in enumerate(mesh.faces):
+            tp = hypgeom.TrianglePacking(r[list(f.corners)], mesh.face_weights(fid))
+            hypgeom.angle_jacobian(tp)
+    if r.tolist() in _NAN_IN_REFERENCE:
+        return
+    with pytest.raises(error):
+        oracles.assemble_loop(mesh, r)
 
 
 def test_star_violation_leaves_curvature_alone():

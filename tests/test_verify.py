@@ -39,7 +39,7 @@ TETRA = builtin_mesh("tetra")
 
 def test_fd_angle_jacobian_symmetric_configuration():
     tp = TrianglePacking((1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
-    fd = fd_angle_jacobian(tp, 1e-5)
+    fd = fd_angle_jacobian(tp, 1e-5)[:, :, 0]
     assert np.max(np.abs(fd - fd.T)) < 1e-9
 
 
@@ -146,7 +146,7 @@ def test_poly_matches_closed_form_on_random_samples():
         radii = tuple(np.exp(rng.uniform(math.log(0.1), math.log(10.0), 3)))
         weights = sample_star_face_weights(rng)
         tp = TrianglePacking(radii, weights)
-        pairs = closed_form_pair(tp)
+        t1s, t2s = closed_form_pair(tp)
         for t in range(3):
             a, b = (t + 1) % 3, (t + 2) % 3
             co = SubstitutedCoords.from_radii(
@@ -154,7 +154,7 @@ def test_poly_matches_closed_form_on_random_samples():
                 weights[t], weights[b], weights[a],
             )
             p1, p2 = poly_pair_derivative(co)
-            t1, t2 = pairs[t]
+            t1, t2 = t1s[t, 0], t2s[t, 0]
             worst = max(worst, abs(p1 - t1) / max(t1, p1, 1e-300))
             worst = max(worst, abs(p2 - t2) / max(t2, p2, 1e-300))
     assert worst < 1e-9
@@ -167,8 +167,8 @@ def test_poly_t2_equals_t1_times_cosh_l_minus_one():
     tp = TrianglePacking(radii, weights)
     t1 = pair_derivative(tp, 2, 1, use_delta=True)
     w = cosh_length_minus_one(radii[1], radii[2], weights[0])
-    pairs = closed_form_pair(tp)
-    assert pairs[0][1] == pytest.approx(t1 * w, rel=1e-12)
+    t2s = closed_form_pair(tp)[1]
+    assert t2s[0] == pytest.approx(t1 * w, rel=1e-12)
 
 
 # -- brute-force cosine inequality ------------------------------------------------------
@@ -187,6 +187,19 @@ def test_cosine_grid_minima():
         assert all(c <= x <= 1.0 for x in arg)
     val, _ = cosine_inequality_bruteforce(-0.7, 50)
     assert val == pytest.approx(COSINE_GRID_MIN_C07_N50, rel=1e-15)
+
+
+def test_cosine_grid_in_passes_matches_one_array():
+    # grid_n = 120 is minimized in two passes over x
+    c, n = -0.7, 120
+    ticks = np.array([c + k * (1.0 - c) / n for k in range(n + 1)])
+    x, y, z = np.meshgrid(ticks, ticks, ticks, indexing="ij")
+    cxy, cyx, czx = x + y * z, y + x * z, z + x * y
+    val = np.where((cxy >= 0) & (cyx >= 0) & (czx >= 0),
+                   2.0 - x * x - y * y + cxy + cyx + czx, np.inf)
+    k = np.argmin(val)
+    want = (float(val.flat[k]), (float(x.flat[k]), float(y.flat[k]), float(z.flat[k])))
+    assert cosine_inequality_bruteforce(c, n) == want
 
 
 def test_cosine_grid_validation():
