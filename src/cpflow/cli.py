@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import flow, jsonio, laplacian, mesh as meshmod, verify
-from .errors import CpflowError, MeshFormatError, MeshValidationError, StarConditionError
+from .errors import CpflowError, MeshValidationError, StarConditionError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -40,12 +40,8 @@ def _load_mesh_arg(value):
         return meshmod.builtin_mesh(value)
     if not os.path.exists(value):
         raise FileNotFoundError(f"mesh file not found: {value}")
-    try:
-        with open(value, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise MeshFormatError(f"mesh file is not UTF-8: {exc}") from exc
-    return meshmod.load_mesh(text)
+    with open(value, "rb") as fh:       # load_mesh rejects bytes that are not JSON text
+        return meshmod.load_mesh(fh.read())
 
 
 def _load_r0(value, n):
@@ -61,7 +57,7 @@ def _load_r0(value, n):
         with open(value, "r", encoding="utf-8") as fh:
             # integers parse as floats, so an overlong one becomes inf
             data = json.load(fh, parse_int=float)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:     # bad UTF-8 and deep nesting too
         raise MeshValidationError(f"radius file is not UTF-8 JSON: {exc}") from exc
     if not (isinstance(data, list) and len(data) == n
             and all(type(x) is float and math.isfinite(x) for x in data)):

@@ -137,7 +137,10 @@ def flow_rhs(mesh: WeightedTriangulation, r, p: float) -> np.ndarray:
 
 def velocity_bound(d: float, c1: float, c2: float, p: float) -> float:
     """Explicit a-priori bound on |du/dt| from degree and coefficient sups."""
-    return d * c2 * (d * math.pi) ** (p - 1.0) + c1 * (d + 2.0) * math.pi
+    try:
+        return d * c2 * (d * math.pi) ** (p - 1.0) + c1 * (d + 2.0) * math.pi
+    except OverflowError:       # (d pi)^(p - 1) leaves double range at large p
+        return math.inf
 
 
 def r_lower_bound_curve(r0_i: float, c: float, t: float) -> float:
@@ -157,7 +160,7 @@ def _rhs_at_u(mesh, u, p):
     return flow_rhs(mesh, laplacian.r_of_u(u), p)
 
 
-_REJECTABLE = (RadiusOverflowError, DegenerateFaceError, NumericalConsistencyError, ValueError)
+_REJECTABLE = (RadiusOverflowError, DegenerateFaceError, NumericalConsistencyError)
 
 
 def step(mesh, r, dt, p, max_halvings=40, _k1=None, _energy0=None):

@@ -93,6 +93,8 @@ class WeightedTriangulation:
                 raise MeshValidationError(
                     f"edge {eid} not in exactly two faces (found {c})"
                 )
+        if n > 3 * len(self.faces):     # checked before n is allocated
+            raise MeshValidationError(f"vertex count {n} above 3 per face: a vertex is in no face")
         seen = [False] * n
         for f in self.faces:
             for v in f.corners:
@@ -213,11 +215,11 @@ def vertex_adjacency(mesh: WeightedTriangulation):
 
 # -- file format --------------------------------------------------------------
 
-def load_mesh(text: str) -> WeightedTriangulation:
-    """Parse the JSON mesh format and validate every invariant."""
+def load_mesh(text) -> WeightedTriangulation:
+    """Parse the JSON mesh format, as text or UTF-8 bytes, and validate every invariant."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:     # overlong integers and deep nesting too
         raise MeshFormatError(f"mesh file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MeshFormatError("mesh file must be a JSON object")
@@ -235,8 +237,8 @@ def load_mesh(text: str) -> WeightedTriangulation:
         if not (isinstance(row, list) and len(row) == 4):
             raise MeshFormatError(f"edge row {row!r} must be [id, a, b, phi]")
         eid, a, b, phi = row
-        if not all(isinstance(x, int) for x in (eid, a, b)):
-            raise MeshFormatError(f"edge row {row!r} has non-integer ids")
+        if not (all(isinstance(x, int) for x in (eid, a, b)) and type(phi) in (int, float)):
+            raise MeshFormatError(f"edge row {row!r} needs integer ids and a numeric weight")
         if eid in by_id:
             raise MeshFormatError(f"duplicate edge id {eid}")
         by_id[eid] = Edge(a, b, float(phi))

@@ -9,13 +9,16 @@ an empty violation list is a pass.
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import hypgeom, laplacian
-from .errors import DegenerateFaceError
+from .errors import CpflowError, DegenerateFaceError, MeshValidationError
 from .hypgeom import NEXT, PREV, ROWS, TrianglePacking
 from .mesh import (
+    Edge,
+    Face,
     WeightedTriangulation,
     builtin_mesh,
     corner_gammas,
@@ -43,13 +46,21 @@ def sample_star_face_weights(rng):
 
 
 def sample_star_mesh_weights(mesh, rng, max_tries=1_000_000):
-    """Per-edge weights uniform on [0, pi), rejected until every face
-    satisfies the corner condition."""
-    for _ in range(max_tries):
-        phis = rng.uniform(0.0, math.pi, mesh.edge_count)
-        if all(min(corner_gammas(tuple(phis[e] for e in f.edges))) >= 0.0 for f in mesh.faces):
-            return mesh.with_weights(phis)
-    raise RuntimeError("weight rejection sampling did not terminate")
+    """Per-edge weights uniform on [0, pi), rejected until every face meets
+    the corner condition: tries are screened in numpy blocks, the scalar
+    `corner_gammas` decides, and the generator ends as single tries leave it."""
+    edges, ne = np.array([f.edges for f in mesh.faces]), mesh.edge_count
+    rows = max(1, 2**11 // ne)      # tries per block: 2**11 weights
+    for lo in range(0, max_tries, rows):
+        state = rng.bit_generator.state
+        block = rng.uniform(0.0, math.pi, (min(rows, max_tries - lo), ne))
+        g = np.cos(block)[:, edges]             # (tries, F, 3)
+        maybe = (g + g[..., NEXT] * g[..., PREV]).min(axis=(1, 2)) >= -1e-12
+        for k in np.flatnonzero(maybe):
+            if all(min(corner_gammas(tuple(block[k, f.edges]))) >= 0.0 for f in mesh.faces):
+                rng.bit_generator.state = state
+                return mesh.with_weights(rng.uniform(0.0, math.pi, (k + 1, ne))[k])
+    raise CpflowError("weight rejection sampling did not terminate")
 
 
 def sample_star_triangles(seed, ids, r_lo, r_hi):
@@ -72,30 +83,29 @@ _BATCH = 2_000
 
 def fd_angle_jacobian(tp: TrianglePacking, h: float = 1e-5) -> np.ndarray:
     """(3, 3, N) central differences of the corner angles with respect to
-    u, one kernel call per triangle and step; a triangle whose stencil
-    leaves the admissible set is retried once at h / 10."""
+    u in one kernel call; if a stencil leaves the admissible set, each
+    triangle is differenced alone and, if it still leaves, at h / 10."""
     if not (1e-7 <= h <= 1e-3):
         raise ValueError(f"step {h!r} outside [1e-7, 1e-3]")
-    u0 = laplacian.u_of_r(tp.radii)
-    out = np.empty((3, 3, u0.shape[1]))
-    for i in range(u0.shape[1]):
-        out[:, :, i] = _fd_triangle(u0[:, i], tp.weights[:, i], h)
-    return out
+    u0, w = laplacian.u_of_r(tp.radii), tp.weights
+    try:
+        return _fd_stencils(u0, w, h)
+    except DegenerateFaceError:
+        if u0.shape[1] == 1:
+            return _fd_stencils(u0, w, 0.1 * h)
+    return np.concatenate([fd_angle_jacobian(TrianglePacking(tp.radii[:, [i]], w[:, [i]]), h)
+                           for i in range(u0.shape[1])], axis=2)
 
 
-def _fd_triangle(u0, weights, h):
-    for attempt_h in (h, 0.1 * h):
-        if np.any(u0 + attempt_h >= 0.0):
-            continue            # perturbed u leaves the domain
-        # columns u0 + h e_b, then u0 - h e_b, for b = 0, 1, 2
-        u = u0[:, None] + attempt_h * np.kron(np.eye(3), [1.0, -1.0])
-        tp = TrianglePacking(laplacian.r_of_u(u), np.repeat(weights[:, None], 6, axis=1))
-        try:
-            angles = hypgeom.triangle_geometry(tp).angles
-        except DegenerateFaceError:
-            continue
-        return (angles[:, 0::2] - angles[:, 1::2]) / (2.0 * attempt_h)
-    raise DegenerateFaceError("finite-difference stencil leaves the admissible set")
+def _fd_stencils(u0, weights, h):
+    """(3, 3, N) central differences at step h of the (3, N) triangles."""
+    if np.any(u0 + h >= 0.0):
+        raise DegenerateFaceError("finite-difference stencil leaves the admissible set")
+    # per triangle, columns u0 + h e_b, then u0 - h e_b, for b = 0, 1, 2
+    u = (u0[:, :, None] + h * np.kron(np.eye(3), [1.0, -1.0])[:, None, :]).reshape(3, -1)
+    tp = TrianglePacking(laplacian.r_of_u(u), np.repeat(weights, 6, axis=1))
+    angles = hypgeom.triangle_geometry(tp).angles.reshape(3, -1, 6)
+    return ((angles[..., 0::2] - angles[..., 1::2]) / (2.0 * h)).transpose(0, 2, 1)
 
 
 def fd_curvature_jacobian(mesh, r, h: float = 1e-5) -> np.ndarray:
@@ -155,6 +165,8 @@ def floor_bound_constants(mesh: WeightedTriangulation, r_floor: float) -> BoundC
     cosines = [math.cos(e.phi) for e in mesh.edges]
     phi_bar = min(0.0, min(cosines))
     one_pb = 1.0 + phi_bar
+    if one_pb == 0.0:       # a weight within ~1e-8 of pi has cosine -1 in doubles
+        raise MeshValidationError("1 + phi_bar is 0, so the bound constants are infinite")
     m1 = 4.0 * a**4 * one_pb
     m6 = 16.0 * a**8 * one_pb**2
     m8 = 128.0 * one_pb * a**12
@@ -493,13 +505,42 @@ def _octahedron():
     return simplicial_from_faces(6, faces)
 
 
+# metrics per assembly in theorem1 and prop24; a whole suite at once costs ~20 MB
+_CHUNK = 100
+
+
+@lru_cache(maxsize=4)       # a suite's two meshes, each in full and last chunks
+def _copies(mesh, m):
+    """Disjoint union of m copies of the mesh; copy c holds vertex v as
+    c n + v, and edges and faces likewise."""
+    n, ne = mesh.vertex_count, mesh.edge_count
+    edges = [Edge(e.a + c * n, e.b + c * n, e.phi) for c in range(m) for e in mesh.edges]
+    faces = [Face(tuple(v + c * n for v in f.corners), tuple(e + c * ne for e in f.edges))
+             for c in range(m) for f in mesh.faces]
+    return WeightedTriangulation(n * m, edges, faces)
+
+
+def _chunk_assemblies(mesh, radii):
+    """(first row, A, B, ab_residual) per chunk of the (metrics, n) radii,
+    from one assembly of copies; A and B get one row per metric."""
+    for i in range(0, len(radii), _CHUNK):
+        r = radii[i:i + _CHUNK]
+        try:
+            asm = laplacian.assemble(_copies(mesh, len(r)), r.ravel())
+        except CpflowError:
+            for metric in r:        # raise what assembling metric by metric raises
+                laplacian.assemble(mesh, metric)
+            raise
+        yield i, asm.A.reshape(r.shape), asm.B.reshape(len(r), -1), asm.ab_residual
+
+
 def run_jacobians(samples=1_000, seed=42, mesh_metrics=100, mesh=None):
     """Analytic derivatives against central finite differences: per-triangle
     angle Jacobians, then mesh-level curvature Jacobians, their symmetry,
     and the zero pattern across non-adjacent vertex pairs."""
     rep = SweepReport("jacobians", seed, samples)
-    for lo in range(0, samples, _BATCH):
-        ids = range(lo, min(lo + _BATCH, samples))
+    for lo in range(0, samples, _BATCH // 6):      # a triangle's stencil has 6 points
+        ids = range(lo, min(lo + _BATCH // 6, samples))
         tp = sample_star_triangles(seed, ids, 0.1, 10.0)
         err = matrix_rel_error(fd_angle_jacobian(tp, 1e-5), hypgeom.angle_jacobian(tp))
         rep.check_batch(ids, [("angle_fd_matrix_rel", err, ANGLE_FD_RTOL, "upper")])
@@ -558,19 +599,18 @@ def sweep_floor_bounds(mesh, r_floor, samples, seed, label=""):
     rep = SweepReport("theorem1", seed, samples)
     consts = floor_bound_constants(mesh, r_floor)
     n = mesh.vertex_count
-    metrics = [("boundary", np.full(n, r_floor))]
-    for i in range(samples):
-        rng = sample_rng(seed, i)
-        metrics.append((i, rng.uniform(r_floor, r_floor + 5.0, n)))
+    ids = ["boundary", *range(samples)]
+    radii = np.array([np.full(n, r_floor)] + [
+        sample_rng(seed, i).uniform(r_floor, r_floor + 5.0, n) for i in range(samples)])
     tag = f"[{label}]" if label else ""
-    for sid, r in metrics:
-        asm = laplacian.assemble(mesh, r)
-        rep.check_lower(sid, f"A_min{tag}", float(np.min(asm.A)), consts.a1)
-        rep.check_upper(sid, f"A_max{tag}", float(np.max(asm.A)), consts.a2)
-        rep.check_lower(sid, f"B_min{tag}", float(np.min(asm.B)), 0.0)
-        rep.check_upper(sid, f"B_max{tag}", float(np.max(asm.B)), consts.a3)
-        rep.check_upper(sid, f"ab_identity_residual{tag}",
-                        asm.ab_residual, AB_IDENTITY_RTOL)
+    for i, A, B, residual in _chunk_assemblies(mesh, radii):
+        rep.check_batch(ids[i:i + len(A)], [
+            (f"A_min{tag}", A.min(axis=1), consts.a1, "lower"),
+            (f"A_max{tag}", A.max(axis=1), consts.a2, "upper"),
+            (f"B_min{tag}", B.min(axis=1), 0.0, "lower"),
+            (f"B_max{tag}", B.max(axis=1), consts.a3, "upper"),
+            (f"ab_identity_residual{tag}", np.full(len(A), residual), AB_IDENTITY_RTOL, "upper"),
+        ])
     return rep
 
 
@@ -750,22 +790,21 @@ def run_prop24(samples=1_000, seed=42, mesh=None):
     # hypothesis: zero weights
     for name, mesh in _targets(None if mesh is None else mesh.with_uniform_weight(0.0)):
         deg = np.asarray(mesh.degrees(), dtype=float)
-        for i in range(samples):
-            rng = sample_rng(seed, i if name == "tetra" else 60_000 + i)
-            r = log_uniform(rng, 1e-3, 50.0, mesh.vertex_count)
-            asm = laplacian.assemble(mesh, r)
-            rep.check_lower(f"{name}:{i}", "B_min", float(np.min(asm.B)), 0.0)
-            if np.any(asm.B <= 0.0):
-                rep.violate(f"{name}:{i}", "B_not_strictly_positive",
-                            float(np.min(asm.B)), 0.0)
-            rep.check_upper(f"{name}:{i}", "B_max", float(np.max(asm.B)), 1.0)
-            if np.any(asm.B >= 1.0):
-                rep.violate(f"{name}:{i}", "B_not_below_one", float(np.max(asm.B)), 1.0)
-            ratio = asm.A / (deg * cosh1)
-            rep.check_upper(f"{name}:{i}", "A_over_degree_cosh1",
-                            float(np.max(ratio)), 1.0)
-            if np.any(asm.A <= 0.0) or np.any(ratio >= 1.0):
-                rep.violate(f"{name}:{i}", "A_bounds", float(np.max(ratio)), 1.0)
+        ids = [f"{name}:{i}" for i in range(samples)]
+        radii = np.array([
+            log_uniform(sample_rng(seed, i if name == "tetra" else 60_000 + i),
+                        1e-3, 50.0, mesh.vertex_count) for i in range(samples)])
+        for i, A, B, _ in _chunk_assemblies(mesh, radii):
+            b_min, b_max = B.min(axis=1), B.max(axis=1)
+            ratio = (A / (deg * cosh1)).max(axis=1)
+            rep.check_batch(ids[i:i + len(A)], [
+                ("B_min", b_min, 0.0, "lower"),
+                ("B_not_strictly_positive", b_min, 0.0, "fail", b_min <= 0.0),
+                ("B_max", b_max, 1.0, "upper"),
+                ("B_not_below_one", b_max, 1.0, "fail", b_max >= 1.0),
+                ("A_over_degree_cosh1", ratio, 1.0, "upper"),
+                ("A_bounds", ratio, 1.0, "fail", (A.min(axis=1) <= 0.0) | (ratio >= 1.0)),
+            ])
     return rep
 
 

@@ -1,5 +1,5 @@
-"""Reference routes: extended-precision values, the scalar triangle and
-the scalar assembly.
+"""Reference routes: extended-precision values, the scalar triangle, the
+scalar assembly and the per-metric mesh suites.
 
 Frozen constants were produced by the mpmath routines below at 60 digits;
 the tests assert both that the implementation matches the frozen value and
@@ -19,8 +19,10 @@ from cpflow.errors import (
     RadiusOverflowError,
     StarConditionError,
 )
+from cpflow import verify
 from cpflow.hypgeom import A_NORM_FLOOR, RADIUS_CAP
-from cpflow.laplacian import AB_CONSISTENCY_RTOL, validate_radii
+from cpflow.laplacian import AB_CONSISTENCY_RTOL, assemble, validate_radii
+from cpflow.mesh import corner_gammas
 
 mp.mp.dps = 60
 
@@ -381,3 +383,68 @@ def apply_p_delta_loop(mesh, B, A, f, p):
             out[e.a] += w
             out[e.b] -= w
     return out
+
+
+# -- per-metric mesh suites ----------------------------------------------------------
+#
+# The loops `cpflow.verify` batched: rejection sampling one try at a time,
+# and one assembly per sampled metric. The batched sampler and suites must
+# reproduce them bit for bit.
+
+def sample_star_mesh_weights_loop(mesh, rng, max_tries=1_000_000):
+    """Per-edge weights uniform on [0, pi), rejected until every face
+    satisfies the corner condition."""
+    for _ in range(max_tries):
+        phis = rng.uniform(0.0, math.pi, mesh.edge_count)
+        if all(min(corner_gammas(tuple(phis[e] for e in f.edges))) >= 0.0 for f in mesh.faces):
+            return mesh.with_weights(phis)
+    raise RuntimeError("weight rejection sampling did not terminate")
+
+
+def sweep_floor_bounds_loop(mesh, r_floor, samples, seed, label=""):
+    """Certify a1 <= A_i <= a2 and 0 <= B_e <= a3 for radii in
+    [r_floor, r_floor + 5], including the floor itself."""
+    rep = verify.SweepReport("theorem1", seed, samples)
+    consts = verify.floor_bound_constants(mesh, r_floor)
+    n = mesh.vertex_count
+    metrics = [("boundary", np.full(n, r_floor))]
+    for i in range(samples):
+        rng = verify.sample_rng(seed, i)
+        metrics.append((i, rng.uniform(r_floor, r_floor + 5.0, n)))
+    tag = f"[{label}]" if label else ""
+    for sid, r in metrics:
+        asm = assemble(mesh, r)
+        rep.check_lower(sid, f"A_min{tag}", float(np.min(asm.A)), consts.a1)
+        rep.check_upper(sid, f"A_max{tag}", float(np.max(asm.A)), consts.a2)
+        rep.check_lower(sid, f"B_min{tag}", float(np.min(asm.B)), 0.0)
+        rep.check_upper(sid, f"B_max{tag}", float(np.max(asm.B)), consts.a3)
+        rep.check_upper(sid, f"ab_identity_residual{tag}",
+                        asm.ab_residual, verify.AB_IDENTITY_RTOL)
+    return rep
+
+
+def run_prop24_loop(samples=1_000, seed=42, mesh=None):
+    """Zero-weight bounds 0 < B < 1 and 0 < A_i < d_i cosh 1 on the
+    built-in meshes over random metrics."""
+    rep = verify.SweepReport("prop24", seed, samples)
+    cosh1 = math.cosh(1.0)
+    # hypothesis: zero weights
+    for name, mesh in verify._targets(None if mesh is None else mesh.with_uniform_weight(0.0)):
+        deg = np.asarray(mesh.degrees(), dtype=float)
+        for i in range(samples):
+            rng = verify.sample_rng(seed, i if name == "tetra" else 60_000 + i)
+            r = verify.log_uniform(rng, 1e-3, 50.0, mesh.vertex_count)
+            asm = assemble(mesh, r)
+            rep.check_lower(f"{name}:{i}", "B_min", float(np.min(asm.B)), 0.0)
+            if np.any(asm.B <= 0.0):
+                rep.violate(f"{name}:{i}", "B_not_strictly_positive",
+                            float(np.min(asm.B)), 0.0)
+            rep.check_upper(f"{name}:{i}", "B_max", float(np.max(asm.B)), 1.0)
+            if np.any(asm.B >= 1.0):
+                rep.violate(f"{name}:{i}", "B_not_below_one", float(np.max(asm.B)), 1.0)
+            ratio = asm.A / (deg * cosh1)
+            rep.check_upper(f"{name}:{i}", "A_over_degree_cosh1",
+                            float(np.max(ratio)), 1.0)
+            if np.any(asm.A <= 0.0) or np.any(ratio >= 1.0):
+                rep.violate(f"{name}:{i}", "A_bounds", float(np.max(ratio)), 1.0)
+    return rep

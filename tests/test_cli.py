@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpflow import cli
 from cpflow.mesh import builtin_mesh, save_mesh
@@ -220,3 +223,145 @@ def test_out_of_range_input_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 5
     assert "Traceback" not in err
+
+
+def _near_pi_mesh():
+    # the largest double below pi has cosine -1, so 1 + phi_bar is 0
+    m = builtin_mesh("genus2_min")
+    return save_mesh(m.with_weights([math.nextafter(math.pi, 0.0)] + [0.0] * (m.edge_count - 1)))
+
+
+def _tetra_doc(first_weight=0.0, **changes):
+    doc = json.loads(save_mesh(builtin_mesh("tetra")))
+    doc["edges"][0][3] = first_weight
+    return json.dumps({**doc, **changes})
+
+
+@pytest.mark.parametrize("cmd, content", [
+    ("check", _tetra_doc("x")),
+    ("check", _tetra_doc(None)),
+    ("check", _tetra_doc(vertices=2**62)),              # no per-vertex list is allocated
+    ("check", "[" * 100_000),                           # nesting beyond the recursion limit
+    ("check", '{"vertices": ' + "1" * 5000 + "}"),      # beyond int's digit limit
+    ("laplacian", "[" * 100_000),                       # as a radius file
+    ("verify", _near_pi_mesh()),
+    ("bounds", _near_pi_mesh()),
+], ids=["string_weight", "null_weight", "huge_vertex_count", "deep_mesh", "long_int",
+        "deep_r0", "verify_near_pi_weight", "bounds_near_pi_weight"])
+def test_malformed_input_file_is_validation_error(capsys, tmp_path, cmd, content):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    argv = {"check": ["check", "--mesh", str(path)],
+            "laplacian": ["laplacian", "--mesh", "tetra", "--r0", str(path)],
+            "verify": ["verify", "--suite", "theorem1", "--samples", "2", "--mesh", str(path)],
+            "bounds": ["bounds", "--mesh", str(path), "--R", "1"]}[cmd]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "Traceback" not in err
+
+
+def test_flow_at_large_p_has_no_velocity_bound(capsys, tmp_path):
+    # (d pi)^(p - 1) overflows at p = 1000; the bound is inf, not an OverflowError
+    base = str(tmp_path / "run")
+    code, _, err = run_cli(capsys, "flow", "--mesh", "tetra", "--p", "1000",
+                           "--t-max", "0.05", "--out", base, "--trace-json", base + ".trace")
+    assert code == 0
+    assert json.loads((tmp_path / "run.trace").read_text())["warnings"] == []
+
+
+# -- fuzzed invocations -----------------------------------------------------------------
+
+_NUMBER = st.one_of(
+    st.sampled_from(["0", "-0", "-1", "1e-300", "5e-324", "1e308", "1e999", "-inf", "nan",
+                     "x", "", "1_0", " 2 "]),
+    st.floats().map(repr),
+    st.integers(-10**30, 10**30).map(str),
+)
+# values that replace one entry of a valid mesh or radius file
+_JSON_VALUE = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(-2**70, 2**70), st.text(max_size=4),
+    st.sampled_from([[], {}, [[1]], math.nextafter(math.pi, 0.0), 2**62, -1]),
+)
+_VALID = [json.loads(save_mesh(builtin_mesh(name))) for name in ("tetra", "genus2_min")]
+_VALID += [[1.0, 1.0], [0.5, 1.0, 2.0, 3.0]]
+
+
+def _file_bytes(data):
+    kind = data.draw(st.sampled_from(["bytes", "mutated", "mutated", "valid", "extreme"]))
+    if kind == "bytes":
+        return data.draw(st.binary(max_size=64))
+    if kind == "extreme":
+        return data.draw(st.sampled_from([b"[" * 100_000, b"1" * 5000, b"[1e-300, 700]"]))
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(_VALID))))
+    if kind == "mutated":
+        node = doc
+        while True:     # walk down to one entry and replace it
+            key = data.draw(st.sampled_from(
+                list(node) if isinstance(node, dict) else range(len(node))))
+            if not (isinstance(node[key], (dict, list)) and node[key]) or data.draw(st.booleans()):
+                break
+            node = node[key]
+        node[key] = data.draw(_JSON_VALUE)
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_invocations_exit_with_a_code(tmp_path_factory, data):
+    """Any argv over the five subcommands, with malformed and extreme numbers
+    and fuzzed --mesh and --r0 files, ends in an exit code, never a
+    traceback. Flags that set the amount of work stay small: --t-max at
+    most 0.05 with --dt at least 0.01, a few samples, and no `jacobians`,
+    whose finite-difference metrics do not shrink with --samples."""
+    folder = tmp_path_factory.mktemp("fuzz")
+
+    def a_file(name):
+        path = folder / name
+        path.write_bytes(_file_bytes(data))
+        return str(path)
+
+    def mesh():
+        pick = data.draw(st.sampled_from(["tetra", "genus2_min", "file", "file", "missing",
+                                          "folder"]))
+        if pick == "file":
+            return a_file("mesh.json")
+        return {"missing": str(folder / "none.json"), "folder": str(folder)}.get(pick, pick)
+
+    def r0():
+        return a_file("r0.json") if data.draw(st.booleans()) else data.draw(_NUMBER)
+
+    def number():
+        return data.draw(_NUMBER)
+
+    def pick(*values):
+        return lambda: data.draw(st.sampled_from(values))
+
+    command = data.draw(st.sampled_from(["check", "laplacian", "flow", "verify", "bounds"]))
+    flags = {
+        "check": {"--mesh": mesh},
+        "laplacian": {"--mesh": mesh, "--r0": r0},
+        "flow": {"--mesh": mesh, "--r0": r0, "--p": number, "--k-tol": number,
+                 "--dt": pick("0.01", "0.025", "1", "1e300", "0", "-1", "nan", "x"),
+                 "--t-max": pick("0.05", "0.02", "1e-300", "0", "-1", "inf", "nan", "x"),
+                 "--trace-stride": pick("1", "3", "0", "-2", "1000000000", "x")},
+        "verify": {"--suite": pick("identities", "spd", "theorem1", "theorem2", "prop24",
+                                   "prop31", "lemma52", "nosuch"),
+                   "--samples": pick("1", "3", "0", "-2", "x", "1.5"),
+                   "--seed": lambda: data.draw(st.integers(-2**70, 2**70).map(str) | _NUMBER),
+                   "--grid": pick("10", "12", "9", "-5", "x"), "--mesh": mesh},
+        "bounds": {"--mesh": mesh, "--R": number},
+    }[command]
+    argv = [command]
+    for flag, value in flags.items():
+        if data.draw(st.integers(0, 5)) > 0:
+            argv += [flag, value()]
+    # left out, these two would run a default-sized flow or suite
+    small = {"flow": {"--t-max": "0.05"}, "verify": {"--samples": "2"}}.get(command, {})
+    for flag, value in small.items():
+        if flag not in argv:
+            argv += [flag, value]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in range(6)
+    assert "Traceback" not in err.getvalue()

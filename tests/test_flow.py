@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cpflow import laplacian
 from cpflow.errors import StarConditionError, StepFailureError
 from cpflow.flow import (
     FlowConfig,
@@ -30,6 +31,11 @@ def test_velocity_bound_exact_reference_point():
 def test_velocity_bound_zeroes():
     assert velocity_bound(3, 0.0, 0.0, 2.0) == 0.0
     assert velocity_bound(16, 0.0, 1.0, 3.0) == 16.0 * (16.0 * math.pi) ** 2
+
+
+def test_velocity_bound_beyond_double_range_is_infinite():
+    # (3 pi)^999 overflows a double; the bound is then no bound at all
+    assert velocity_bound(3, 1.0, 1.0, 1000.0) == math.inf
 
 
 def test_decay_curve_identity_at_time_zero():
@@ -117,6 +123,20 @@ def test_step_failure_carries_state():
         step(GENUS2, np.ones(2), 1e12, 2.0, max_halvings=0)
     assert exc.value.dt > 0.0
     assert np.all(exc.value.r == 1.0)
+
+
+def test_value_error_in_a_step_propagates_without_halving(monkeypatch):
+    # a ValueError is a misuse, not an inadmissible stage: no halving retries it
+    calls = []
+
+    def broken(mesh, r):
+        calls.append(r)
+        raise ValueError("misuse")
+
+    monkeypatch.setattr(laplacian, "curvature", broken)
+    with pytest.raises(ValueError, match="misuse"):
+        step(GENUS2, np.ones(2), 1e-2, 3.0)     # at p = 3 only the step calls curvature
+    assert len(calls) == 1
 
 
 # -- full runs ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import oracles
+from cpflow import verify
+from cpflow.errors import CpflowError, RadiusOverflowError
 from cpflow.hypgeom import TrianglePacking, angle_jacobian, pair_derivative
+from cpflow.laplacian import assemble
 from cpflow.mesh import builtin_mesh
 from cpflow.verify import (
     SubstitutedCoords,
@@ -28,6 +34,7 @@ from cpflow.verify import (
     run_theorem2,
     sample_rng,
     sample_star_face_weights,
+    sample_star_mesh_weights,
     sweep_floor_bounds,
 )
 from oracles import COSINE_GRID_MIN_C07_N50
@@ -49,6 +56,18 @@ def test_fd_angle_jacobian_matches_analytic():
         radii = tuple(np.exp(rng.uniform(math.log(0.1), math.log(10.0), 3)))
         tp = TrianglePacking(radii, sample_star_face_weights(rng))
         assert matrix_rel_error(fd_angle_jacobian(tp), angle_jacobian(tp)) < 1e-6
+
+
+def test_fd_angle_jacobian_retries_only_the_triangle_that_leaves():
+    # u = ln tanh(r/2) is -5.0e-6 at r = 12.9, so its stencil at h = 1e-5
+    # leaves u < 0: that triangle alone is differenced again at h / 10
+    radii = np.array([[1.0, 12.9], [1.5, 1.0], [0.7, 2.0]])
+    tp = TrianglePacking(radii, np.zeros((3, 2)))
+    fd = fd_angle_jacobian(tp, 1e-5)
+    for i, h in ((0, 1e-5), (1, 0.1 * 1e-5)):
+        alone = TrianglePacking(radii[:, [i]], np.zeros((3, 1)))
+        assert fd[:, :, i].tolist() == fd_angle_jacobian(alone, h)[:, :, 0].tolist()
+    assert np.all(matrix_rel_error(fd, angle_jacobian(tp)) < 1e-6)
 
 
 def test_fd_step_bounds():
@@ -307,3 +326,107 @@ def test_suite_reports_reproducible():
     assert a.sups == b.sups and a.infs == b.infs
     c = run_identities(100, 124)
     assert c.sups != a.sups
+
+
+# -- batched mesh suites against the per-metric loops ---------------------------------
+
+@pytest.mark.parametrize("mesh", [TETRA, builtin_mesh("genus2_min"), verify._octahedron()],
+                         ids=["tetra", "genus2_min", "octahedron"])
+def test_block_sampler_matches_per_try_loop(mesh):
+    for seed in range(300):
+        fast, slow = sample_rng(seed, 0), sample_rng(seed, 0)
+        got = sample_star_mesh_weights(mesh, fast)
+        want = oracles.sample_star_mesh_weights_loop(mesh, slow)
+        assert [e.phi for e in got.edges] == [e.phi for e in want.edges]
+        assert fast.random() == slow.random()       # the generators end in the same state
+
+
+class _ScriptedRng:
+    """Stands in for a Generator: uniform draws hand out the given rows in
+    turn, and bit_generator.state is the index of the next row."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+        self.bit_generator = SimpleNamespace(state=0)
+
+    def uniform(self, low, high, size):
+        count = size[0] if isinstance(size, tuple) else 1
+        k = self.bit_generator.state
+        self.bit_generator.state = k + count
+        block = self.rows[k:k + count]
+        return block if isinstance(size, tuple) else block[0]
+
+
+def test_block_sampler_leaves_near_zero_gammas_to_the_scalar_check():
+    # face 0 weighs (0, x, pi - x): two corner gammas cancel to ~1e-16
+    x = 0.9691644825584158
+    tie = np.zeros(TETRA.edge_count)
+    tie[list(TETRA.faces[0].edges[1:])] = x, math.pi - x
+    g = np.cos(tie)[np.array([f.edges for f in TETRA.faces])]
+    assert -1e-12 <= (g + g[:, [1, 2, 0]] * g[:, [2, 0, 1]]).min() < 0.0
+    rows = [np.full(TETRA.edge_count, 3.0), tie] + [np.zeros(TETRA.edge_count)] * 2000
+    fast, slow = _ScriptedRng(rows), _ScriptedRng(rows)
+    got = sample_star_mesh_weights(TETRA, fast)
+    want = oracles.sample_star_mesh_weights_loop(TETRA, slow)
+    assert [e.phi for e in got.edges] == [e.phi for e in want.edges]
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_block_sampler_gives_up_with_a_package_error():
+    with pytest.raises(CpflowError, match="did not terminate"):
+        sample_star_mesh_weights(builtin_mesh("genus2_min"), sample_rng(0, 0), max_tries=3)
+
+
+def _report(rep):
+    doc = rep.to_dict()
+    doc.pop("wall_time")
+    return doc
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chunked_suites_match_per_metric_loops(monkeypatch, seed):
+    octa = verify._octahedron()
+    monkeypatch.setattr(verify, "_CHUNK", 7)        # 23 or 24 metrics straddle chunks
+    batched = [_report(run_theorem1(23, seed)), _report(run_theorem1(23, seed, mesh=octa)),
+               _report(run_prop24(23, seed)), _report(run_prop24(23, seed, mesh=octa))]
+    monkeypatch.setattr(verify, "sweep_floor_bounds", oracles.sweep_floor_bounds_loop)
+    looped = [_report(run_theorem1(23, seed)), _report(run_theorem1(23, seed, mesh=octa)),
+              _report(oracles.run_prop24_loop(23, seed)),
+              _report(oracles.run_prop24_loop(23, seed, mesh=octa))]
+    assert batched == looped
+
+
+def test_chunk_with_an_overflowing_metric_raises_what_the_loop_raises(monkeypatch):
+    # at this floor the boundary metric assembles and sample 8 (metric 9,
+    # inside the second chunk of 7) is the first to overflow
+    monkeypatch.setattr(verify, "_CHUNK", 7)
+    with pytest.raises(RadiusOverflowError) as want:
+        oracles.sweep_floor_bounds_loop(TETRA, 138.0, 20, 0)
+    with pytest.raises(RadiusOverflowError) as got:
+        sweep_floor_bounds(TETRA, 138.0, 20, 0)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("mesh", [TETRA, builtin_mesh("genus2_min"), verify._octahedron()],
+                         ids=["tetra", "genus2_min", "octahedron"])
+def test_chunk_rows_are_the_per_metric_assemblies(monkeypatch, mesh):
+    monkeypatch.setattr(verify, "_CHUNK", 7)
+    radii = np.array([verify.log_uniform(sample_rng(5, i), 1e-3, 50.0, mesh.vertex_count)
+                      for i in range(16)])
+    chunks = list(verify._chunk_assemblies(mesh, radii))
+    assert [first for first, *_ in chunks] == [0, 7, 14]
+    for first, A, B, residual in chunks:
+        single = [assemble(mesh, r) for r in radii[first:first + len(A)]]
+        assert A.tolist() == [asm.A.tolist() for asm in single]
+        assert B.tolist() == [asm.B.tolist() for asm in single]
+        assert residual == max(asm.ab_residual for asm in single)
+
+
+def test_chunked_violations_match_per_metric_loop(monkeypatch):
+    # bounds in the middle of the sampled A and B: most metrics break some
+    tight = dataclasses.replace(floor_bound_constants(TETRA, 0.5), a1=2.7, a2=2.9, a3=0.06)
+    monkeypatch.setattr(verify, "floor_bound_constants", lambda mesh, r_floor: tight)
+    monkeypatch.setattr(verify, "_CHUNK", 7)
+    want = oracles.sweep_floor_bounds_loop(TETRA, 0.5, 23, 0)
+    assert len(want.violations) > 10
+    assert _report(sweep_floor_bounds(TETRA, 0.5, 23, 0)) == _report(want)
