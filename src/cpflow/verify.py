@@ -534,10 +534,13 @@ def _chunk_assemblies(mesh, radii):
         yield i, asm.A.reshape(r.shape), asm.B.reshape(len(r), -1), asm.ab_residual
 
 
-def run_jacobians(samples=1_000, seed=42, mesh_metrics=100, mesh=None):
+def run_jacobians(samples=1_000, seed=42, mesh_metrics=None, mesh=None):
     """Analytic derivatives against central finite differences: per-triangle
-    angle Jacobians, then mesh-level curvature Jacobians, their symmetry,
-    and the zero pattern across non-adjacent vertex pairs."""
+    angle Jacobians, then mesh-level curvature Jacobians on mesh_metrics
+    metrics per mesh (by default min(100, samples)), their symmetry, and
+    the zero pattern across non-adjacent vertex pairs."""
+    if mesh_metrics is None:
+        mesh_metrics = min(100, samples)
     rep = SweepReport("jacobians", seed, samples)
     for lo in range(0, samples, _BATCH // 6):      # a triangle's stencil has 6 points
         ids = range(lo, min(lo + _BATCH // 6, samples))

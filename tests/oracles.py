@@ -22,7 +22,7 @@ from cpflow.errors import (
 from cpflow import verify
 from cpflow.hypgeom import A_NORM_FLOOR, RADIUS_CAP
 from cpflow.laplacian import AB_CONSISTENCY_RTOL, assemble, validate_radii
-from cpflow.mesh import corner_gammas
+from cpflow.mesh import corner_gammas, simplicial_from_faces
 
 mp.mp.dps = 60
 
@@ -298,6 +298,21 @@ def angle_jacobian(tp: TrianglePacking, geom: TriangleGeometry = None) -> np.nda
         o1, o2 = (a + 1) % 3, (a + 2) % 3
         J[a, a] = -geom.cosh_l[3 - a - o1] * J[a, o1] - geom.cosh_l[3 - a - o2] * J[a, o2]
     return J
+
+
+# -- meshes -----------------------------------------------------------------------
+
+def torus_grid(p, q, weight=0.0):
+    """The p x q grid on the torus, each square cut along its diagonal:
+    V = pq, E = 3pq, F = 2pq, every vertex of degree 6, connected."""
+    def v(i, j):
+        return (i % p) * q + j % q
+    faces = []
+    for i in range(p):
+        for j in range(q):
+            faces += [(v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                      (v(i, j), v(i + 1, j + 1), v(i, j + 1))]
+    return simplicial_from_faces(p * q, faces, weight)
 
 
 # -- scalar reference assembly ---------------------------------------------------

@@ -4,11 +4,14 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from cpflow import cli
-from cpflow.mesh import builtin_mesh, save_mesh
+from cpflow.laplacian import SPD_DENSE_MAX, assemble
+from cpflow.mesh import builtin_mesh, load_mesh, save_mesh
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +136,24 @@ def test_laplacian_report(capsys):
     assert len(doc["K"]) == 4 and len(doc["B"]) == 6 and len(doc["A"]) == 4
     assert doc["min_eigenvalue"] > 0.0
     assert doc["symmetry_residual"] == 0
+
+
+def test_laplacian_report_above_the_dense_threshold(capsys, tmp_path):
+    """A mesh with more than SPD_DENSE_MAX vertices takes the Lanczos path."""
+    rng = np.random.default_rng(5)
+    base = oracles.torus_grid(24, 24)
+    assert base.vertex_count > SPD_DENSE_MAX
+    mesh_path, r_path = tmp_path / "torus.json", tmp_path / "r.json"
+    mesh_path.write_text(save_mesh(base.with_weights(
+        rng.uniform(0.0, 0.5 * math.pi, base.edge_count))))
+    r = np.exp(rng.uniform(math.log(0.1), math.log(10.0), base.vertex_count))
+    r_path.write_text(json.dumps(r.tolist()))
+    code, out, _ = run_cli(capsys, "laplacian", "--mesh", str(mesh_path), "--r0", str(r_path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["symmetry_residual"] == 0.0
+    eig = np.linalg.eigvalsh(assemble(load_mesh(mesh_path.read_text()), r).L)
+    assert abs(doc["min_eigenvalue"] - eig[0]) <= 1e-12 * eig[-1]
 
 
 def test_r0_file_input(capsys, tmp_path):
@@ -311,8 +332,7 @@ def test_fuzzed_invocations_exit_with_a_code(tmp_path_factory, data):
     """Any argv over the five subcommands, with malformed and extreme numbers
     and fuzzed --mesh and --r0 files, ends in an exit code, never a
     traceback. Flags that set the amount of work stay small: --t-max at
-    most 0.05 with --dt at least 0.01, a few samples, and no `jacobians`,
-    whose finite-difference metrics do not shrink with --samples."""
+    most 0.05 with --dt at least 0.01, and a few samples."""
     folder = tmp_path_factory.mktemp("fuzz")
 
     def a_file(name):
@@ -344,8 +364,8 @@ def test_fuzzed_invocations_exit_with_a_code(tmp_path_factory, data):
                  "--dt": pick("0.01", "0.025", "1", "1e300", "0", "-1", "nan", "x"),
                  "--t-max": pick("0.05", "0.02", "1e-300", "0", "-1", "inf", "nan", "x"),
                  "--trace-stride": pick("1", "3", "0", "-2", "1000000000", "x")},
-        "verify": {"--suite": pick("identities", "spd", "theorem1", "theorem2", "prop24",
-                                   "prop31", "lemma52", "nosuch"),
+        "verify": {"--suite": pick("identities", "jacobians", "spd", "theorem1", "theorem2",
+                                   "prop24", "prop31", "lemma52", "nosuch"),
                    "--samples": pick("1", "3", "0", "-2", "x", "1.5"),
                    "--seed": lambda: data.draw(st.integers(-2**70, 2**70).map(str) | _NUMBER),
                    "--grid": pick("10", "12", "9", "-5", "x"), "--mesh": mesh},

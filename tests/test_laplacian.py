@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from cpflow import hypgeom
-from cpflow.errors import RadiusOverflowError, StarConditionError
+from cpflow import hypgeom, laplacian
+from cpflow.errors import NumericalConsistencyError, RadiusOverflowError, StarConditionError
 from cpflow.laplacian import (
+    SPD_DENSE_MAX,
     apply_delta,
     apply_p_delta,
     assemble,
     calabi_energy,
     curvature,
+    lanczos_min_eigenvalue,
     r_of_u,
     spd_check,
     u_of_r,
@@ -32,6 +34,7 @@ GENUS2 = builtin_mesh("genus2_min")
 OCTA = simplicial_from_faces(6, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1),
                                  (5, 2, 1), (5, 3, 2), (5, 4, 3), (5, 1, 4)])
 MESHES = (TETRA, GENUS2, OCTA)
+TORUS = oracles.torus_grid(24, 24)      # n = 576, above SPD_DENSE_MAX
 EPS = np.finfo(float).eps
 
 
@@ -419,3 +422,65 @@ def test_zero_difference_contributes_zero_below_p2():
         want = oracles.apply_p_delta_loop(OCTA, asm.B, asm.A, f, p)
         assert np.all(np.isfinite(out))
         assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+# -- the smallest eigenvalue of L: dense and Lanczos ------------------------------------
+
+def _spd_draws(base, seed):
+    """Assemblies at weights U[0, pi/2] and radii log-uniform in [0.1, 10],
+    then in [1e-3, 50]."""
+    for k, (r_lo, r_hi) in enumerate(((0.1, 10.0), (1e-3, 50.0))):
+        yield assemble(*_draw(base, np.random.default_rng([seed, k, 41]), r_lo, r_hi))
+
+
+@pytest.mark.parametrize("base", [TETRA, GENUS2, OCTA, TORUS],
+                         ids=["tetra", "genus2_min", "octa", "torus24x24"])
+def test_min_eigenvalue_matches_eigvalsh(base):
+    assert (base.vertex_count > SPD_DENSE_MAX) == (base is TORUS)
+    for seed in range(4):
+        for asm in _spd_draws(base, seed):
+            eig = np.linalg.eigvalsh(asm.L)
+            lam = lanczos_min_eigenvalue(asm)
+            assert abs(lam - eig[0]) <= 1e-12 * eig[-1]
+            # Weyl below, the Rayleigh quotient of 1 above
+            for value in (lam, eig[0]):
+                assert np.min(asm.A) <= value <= np.sum(asm.A) / base.vertex_count
+            min_eig, sym = spd_check(asm)
+            assert sym == 0.0
+            if base.vertex_count <= SPD_DENSE_MAX:
+                assert min_eig == eig[0]
+            else:
+                assert min_eig == lam
+
+
+def test_lanczos_starts_from_ones(monkeypatch):
+    """Where 1 is an eigenvector of L (uniform weights and radii on the
+    vertex-transitive torus grid, so A is constant), the Perron start
+    vector finds it with one matvec."""
+    calls = []
+    p_delta = laplacian._p_delta
+    monkeypatch.setattr(laplacian, "_p_delta",
+                        lambda asm, f, p: calls.append(p) or p_delta(asm, f, p))
+    for phi in (0.0, 0.7):
+        asm = assemble(TORUS.with_uniform_weight(phi), np.full(TORUS.vertex_count, 0.8))
+        assert np.ptp(asm.A) == 0.0
+        calls.clear()
+        lam = lanczos_min_eigenvalue(asm)
+        assert calls == [2.0]
+        assert abs(lam - asm.A[0]) <= 8 * EPS * asm.A[0]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_lanczos_bracket_guard(monkeypatch, sign):
+    """A matvec shifted by s * I moves every eigenvalue by s; shifted
+    below min A or above sum A / n, the result is refused."""
+    asm = next(_spd_draws(TORUS, 0))
+    lam = lanczos_min_eigenvalue(asm)
+    shift = lam if sign > 0 else np.mean(asm.A) - lam + 1e-3 * np.min(asm.A)
+    p_delta = laplacian._p_delta
+    monkeypatch.setattr(laplacian, "_p_delta",
+                        lambda asm, f, p: p_delta(asm, f, p) + sign * shift * f)
+    with pytest.raises(NumericalConsistencyError, match="outside"):
+        lanczos_min_eigenvalue(asm)
+    with pytest.raises(NumericalConsistencyError):
+        spd_check(asm)

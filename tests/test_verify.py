@@ -266,6 +266,19 @@ def test_jacobian_suite_small():
     assert rep.sups["angle_fd_matrix_rel"] <= 1e-6
 
 
+def test_jacobian_mesh_metrics_follow_samples(monkeypatch):
+    """The mesh half assembles min(100, samples) metrics per built-in mesh
+    unless mesh_metrics says otherwise."""
+    sizes = []
+    assemble_ = verify.laplacian.assemble
+    monkeypatch.setattr(verify.laplacian, "assemble",
+                        lambda mesh, r: sizes.append(mesh.vertex_count) or assemble_(mesh, r))
+    for samples, mesh_metrics, per_mesh in ((3, None, 3), (3, 5, 5), (150, None, 100)):
+        sizes.clear()
+        assert run_jacobians(samples, 7, mesh_metrics=mesh_metrics).passed
+        assert sorted(sizes) == [2] * per_mesh + [4] * per_mesh
+
+
 def test_spd_suite_small():
     rep = run_spd(10, 7)
     assert rep.passed
