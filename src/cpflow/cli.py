@@ -26,6 +26,10 @@ EXIT_IO = 3
 EXIT_STEP_FAILURE = 4
 EXIT_USAGE = 5
 
+# `flow` refuses a --t-max / --dt above this many full steps; at ~1 ms a
+# step on `tetra` (x86-64, one thread) the cap is a quarter of an hour
+MAX_FLOW_STEPS = 10**6
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -120,6 +124,8 @@ def cmd_flow(args):
         raise _Usage(f"--dt must be positive, got {args.dt}")
     if not (0.0 < args.t_max < math.inf):
         raise _Usage(f"--t-max must be positive and finite, got {args.t_max}")
+    if args.t_max / args.dt > MAX_FLOW_STEPS:
+        raise _Usage(f"--t-max / --dt = {args.t_max / args.dt:g} exceeds {MAX_FLOW_STEPS} steps")
     if not (args.k_tol > 0.0):
         raise _Usage(f"--k-tol must be positive, got {args.k_tol}")
     if args.trace_stride < 1:

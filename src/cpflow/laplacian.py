@@ -11,13 +11,18 @@ non-simplicial meshes.
 edge, gather them to the faces on index arrays built once per mesh on
 first use, evaluate all faces in one call of the `hypgeom` triangle
 kernel, and scatter into K, B and A with `np.bincount` in the order a loop
-over faces would accumulate, so runs are bitwise reproducible. The dense
-n x n `LaplacianAssembly.L` is built only when it is first read; the flow
-never reads it.
+over faces would accumulate, so runs are bitwise reproducible.
+
+`LaplacianAssembly.entries` lists the nonzero pattern of L as COO triples
+(rows, cols, vals), O(E) memory, built on first read. Every other view of
+L reads it: the dense n x n `LaplacianAssembly.L` (built only when read;
+the flow never reads it), the Lanczos matvec and the symmetry residual of
+`spd_check`. Above SPD_DENSE_MAX vertices neither `spd_check` nor `cpflow
+laplacian` allocates an n x n array.
 
 `spd_check` takes the smallest eigenvalue of L from `np.linalg.eigvalsh`
 on the dense L up to SPD_DENSE_MAX = 384 vertices, and above that from
-Lanczos on the edge-form operator, one `np.bincount` matvec per step.
+Lanczos on the entry list, one `np.bincount` matvec per step.
 Theorem 1 gives A_i > 0 and B_e >= 0, so L is a weighted graph Laplacian
 plus a positive diagonal: a symmetric Z-matrix, whose lowest eigenvector
 can be taken nonnegative (Perron-Frobenius) and so always overlaps the
@@ -130,6 +135,26 @@ def _build_arrays(mesh):
     )
 
 
+_PATTERNS = weakref.WeakKeyDictionary()
+
+
+def _entry_pattern(mesh):
+    """(pair_of, rows, cols): the vertex pair (i, j), i < j, of each link,
+    and the positions of the entries of L, each pair in both orientations
+    and then the diagonal. Built on the first read of an entry list of the
+    mesh, so the flow, which reads none, never pays for it."""
+    pattern = _PATTERNS.get(mesh)
+    if pattern is None:
+        links = _mesh_arrays(mesh).links
+        n = mesh.vertex_count
+        pairs, pair_of = np.unique(links.min(axis=1) * n + links.max(axis=1), return_inverse=True)
+        i, j = np.divmod(pairs, n)
+        diag = np.arange(n)
+        pattern = _PATTERNS[mesh] = (
+            pair_of, np.concatenate((i, j, diag)), np.concatenate((j, i, diag)))
+    return pattern
+
+
 # -- the face kernel ---------------------------------------------------------
 
 def _face_geometry(mesh, r):
@@ -164,25 +189,30 @@ class LaplacianAssembly:
     loop_edges: tuple = ()
 
     @cached_property
-    def L(self) -> np.ndarray:
-        """Dense symmetric dK/du, built on first access.
+    def entries(self):
+        """(rows, cols, vals): L in COO form, built on first access.
 
-        L_ij = -sum of B_e over the non-loop edges joining i and j, and
-        L_ii = A_i + sum of B_e over the non-loop edges at i; each entry
-        sums in ascending edge id, and both triangles are written from one
-        sum, so L is exactly symmetric.
+        One off-diagonal entry per orientation of each vertex pair joined
+        by a non-loop edge, -(sum of B_e over those edges), then the
+        diagonal, A_i + sum of B_e over the non-loop edges at i. Each value
+        sums in ascending edge id, and both orientations of a pair carry
+        the same value, so L is exactly symmetric. No (row, col) repeats.
         """
         arrays = _mesh_arrays(self.mesh)
+        pair_of, rows, cols = _entry_pattern(self.mesh)
         n = self.mesh.vertex_count
-        links = arrays.links
-        b = self.B[arrays.nonloop]
-        pairs, which = np.unique(links.min(axis=1) * n + links.max(axis=1), return_inverse=True)
-        off = -np.bincount(which, b)
-        i, j = np.divmod(pairs, n)
+        b = self.B.take(arrays.nonloop)
+        off = -np.bincount(pair_of, b)
+        diag = np.bincount(arrays.links.ravel(), np.repeat(b, 2), minlength=n) + self.A
+        return rows, cols, np.concatenate((off, off, diag))
+
+    @cached_property
+    def L(self) -> np.ndarray:
+        """Dense symmetric dK/du, built from `entries` on first access."""
+        rows, cols, vals = self.entries
+        n = self.mesh.vertex_count
         L = np.zeros((n, n))
-        L[i, j] = off
-        L[j, i] = off
-        L[np.diag_indices(n)] = np.bincount(links.ravel(), np.repeat(b, 2), minlength=n) + self.A
+        L[rows, cols] = vals
         return L
 
 
@@ -241,13 +271,6 @@ def apply_p_delta(asm: LaplacianAssembly, f, p: float) -> np.ndarray:
     n = asm.mesh.vertex_count
     if f.shape != (n,):
         raise ValueError(f"vector shape {f.shape} != ({n},)")
-    return _p_delta(asm, f, p)
-
-
-def _p_delta(asm, f, p):
-    """apply_p_delta without its argument checks: the matvec of
-    `lanczos_min_eigenvalue`, which runs it on vectors it built itself."""
-    n = asm.mesh.vertex_count
     arrays = _mesh_arrays(asm.mesh)
     d = f.take(arrays.links[:, 1]) - f.take(arrays.links[:, 0])
     mag = np.abs(d)
@@ -277,24 +300,51 @@ LANCZOS_BRACKET_RTOL = 1e-12
 def spd_check(asm: LaplacianAssembly):
     """(smallest eigenvalue of L, max |L - L^T| entry).
 
-    The residual is read off the dense L. The eigenvalue comes from
-    `np.linalg.eigvalsh(L)` up to SPD_DENSE_MAX vertices, where dense is
-    faster, and from `lanczos_min_eigenvalue` above: Lanczos from the ones
-    vector (the Perron guess), two reorthogonalisation passes per step,
-    and a check against [min A, sum A / n]; it agrees with eigvalsh to
-    ~5e-15 lambda_max(L).
+    Both are read off `asm.entries`, so above SPD_DENSE_MAX vertices the
+    check takes O(E) memory and builds no n x n array. The residual is
+    `symmetry_residual` of the entry list. The eigenvalue comes from
+    `np.linalg.eigvalsh(L)` on the dense L up to SPD_DENSE_MAX vertices,
+    where dense is faster, and from `lanczos_min_eigenvalue` above:
+    Lanczos from the ones vector (the Perron guess), two
+    reorthogonalisation passes per step, and a check against
+    [min A, sum A / n]; it agrees with eigvalsh to ~5e-15 lambda_max(L).
     """
-    sym_residual = float(np.max(np.abs(asm.L - asm.L.T)))
-    if asm.mesh.vertex_count <= SPD_DENSE_MAX:
+    n = asm.mesh.vertex_count
+    sym_residual = symmetry_residual(*asm.entries, n)
+    if n <= SPD_DENSE_MAX:
         return float(np.linalg.eigvalsh(asm.L)[0]), sym_residual
     return lanczos_min_eigenvalue(asm), sym_residual
 
 
-def lanczos_min_eigenvalue(asm: LaplacianAssembly) -> float:
-    """Smallest eigenvalue of L by Lanczos on the edge-form operator.
+def symmetry_residual(rows, cols, vals, n) -> float:
+    """max |L - L^T| over the n x n matrix L whose nonzero entries are the
+    COO triples (rows, cols, vals), no (row, col) given twice.
 
-    Each step is one matvec, L q = -apply_p_delta(q, 2); the dense L is not
-    used. The basis starts at the normalised ones vector and grows with the
+    Each (r, c) is matched with (c, r) by sorting the entry keys and
+    `searchsorted`; a missing transpose counts as 0. Entries absent in
+    both orientations give 0, so the result equals the dense max |L - L^T|
+    for any such L, in O(E log E) time and O(E) memory.
+    """
+    keys = rows * n + cols
+    order = np.argsort(keys)
+    ranked = keys.take(order)
+    wanted = cols * n + rows
+    at = np.minimum(np.searchsorted(ranked, wanted), len(ranked) - 1)
+    transposed = np.where(ranked.take(at) == wanted, vals.take(order.take(at)), 0.0)
+    return float(np.max(np.abs(vals - transposed)))
+
+
+def _matvec(asm, x):
+    """L x from the entry list: the matvec of `lanczos_min_eigenvalue`."""
+    rows, cols, vals = asm.entries
+    return np.bincount(rows, vals * x.take(cols), minlength=asm.mesh.vertex_count)
+
+
+def lanczos_min_eigenvalue(asm: LaplacianAssembly) -> float:
+    """Smallest eigenvalue of L by Lanczos on the entry list of L.
+
+    Each step is one matvec on `asm.entries`; the dense L is not used.
+    The basis starts at the normalised ones vector and grows with the
     step count; each new vector is orthogonalised against all of it by two
     classical Gram-Schmidt passes (see the module docstring for why both).
     Every LANCZOS_CHECK_EVERY steps the tridiagonal T is diagonalised, and
@@ -312,7 +362,7 @@ def lanczos_min_eigenvalue(asm: LaplacianAssembly) -> float:
     alpha, beta = [], []
     k = 0
     while True:
-        w = -_p_delta(asm, basis[k], 2.0)
+        w = _matvec(asm, basis[k])
         alpha.append(float(basis[k] @ w))
         q = basis[:k + 1]
         for _ in range(2):

@@ -156,6 +156,23 @@ def test_laplacian_report_above_the_dense_threshold(capsys, tmp_path):
     assert abs(doc["min_eigenvalue"] - eig[0]) <= 1e-12 * eig[-1]
 
 
+def test_laplacian_report_at_4096_vertices(capsys, tmp_path):
+    """The 64 x 64 torus: spd_check builds no dense L here (134 MB)."""
+    rng = np.random.default_rng(6)
+    base = oracles.torus_grid(64, 64)
+    mesh_path, r_path = tmp_path / "torus.json", tmp_path / "r.json"
+    mesh_path.write_text(save_mesh(base.with_weights(
+        rng.uniform(0.0, 0.5 * math.pi, base.edge_count))))
+    r_path.write_text(json.dumps(np.exp(rng.uniform(
+        math.log(0.1), math.log(10.0), base.vertex_count)).tolist()))
+    code, out, _ = run_cli(capsys, "laplacian", "--mesh", str(mesh_path), "--r0", str(r_path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["symmetry_residual"] == 0.0
+    A = np.array(doc["A"])
+    assert np.min(A) <= doc["min_eigenvalue"] <= np.sum(A) / base.vertex_count
+
+
 def test_r0_file_input(capsys, tmp_path):
     path = tmp_path / "r.json"
     path.write_text("[1.0, 1.0, 1.0, 1.0]")
@@ -239,6 +256,7 @@ def test_non_utf8_mesh_file_is_validation_error(capsys, tmp_path):
     ["bounds", "--mesh", "tetra", "--R", "1e-300"],     # a**14 underflows to 0
     ["verify", "--suite", "identities", "--seed", "-1"],
     ["flow", "--mesh", "tetra", "--t-max", "inf"],     # tetra never converges
+    ["flow", "--mesh", "tetra", "--dt", "1e-300", "--t-max", "0.05"],  # 5e298 steps
 ])
 def test_out_of_range_input_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cpflow.laplacian import (
     lanczos_min_eigenvalue,
     r_of_u,
     spd_check,
+    symmetry_residual,
     u_of_r,
 )
 from cpflow.mesh import (
@@ -458,15 +460,15 @@ def test_lanczos_starts_from_ones(monkeypatch):
     vertex-transitive torus grid, so A is constant), the Perron start
     vector finds it with one matvec."""
     calls = []
-    p_delta = laplacian._p_delta
-    monkeypatch.setattr(laplacian, "_p_delta",
-                        lambda asm, f, p: calls.append(p) or p_delta(asm, f, p))
+    matvec = laplacian._matvec
+    monkeypatch.setattr(laplacian, "_matvec",
+                        lambda asm, x: calls.append(1) or matvec(asm, x))
     for phi in (0.0, 0.7):
         asm = assemble(TORUS.with_uniform_weight(phi), np.full(TORUS.vertex_count, 0.8))
         assert np.ptp(asm.A) == 0.0
         calls.clear()
         lam = lanczos_min_eigenvalue(asm)
-        assert calls == [2.0]
+        assert calls == [1]
         assert abs(lam - asm.A[0]) <= 8 * EPS * asm.A[0]
 
 
@@ -477,10 +479,93 @@ def test_lanczos_bracket_guard(monkeypatch, sign):
     asm = next(_spd_draws(TORUS, 0))
     lam = lanczos_min_eigenvalue(asm)
     shift = lam if sign > 0 else np.mean(asm.A) - lam + 1e-3 * np.min(asm.A)
-    p_delta = laplacian._p_delta
-    monkeypatch.setattr(laplacian, "_p_delta",
-                        lambda asm, f, p: p_delta(asm, f, p) + sign * shift * f)
+    matvec = laplacian._matvec
+    monkeypatch.setattr(laplacian, "_matvec",
+                        lambda asm, x: matvec(asm, x) - sign * shift * x)
     with pytest.raises(NumericalConsistencyError, match="outside"):
         lanczos_min_eigenvalue(asm)
     with pytest.raises(NumericalConsistencyError):
         spd_check(asm)
+
+
+# -- the entry list of L ---------------------------------------------------------------
+
+ENTRY_BASES = pytest.mark.parametrize("base", [TETRA, GENUS2, OCTA, TORUS],
+                                      ids=["tetra", "genus2_min", "octa", "torus24x24"])
+
+
+def _dense_residual(rows, cols, vals, n):
+    L = np.zeros((n, n))
+    L[rows, cols] = vals
+    return float(np.max(np.abs(L - L.T)))
+
+
+@ENTRY_BASES
+def test_entry_residual_equals_dense(base):
+    """On L itself (0), on L with every entry scaled by its own noise, and
+    with ~30 % of the entries dropped (a missing transpose counts as 0)."""
+    n = base.vertex_count
+    rng = np.random.default_rng(17)
+    for seed in range(2):
+        for asm in _spd_draws(base, seed):
+            rows, cols, vals = asm.entries
+            assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
+            assert symmetry_residual(rows, cols, vals, n) == 0.0
+            assert _dense_residual(rows, cols, vals, n) == 0.0
+            noisy = vals * (1.0 + 1e-3 * rng.standard_normal(len(vals)))
+            got = symmetry_residual(rows, cols, noisy, n)
+            assert got > 0.0 and got == _dense_residual(rows, cols, noisy, n)
+            keep = rng.random(len(vals)) < 0.7
+            got = symmetry_residual(rows[keep], cols[keep], vals[keep], n)
+            assert got == _dense_residual(rows[keep], cols[keep], vals[keep], n)
+
+
+def test_entry_residual_of_one_perturbed_entry():
+    """delta added to one off-diagonal entry gives a residual of exactly
+    delta: a power of two at most |v| / 8 added to v <= 0 is exact. On the
+    diagonal it gives 0."""
+    for base in (GENUS2, OCTA):
+        asm = next(_spd_draws(base, 5))
+        rows, cols, vals = asm.entries
+        n = base.vertex_count
+        for k in range(len(vals)):
+            delta = float(np.ldexp(1.0, np.frexp(vals[k])[1] - 4))
+            bad = vals.copy()
+            bad[k] += delta
+            want = 0.0 if rows[k] == cols[k] else delta
+            assert symmetry_residual(rows, cols, bad, n) == want
+            assert _dense_residual(rows, cols, bad, n) == want
+
+
+@ENTRY_BASES
+def test_matvec_matches_dense_L(base):
+    rng = np.random.default_rng(23)
+    for asm in _spd_draws(base, 3):
+        x = rng.standard_normal(base.vertex_count)
+        want = asm.L @ x
+        scale = np.abs(asm.L) @ np.abs(x)
+        assert np.all(np.abs(laplacian._matvec(asm, x) - want) <= 1e-14 * scale)
+
+
+def test_spd_check_above_the_dense_threshold_builds_no_dense_L():
+    for asm in _spd_draws(TORUS, 2):
+        min_eig, sym = spd_check(asm)
+        assert "L" not in asm.__dict__
+        assert sym == 0.0
+        assert np.min(asm.A) <= min_eig <= np.mean(asm.A)
+
+
+def test_spd_check_memory_at_n_4096():
+    """The dense L alone would be 134 MB at n = 4096."""
+    base = oracles.torus_grid(64, 64)
+    mesh, r = _draw(base, np.random.default_rng(7), 0.1, 10.0)
+    asm = assemble(mesh, r)
+    tracemalloc.start()
+    try:
+        min_eig, sym = spd_check(asm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    assert sym == 0.0
+    assert np.min(asm.A) <= min_eig <= np.mean(asm.A)
