@@ -22,7 +22,6 @@ from .mesh import (
     load_mesh,
     save_mesh,
     simplicial_from_faces,
-    vertex_adjacency,
 )
 from .hypgeom import (
     TriangleGeometry,
@@ -33,7 +32,6 @@ from .hypgeom import (
 )
 from .laplacian import (
     LaplacianAssembly,
-    apply_delta,
     apply_p_delta,
     assemble,
     calabi_energy,

@@ -109,7 +109,7 @@ def cmd_laplacian(args):
         "min_eigenvalue": min_eig,
         "symmetry_residual": sym,
         "zero_b_edges": [
-            {"edge": eid, "phi": mesh.edges[eid].phi}
+            {"edge": eid, "phi": float(mesh.phi[eid])}
             for eid in asm.zero_b_edges
         ],
     }

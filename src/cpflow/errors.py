@@ -32,8 +32,7 @@ class NumericalConsistencyError(CpflowError):
 class StepFailureError(CpflowError):
     """A flow step could not be accepted after the halving budget."""
 
-    def __init__(self, message, r, t, dt):
+    def __init__(self, message, r, dt):
         super().__init__(message)
         self.r = r
-        self.t = t
         self.dt = dt

@@ -198,7 +198,7 @@ def step(mesh, r, dt, p, max_halvings=40, _k1=None, _energy0=None):
         except (_EnergyIncrease, *_REJECTABLE):
             h *= 0.5
     raise StepFailureError(
-        f"no admissible step after {max_halvings} halvings", r=r, t=None, dt=h
+        f"no admissible step after {max_halvings} halvings", r=r, dt=h
     )
 
 

@@ -88,11 +88,6 @@ def half_angles(phi):
     return np.cos(half), np.sin(half)
 
 
-def cosh_length_minus_one(r_a, r_b, phi):
-    """cosh(edge length) - 1 elementwise; see `edge_terms`."""
-    return edge_terms(r_a, r_b, half_angles(phi))[0]
-
-
 @dataclass
 class TriangleGeometry:
     """Per corner (3, N), edge t opposite corner t, or per triangle (N,)."""

@@ -97,11 +97,8 @@ def _build_arrays(mesh):
     """Index arrays and the face weights of a mesh. Per-corner arrays are
     (3, F): row t holds corner t of every face. The scatter indices list
     the corners face by face, the order of a loop over faces."""
-    corner_ids = np.array([f.corners for f in mesh.faces], dtype=np.intp)
-    edge_ids = np.array([f.edges for f in mesh.faces], dtype=np.intp)
-    corners, edges = np.ascontiguousarray(corner_ids.T), np.ascontiguousarray(edge_ids.T)
-    ends = np.array([(e.a, e.b) for e in mesh.edges], dtype=np.intp)
-    phi = np.array([e.phi for e in mesh.edges])
+    corners, edges = np.ascontiguousarray(mesh.corners.T), np.ascontiguousarray(mesh.edge_ids.T)
+    ends, phi = mesh.ends, mesh.phi
     # the radii are set per call with `with_radii`
     packing = hypgeom.TrianglePacking(np.ones(corners.shape), phi.take(edges))
     bad = np.argwhere(packing.gammas.T < 0.0)
@@ -119,9 +116,9 @@ def _build_arrays(mesh):
     return SimpleNamespace(
         corners=corners,                    # (3, F) vertex ids
         edges=edges,                        # (3, F) edge ids, edge t opposite corner t
-        corner_ids=corner_ids.ravel(),      # (3F,) vertex ids, face by face
-        edge_ids=edge_ids.ravel(),          # (3F,) edge ids, face by face
-        a_direct_ids=np.repeat(corner_ids.ravel(), 2),
+        corner_ids=mesh.corners.ravel(),    # (3F,) vertex ids, face by face
+        edge_ids=mesh.edge_ids.ravel(),     # (3F,) edge ids, face by face
+        a_direct_ids=np.repeat(mesh.corners.ravel(), 2),
         a_direct_terms=rows.ravel(),
         ends=ends,                          # (E, 2) edge endpoints
         half=hypgeom.half_angles(phi),      # cos and sin of half the edge weights
@@ -182,7 +179,6 @@ class LaplacianAssembly:
     K: np.ndarray              # curvature per vertex
     B: np.ndarray              # per-edge coefficient
     A: np.ndarray              # per-vertex coefficient
-    cosh_l: np.ndarray         # per-edge cosh of the edge length
     cosh_l_minus_1: np.ndarray
     ab_residual: float = 0.0   # max relative gap between the two A routes
     zero_b_edges: list = field(default_factory=list)
@@ -248,23 +244,17 @@ def assemble(mesh: WeightedTriangulation, r) -> LaplacianAssembly:
         )
     return LaplacianAssembly(
         mesh=mesh, K=K, B=B, A=A,
-        cosh_l=1.0 + wm1, cosh_l_minus_1=wm1,
+        cosh_l_minus_1=wm1,
         ab_residual=float(np.max(rel)),
         zero_b_edges=np.flatnonzero(B == 0.0).tolist(),
         loop_edges=arrays.loop_edges,
     )
 
 
-def apply_delta(asm: LaplacianAssembly, f) -> np.ndarray:
-    """Discrete Laplacian: (delta f)_i = sum_e B_e (f_j - f_i) - A_i f_i.
-
-    Edge-sum form; equals -L f to rounding.
-    """
-    return apply_p_delta(asm, f, 2.0)
-
-
 def apply_p_delta(asm: LaplacianAssembly, f, p: float) -> np.ndarray:
-    """p-th discrete Laplacian; |0|^(p-2) * 0 is taken as 0 for every p > 1."""
+    """p-th discrete Laplacian, (delta_p f)_i = sum_e B_e |f_j - f_i|^(p-2)
+    (f_j - f_i) - A_i f_i; |0|^(p-2) * 0 is taken as 0 for every p > 1.
+    At p = 2 it equals -L f to rounding."""
     if not (p > 1.0):
         raise ValueError(f"p must exceed 1, got {p!r}")
     f = np.asarray(f, dtype=float)

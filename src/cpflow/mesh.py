@@ -8,9 +8,13 @@ a loop (both endpoints equal), which the minimal genus-2 mesh requires.
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import MeshFormatError, MeshValidationError
+import numpy as np
+
 from . import jsonio
+from .errors import MeshFormatError, MeshValidationError
+from .hypgeom import NEXT, PREV
 
 
 @dataclass(frozen=True)
@@ -43,134 +47,168 @@ class StarReport:
 
 
 class WeightedTriangulation:
-    """Immutable combinatorics plus per-edge intersection weights."""
+    """Immutable combinatorics plus per-edge intersection weights, held as
+    four read-only arrays: `ends` (E, 2) and `phi` (E,) per edge, `corners`
+    (F, 3) vertex ids and `edge_ids` (F, 3) per face, edge t opposite
+    corner t. `edges` and `faces` are Edge and Face tuples built when read.
+    """
 
     def __init__(self, vertex_count, edges, faces):
+        """From Edge and Face objects."""
+        edges, faces = tuple(edges), tuple(faces)
+        not_triangle = np.array([not len(f.corners) == len(f.edges) == 3 for f in faces])
+        if not_triangle.any():      # zero rows stand in for a face that is not a triangle
+            faces = [Face((0, 0, 0), (0, 0, 0)) if bad else f for f, bad in zip(faces, not_triangle)]
+        self._set(vertex_count, _ids([(e.a, e.b) for e in edges], 2),
+                  np.array([e.phi for e in edges], dtype=float),
+                  _ids([f.corners for f in faces], 3), _ids([f.edges for f in faces], 3))
+        self._validate(not_triangle)
+
+    @classmethod
+    def from_arrays(cls, vertex_count, ends, phi, corners, edge_ids):
+        """From the four arrays, or nested lists of their rows; copies them."""
+        mesh = cls.__new__(cls)
+        mesh._set(vertex_count, _ids(ends, 2), np.array(phi, dtype=float),
+                  _ids(corners, 3), _ids(edge_ids, 3))
+        mesh._validate()
+        return mesh
+
+    def _set(self, vertex_count, ends, phi, corners, edge_ids):
+        for a in (ends, phi, corners, edge_ids):
+            a.setflags(write=False)
         self.vertex_count = int(vertex_count)
-        self.edges = tuple(edges)
-        self.faces = tuple(faces)
-        self._validate()
-        self._build_adjacency()
+        self.ends, self.phi, self.corners, self.edge_ids = ends, phi, corners, edge_ids
 
     # -- validation -------------------------------------------------------
 
-    def _validate(self):
-        n, ne = self.vertex_count, len(self.edges)
+    def _validate(self, not_triangle=None):
+        """Raise MeshValidationError naming the first violation, in the
+        order of a loop over the edges, then face by face and corner by
+        corner, then the edge and vertex counts."""
+        n, ne, nf = self.vertex_count, self.edge_count, self.face_count
         if n <= 0:
             raise MeshValidationError("vertex count must be positive")
-        if ne == 0 or not self.faces:
+        if ne == 0 or nf == 0:
             raise MeshValidationError("mesh needs at least one edge and one face")
-        for eid, e in enumerate(self.edges):
-            if not (0 <= e.a < n and 0 <= e.b < n):
-                raise MeshValidationError(f"edge {eid} endpoint out of range")
-            if not (0.0 <= e.phi < math.pi):
-                raise MeshValidationError(
-                    f"edge {eid} weight {e.phi!r} outside [0, pi)"
-                )
-        for fid, f in enumerate(self.faces):
-            if len(f.corners) != 3 or len(f.edges) != 3:
-                raise MeshValidationError(f"face {fid} is not a triangle")
-            for v in f.corners:
-                if not (0 <= v < n):
-                    raise MeshValidationError(f"face {fid} corner out of range")
-            for t in range(3):
-                eid = f.edges[t]
-                if not (0 <= eid < ne):
-                    raise MeshValidationError(f"face {fid} edge id out of range")
-                e = self.edges[eid]
-                want = sorted((f.corners[(t + 1) % 3], f.corners[(t + 2) % 3]))
-                if sorted((e.a, e.b)) != want:
-                    raise MeshValidationError(
-                        f"face {fid} corner {t}: opposite edge {eid} endpoints "
-                        f"{sorted((e.a, e.b))} do not match corners {want}"
-                    )
-        count = [0] * ne
-        for f in self.faces:
-            for eid in f.edges:
-                count[eid] += 1
-        for eid, c in enumerate(count):
-            if c != 2:
-                raise MeshValidationError(
-                    f"edge {eid} not in exactly two faces (found {c})"
-                )
-        if n > 3 * len(self.faces):     # checked before n is allocated
-            raise MeshValidationError(f"vertex count {n} above 3 per face: a vertex is in no face")
-        seen = [False] * n
-        for f in self.faces:
-            for v in f.corners:
-                seen[v] = True
-        for v, s in enumerate(seen):
-            if not s:
-                raise MeshValidationError(f"vertex {v} appears in no face")
-
-    def _build_adjacency(self):
-        n = self.vertex_count
-        self._edge_faces = [[] for _ in self.edges]
-        for fid, f in enumerate(self.faces):
-            for eid in f.edges:
-                self._edge_faces[eid].append(fid)
-        deg = [0] * n
-        corners = [0] * n
-        incident = [[] for _ in range(n)]
-        for eid, e in enumerate(self.edges):
-            deg[e.a] += 1
-            deg[e.b] += 1
-            incident[e.a].append(eid)
-            if e.b != e.a:
-                incident[e.b].append(eid)
+        ends, phi, corners, edge_ids = self.ends, self.phi, self.corners, self.edge_ids
+        bad = _first(np.column_stack((((ends < 0) | (ends >= n)).any(axis=1), _bad_weights(phi))))
+        if bad is not None:
+            eid, col = bad
+            if col == 1:
+                raise _weight_error(phi, eid)
+            raise MeshValidationError(f"edge {eid} endpoint out of range")
+        id_bad = (edge_ids < 0) | (edge_ids >= ne)
+        opposite = np.sort(ends[np.where(id_bad, 0, edge_ids)], axis=2)
+        want = np.sort(np.stack((corners[:, NEXT], corners[:, PREV]), axis=2), axis=2)
+        mismatch = ~id_bad & (opposite != want).any(axis=2)
+        # per face: not a triangle, a corner out of range, then per corner t
+        # its edge id out of range and its edge's ends not the other corners
+        checks = np.column_stack((
+            np.zeros(nf, dtype=bool) if not_triangle is None else not_triangle,
+            ((corners < 0) | (corners >= n)).any(axis=1),
+            np.stack((id_bad, mismatch), axis=2).reshape(nf, 6)))
+        bad = _first(checks)
+        if bad is not None:
+            fid, col = bad
+            t = (col - 2) // 2
+            if col == 0:
+                what = "is not a triangle"
+            elif col == 1:
+                what = "corner out of range"
+            elif col % 2 == 0:
+                what = "edge id out of range"
             else:
-                incident[e.a].append(eid)   # loop: incident twice
-        for f in self.faces:
-            for v in f.corners:
-                corners[v] += 1
-        self._degrees = tuple(deg)
-        self._corner_counts = tuple(corners)
-        self._incident_edges = tuple(tuple(x) for x in incident)
+                what = (f"corner {t}: opposite edge {edge_ids[fid, t]} endpoints "
+                        f"{opposite[fid, t].tolist()} do not match corners {want[fid, t].tolist()}")
+            raise MeshValidationError(f"face {fid} {what}")
+        count = np.bincount(edge_ids.ravel(), minlength=ne)
+        if np.any(count != 2):
+            eid = int(np.argmax(count != 2))
+            raise MeshValidationError(f"edge {eid} not in exactly two faces (found {count[eid]})")
+        if n > 3 * nf:      # checked before anything is allocated per vertex
+            raise MeshValidationError(f"vertex count {n} above 3 per face: a vertex is in no face")
+        seen = np.bincount(corners.ravel(), minlength=n)
+        if np.any(seen == 0):
+            raise MeshValidationError(f"vertex {int(np.argmin(seen))} appears in no face")
 
     # -- queries ----------------------------------------------------------
 
+    @cached_property
+    def edges(self):
+        return tuple(Edge(a, b, p) for (a, b), p in zip(self.ends.tolist(), self.phi.tolist()))
+
+    @cached_property
+    def faces(self):
+        return tuple(Face(tuple(c), tuple(e))
+                     for c, e in zip(self.corners.tolist(), self.edge_ids.tolist()))
+
     @property
     def edge_count(self):
-        return len(self.edges)
+        return len(self.ends)
 
     @property
     def face_count(self):
-        return len(self.faces)
+        return len(self.corners)
 
     def euler_characteristic(self):
-        return self.vertex_count - len(self.edges) + len(self.faces)
+        return self.vertex_count - self.edge_count + self.face_count
 
     def degrees(self):
         """Endpoint-incidence degree per vertex; a loop edge counts twice."""
-        return self._degrees
+        return tuple(np.bincount(self.ends.ravel(), minlength=self.vertex_count).tolist())
 
     def max_degree(self):
-        return max(self._degrees)
+        return max(self.degrees())
 
     def corner_counts(self):
         """Number of face corners at each vertex (= degree on a closed surface)."""
-        return self._corner_counts
-
-    def faces_of_edge(self, eid):
-        return tuple(self._edge_faces[eid])
-
-    def incident_edges(self, v):
-        return self._incident_edges[v]
+        return tuple(np.bincount(self.corners.ravel(), minlength=self.vertex_count).tolist())
 
     def face_weights(self, fid):
         """Weights ordered opposite each corner of the face."""
-        f = self.faces[fid]
-        return tuple(self.edges[eid].phi for eid in f.edges)
+        return tuple(self.phi.take(self.edge_ids[fid]).tolist())
 
     def with_weights(self, phis):
-        """Copy of the mesh with per-edge weights replaced."""
-        if len(phis) != len(self.edges):
+        """Copy of the mesh with per-edge weights replaced; it shares the
+        combinatorial arrays, and only the new weights are checked."""
+        if len(phis) != self.edge_count:
             raise MeshValidationError("weight vector length != edge count")
-        edges = [Edge(e.a, e.b, float(p)) for e, p in zip(self.edges, phis)]
-        return WeightedTriangulation(self.vertex_count, edges, self.faces)
+        phi = np.array(phis, dtype=float)
+        bad = _bad_weights(phi)
+        if bad.any():
+            raise _weight_error(phi, int(np.argmax(bad)))
+        mesh = WeightedTriangulation.__new__(WeightedTriangulation)
+        mesh._set(self.vertex_count, self.ends, phi, self.corners, self.edge_ids)
+        return mesh
 
     def with_uniform_weight(self, phi):
-        return self.with_weights([phi] * len(self.edges))
+        return self.with_weights([phi] * self.edge_count)
+
+
+def _ids(rows, width):
+    """int64 (len(rows), width) array of integer rows. An id beyond int64
+    becomes -1, which every range check rejects as it rejects the id."""
+    try:
+        a = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        a = np.array([[x if -2**63 <= x < 2**63 else -1 for x in row] for row in rows],
+                     dtype=np.int64)
+    return a.reshape(len(rows), width)
+
+
+def _bad_weights(phi):
+    return ~((phi >= 0.0) & (phi < math.pi))     # true at nan
+
+
+def _weight_error(phi, eid):
+    return MeshValidationError(f"edge {eid} weight {float(phi[eid])!r} outside [0, pi)")
+
+
+def _first(bad):
+    """(row, column) of the first true entry of a 2-D mask in row-major
+    order, or None."""
+    k = int(np.argmax(bad))
+    return divmod(k, bad.shape[1]) if bad.flat[k] else None
 
 
 # -- star condition ---------------------------------------------------------
@@ -184,33 +222,12 @@ def corner_gammas(weights):
 def check_star_condition(mesh: WeightedTriangulation) -> StarReport:
     gammas = []
     violations = []
-    for fid in range(mesh.face_count):
-        gs = corner_gammas(mesh.face_weights(fid))
-        for t, g in enumerate(gs):
+    for fid, weights in enumerate(mesh.phi[mesh.edge_ids].tolist()):
+        for t, g in enumerate(corner_gammas(weights)):
             gammas.append((fid, t, g))
             if g < 0.0:
                 violations.append((fid, t, g))
     return StarReport(tuple(gammas), not violations, tuple(violations))
-
-
-# -- adjacency report ---------------------------------------------------------
-
-def vertex_adjacency(mesh: WeightedTriangulation):
-    """Per-vertex incidence records and endpoint-incidence degrees.
-
-    Returns (records, degrees, max_degree) where records[v] is a list of
-    (edge id, faces of that edge, neighbor vertex id), one entry per
-    incidence, so a loop edge at v contributes two entries.
-    """
-    records = []
-    for v in range(mesh.vertex_count):
-        entries = []
-        for eid in mesh.incident_edges(v):
-            e = mesh.edges[eid]
-            neighbor = e.b if e.a == v else e.a
-            entries.append((eid, mesh.faces_of_edge(eid), neighbor))
-        records.append(entries)
-    return records, mesh.degrees(), mesh.max_degree()
 
 
 # -- file format --------------------------------------------------------------
@@ -227,7 +244,7 @@ def load_mesh(text) -> WeightedTriangulation:
         if key not in doc:
             raise MeshFormatError(f"mesh file missing '{key}'")
     n = doc["vertices"]
-    if not isinstance(n, int):
+    if type(n) is not int:      # JSON true and false are not ids
         raise MeshFormatError("'vertices' must be an integer")
     rows = doc["edges"]
     if not isinstance(rows, list):
@@ -237,15 +254,14 @@ def load_mesh(text) -> WeightedTriangulation:
         if not (isinstance(row, list) and len(row) == 4):
             raise MeshFormatError(f"edge row {row!r} must be [id, a, b, phi]")
         eid, a, b, phi = row
-        if not (all(isinstance(x, int) for x in (eid, a, b)) and type(phi) in (int, float)):
+        if not (all(type(x) is int for x in (eid, a, b)) and type(phi) in (int, float)):
             raise MeshFormatError(f"edge row {row!r} needs integer ids and a numeric weight")
         if eid in by_id:
             raise MeshFormatError(f"duplicate edge id {eid}")
-        by_id[eid] = Edge(a, b, float(phi))
+        by_id[eid] = row
     if sorted(by_id) != list(range(len(by_id))):
         raise MeshFormatError("edge ids must be dense integers from 0")
-    edges = [by_id[i] for i in range(len(by_id))]
-    faces = []
+    erows = [by_id[i] for i in range(len(by_id))]
     frows = doc["faces"]
     if not isinstance(frows, list):
         raise MeshFormatError("'faces' must be a list")
@@ -254,28 +270,28 @@ def load_mesh(text) -> WeightedTriangulation:
             raise MeshFormatError(
                 f"face row {row!r} must be [v0, v1, v2, e0, e1, e2]"
             )
-        if not all(isinstance(x, int) for x in row):
+        if not all(type(x) is int for x in row):
             raise MeshFormatError(f"face row {row!r} has non-integer ids")
-        faces.append(Face(tuple(row[:3]), tuple(row[3:])))
-    return WeightedTriangulation(n, edges, faces)
+    return WeightedTriangulation.from_arrays(
+        n, [row[1:3] for row in erows], [_float(row[3]) for row in erows],
+        [row[:3] for row in frows], [row[3:] for row in frows])
+
+
+def _float(x):
+    try:
+        return float(x)
+    except OverflowError:       # an integer beyond double range: out of range, like inf
+        return math.inf if x > 0 else -math.inf
 
 
 def save_mesh(mesh: WeightedTriangulation) -> str:
     """Canonical text; numeric values round-trip bit-exactly through load."""
-    lines = ['{"vertices": %d,' % mesh.vertex_count, ' "edges": [']
-    erows = []
-    for eid, e in enumerate(mesh.edges):
-        erows.append(
-            "  [%d, %d, %d, %s]" % (eid, e.a, e.b, jsonio.format_float(e.phi))
-        )
-    lines.append(",\n".join(erows))
-    lines.append(" ],")
-    lines.append(' "faces": [')
-    frows = []
-    for f in mesh.faces:
-        frows.append("  [%d, %d, %d, %d, %d, %d]" % (f.corners + f.edges))
-    lines.append(",\n".join(frows))
-    lines.append(" ]}")
+    erows = ["  [%d, %d, %d, %s]" % (eid, a, b, jsonio.format_float(p))
+             for eid, ((a, b), p) in enumerate(zip(mesh.ends.tolist(), mesh.phi.tolist()))]
+    frows = ["  [%d, %d, %d, %d, %d, %d]" % tuple(row)
+             for row in np.hstack((mesh.corners, mesh.edge_ids)).tolist()]
+    lines = ['{"vertices": %d,' % mesh.vertex_count, ' "edges": [', ",\n".join(erows),
+             " ],", ' "faces": [', ",\n".join(frows), " ]}"]
     return "\n".join(lines) + "\n"
 
 

@@ -16,14 +16,7 @@ import numpy as np
 from . import hypgeom, laplacian
 from .errors import CpflowError, DegenerateFaceError, MeshValidationError
 from .hypgeom import NEXT, PREV, ROWS, TrianglePacking
-from .mesh import (
-    Edge,
-    Face,
-    WeightedTriangulation,
-    builtin_mesh,
-    corner_gammas,
-    simplicial_from_faces,
-)
+from .mesh import WeightedTriangulation, builtin_mesh, corner_gammas, simplicial_from_faces
 
 # -- reproducible sampling ----------------------------------------------------
 
@@ -49,7 +42,7 @@ def sample_star_mesh_weights(mesh, rng, max_tries=1_000_000):
     """Per-edge weights uniform on [0, pi), rejected until every face meets
     the corner condition: tries are screened in numpy blocks, the scalar
     `corner_gammas` decides, and the generator ends as single tries leave it."""
-    edges, ne = np.array([f.edges for f in mesh.faces]), mesh.edge_count
+    edges, ne = mesh.edge_ids, mesh.edge_count
     rows = max(1, 2**11 // ne)      # tries per block: 2**11 weights
     for lo in range(0, max_tries, rows):
         state = rng.bit_generator.state
@@ -57,7 +50,7 @@ def sample_star_mesh_weights(mesh, rng, max_tries=1_000_000):
         g = np.cos(block)[:, edges]             # (tries, F, 3)
         maybe = (g + g[..., NEXT] * g[..., PREV]).min(axis=(1, 2)) >= -1e-12
         for k in np.flatnonzero(maybe):
-            if all(min(corner_gammas(tuple(block[k, f.edges]))) >= 0.0 for f in mesh.faces):
+            if all(min(corner_gammas(w)) >= 0.0 for w in block[k, edges].tolist()):
                 rng.bit_generator.state = state
                 return mesh.with_weights(rng.uniform(0.0, math.pi, (k + 1, ne))[k])
     raise CpflowError("weight rejection sampling did not terminate")
@@ -162,7 +155,7 @@ def floor_bound_constants(mesh: WeightedTriangulation, r_floor: float) -> BoundC
     if not (r_floor > 0.0):
         raise ValueError(f"radius floor must be positive, got {r_floor!r}")
     a = 0.5 * (-math.expm1(-r_floor))        # (1 - e^-R)/2
-    cosines = [math.cos(e.phi) for e in mesh.edges]
+    cosines = [math.cos(p) for p in mesh.phi.tolist()]
     phi_bar = min(0.0, min(cosines))
     one_pb = 1.0 + phi_bar
     if one_pb == 0.0:       # a weight within ~1e-8 of pi has cosine -1 in doubles
@@ -179,8 +172,8 @@ def floor_bound_constants(mesh: WeightedTriangulation, r_floor: float) -> BoundC
             f"radius floor {r_floor!r} is too small: a**14 underflows, so the "
             "bound constants leave double range")
     m4 = []
-    for fid in range(mesh.face_count):
-        g = [math.cos(w) for w in mesh.face_weights(fid)]
+    for weights in mesh.phi[mesh.edge_ids].tolist():
+        g = [math.cos(w) for w in weights]
         row = []
         for t in range(3):
             gt, gu, gv = g[t], g[(t + 1) % 3], g[(t + 2) % 3]
@@ -514,10 +507,10 @@ def _copies(mesh, m):
     """Disjoint union of m copies of the mesh; copy c holds vertex v as
     c n + v, and edges and faces likewise."""
     n, ne = mesh.vertex_count, mesh.edge_count
-    edges = [Edge(e.a + c * n, e.b + c * n, e.phi) for c in range(m) for e in mesh.edges]
-    faces = [Face(tuple(v + c * n for v in f.corners), tuple(e + c * ne for e in f.edges))
-             for c in range(m) for f in mesh.faces]
-    return WeightedTriangulation(n * m, edges, faces)
+    c = np.arange(m)[:, None, None]
+    return WeightedTriangulation.from_arrays(
+        n * m, (mesh.ends + c * n).reshape(-1, 2), np.tile(mesh.phi, m),
+        (mesh.corners + c * n).reshape(-1, 3), (mesh.edge_ids + c * ne).reshape(-1, 3))
 
 
 def _chunk_assemblies(mesh, radii):

@@ -1,5 +1,5 @@
 """Reference routes: extended-precision values, the scalar triangle, the
-scalar assembly and the per-metric mesh suites.
+mesh validation loop, the scalar assembly and the per-metric mesh suites.
 
 Frozen constants were produced by the mpmath routines below at 60 digits;
 the tests assert both that the implementation matches the frozen value and
@@ -7,6 +7,7 @@ that the frozen value still matches a fresh mpmath evaluation, so a stale
 constant cannot hide.
 """
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -15,6 +16,8 @@ import numpy as np
 
 from cpflow.errors import (
     DegenerateFaceError,
+    MeshFormatError,
+    MeshValidationError,
     NumericalConsistencyError,
     RadiusOverflowError,
     StarConditionError,
@@ -22,7 +25,7 @@ from cpflow.errors import (
 from cpflow import verify
 from cpflow.hypgeom import A_NORM_FLOOR, RADIUS_CAP
 from cpflow.laplacian import AB_CONSISTENCY_RTOL, assemble, validate_radii
-from cpflow.mesh import corner_gammas, simplicial_from_faces
+from cpflow.mesh import Edge, Face, corner_gammas, simplicial_from_faces
 
 mp.mp.dps = 60
 
@@ -301,6 +304,104 @@ def angle_jacobian(tp: TrianglePacking, geom: TriangleGeometry = None) -> np.nda
 
 
 # -- meshes -----------------------------------------------------------------------
+
+def validate_loop(vertex_count, edges, faces):
+    """The mesh invariants, checked one Edge and Face object at a time:
+    the reference for the class and message of the first violation that
+    `WeightedTriangulation` reports."""
+    n, ne = vertex_count, len(edges)
+    if n <= 0:
+        raise MeshValidationError("vertex count must be positive")
+    if ne == 0 or not faces:
+        raise MeshValidationError("mesh needs at least one edge and one face")
+    for eid, e in enumerate(edges):
+        if not (0 <= e.a < n and 0 <= e.b < n):
+            raise MeshValidationError(f"edge {eid} endpoint out of range")
+        if not (0.0 <= e.phi < math.pi):
+            raise MeshValidationError(f"edge {eid} weight {e.phi!r} outside [0, pi)")
+    for fid, f in enumerate(faces):
+        if len(f.corners) != 3 or len(f.edges) != 3:
+            raise MeshValidationError(f"face {fid} is not a triangle")
+        for v in f.corners:
+            if not (0 <= v < n):
+                raise MeshValidationError(f"face {fid} corner out of range")
+        for t in range(3):
+            eid = f.edges[t]
+            if not (0 <= eid < ne):
+                raise MeshValidationError(f"face {fid} edge id out of range")
+            e = edges[eid]
+            want = sorted((f.corners[(t + 1) % 3], f.corners[(t + 2) % 3]))
+            if sorted((e.a, e.b)) != want:
+                raise MeshValidationError(
+                    f"face {fid} corner {t}: opposite edge {eid} endpoints "
+                    f"{sorted((e.a, e.b))} do not match corners {want}"
+                )
+    count = [0] * ne
+    for f in faces:
+        for eid in f.edges:
+            count[eid] += 1
+    for eid, c in enumerate(count):
+        if c != 2:
+            raise MeshValidationError(f"edge {eid} not in exactly two faces (found {c})")
+    if n > 3 * len(faces):
+        raise MeshValidationError(f"vertex count {n} above 3 per face: a vertex is in no face")
+    seen = [False] * n
+    for f in faces:
+        for v in f.corners:
+            seen[v] = True
+    for v, s in enumerate(seen):
+        if not s:
+            raise MeshValidationError(f"vertex {v} appears in no face")
+
+
+def load_mesh_loop(text):
+    """(vertex count, edges, faces) of a mesh file: the file format parsed
+    into Edge and Face objects, then `validate_loop`."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise MeshFormatError(f"mesh file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MeshFormatError("mesh file must be a JSON object")
+    for key in ("vertices", "edges", "faces"):
+        if key not in doc:
+            raise MeshFormatError(f"mesh file missing '{key}'")
+    n = doc["vertices"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise MeshFormatError("'vertices' must be an integer")
+    rows = doc["edges"]
+    if not isinstance(rows, list):
+        raise MeshFormatError("'edges' must be a list")
+    by_id = {}
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == 4):
+            raise MeshFormatError(f"edge row {row!r} must be [id, a, b, phi]")
+        eid, a, b, phi = row
+        ids_ok = all(isinstance(x, int) and not isinstance(x, bool) for x in (eid, a, b))
+        if not (ids_ok and type(phi) in (int, float)):
+            raise MeshFormatError(f"edge row {row!r} needs integer ids and a numeric weight")
+        if eid in by_id:
+            raise MeshFormatError(f"duplicate edge id {eid}")
+        try:
+            by_id[eid] = Edge(a, b, float(phi))
+        except OverflowError:
+            by_id[eid] = Edge(a, b, math.inf if phi > 0 else -math.inf)
+    if sorted(by_id) != list(range(len(by_id))):
+        raise MeshFormatError("edge ids must be dense integers from 0")
+    edges = [by_id[i] for i in range(len(by_id))]
+    faces = []
+    frows = doc["faces"]
+    if not isinstance(frows, list):
+        raise MeshFormatError("'faces' must be a list")
+    for row in frows:
+        if not (isinstance(row, list) and len(row) == 6):
+            raise MeshFormatError(f"face row {row!r} must be [v0, v1, v2, e0, e1, e2]")
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in row):
+            raise MeshFormatError(f"face row {row!r} has non-integer ids")
+        faces.append(Face(tuple(row[:3]), tuple(row[3:])))
+    validate_loop(n, edges, faces)
+    return n, edges, faces
+
 
 def torus_grid(p, q, weight=0.0):
     """The p x q grid on the torus, each square cut along its diagonal:

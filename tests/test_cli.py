@@ -276,16 +276,26 @@ def _tetra_doc(first_weight=0.0, **changes):
     return json.dumps({**doc, **changes})
 
 
+def _tetra_id(key, row, col, value):
+    doc = json.loads(save_mesh(builtin_mesh("tetra")))
+    doc[key][row][col] = value
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("cmd, content", [
     ("check", _tetra_doc("x")),
     ("check", _tetra_doc(None)),
+    ("check", _tetra_doc(10**400)),                     # beyond double range
     ("check", _tetra_doc(vertices=2**62)),              # no per-vertex list is allocated
+    ("check", _tetra_id("faces", 0, 0, 2**70)),         # ids beyond int64
+    ("check", _tetra_id("edges", 5, 1, -2**70)),
     ("check", "[" * 100_000),                           # nesting beyond the recursion limit
     ("check", '{"vertices": ' + "1" * 5000 + "}"),      # beyond int's digit limit
     ("laplacian", "[" * 100_000),                       # as a radius file
     ("verify", _near_pi_mesh()),
     ("bounds", _near_pi_mesh()),
-], ids=["string_weight", "null_weight", "huge_vertex_count", "deep_mesh", "long_int",
+], ids=["string_weight", "null_weight", "huge_integer_weight", "huge_vertex_count", "huge_face_corner",
+        "huge_negative_edge_end", "deep_mesh", "long_int",
         "deep_r0", "verify_near_pi_weight", "bounds_near_pi_weight"])
 def test_malformed_input_file_is_validation_error(capsys, tmp_path, cmd, content):
     path = tmp_path / "input.json"

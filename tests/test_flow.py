@@ -13,7 +13,7 @@ from cpflow.flow import (
     step,
     velocity_bound,
 )
-from cpflow.laplacian import apply_delta, assemble, calabi_energy, curvature, u_of_r
+from cpflow.laplacian import apply_p_delta, assemble, calabi_energy, curvature, u_of_r
 from cpflow.mesh import builtin_mesh
 from oracles import DECAY_CURVE_1_14PI_01, GENUS2_FLAT_RC, GENUS2_FLAT_RV
 
@@ -70,7 +70,7 @@ def test_rhs_is_minus_L_K_at_p2():
     asm = assemble(TETRA, r)
     rhs = flow_rhs(TETRA, r, 2.0)
     assert np.allclose(rhs, -asm.L @ asm.K, rtol=1e-12)
-    assert np.allclose(rhs, apply_delta(asm, asm.K), rtol=1e-14)
+    assert np.allclose(rhs, apply_p_delta(asm, asm.K, 2.0), rtol=1e-14)
 
 
 def test_rhs_symmetric_on_tetra():

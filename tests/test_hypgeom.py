@@ -16,9 +16,10 @@ from cpflow.hypgeom import (
     TrianglePacking,
     angle_jacobian,
     chain_rule_diagonal,
-    cosh_length_minus_one,
     delta_invariant,
+    edge_terms,
     glickenstein_residual,
+    half_angles,
     pair_derivative,
     triangle_geometry,
 )
@@ -249,8 +250,8 @@ def test_batch_matches_scalar_reference():
     J = angle_jacobian(tp, geom)
     lo, hi = np.array([0, 0, 1]), np.array([1, 2, 2])
     by_delta = pair_derivative(tp, lo, hi, geom, use_delta=True)
-    assert np.array_equal(geom.cosh_l_minus_1, cosh_length_minus_one(
-        radii[[1, 2, 0]], radii[[2, 0, 1]], weights))
+    assert np.array_equal(geom.cosh_l_minus_1, edge_terms(
+        radii[[1, 2, 0]], radii[[2, 0, 1]], half_angles(weights))[0])
     for i in range(n):
         ref_tp = oracles.TrianglePacking(tuple(radii[:, i]), tuple(weights[:, i]))
         ref = oracles.triangle_geometry(ref_tp)

@@ -10,7 +10,6 @@ from cpflow import hypgeom, laplacian
 from cpflow.errors import NumericalConsistencyError, RadiusOverflowError, StarConditionError
 from cpflow.laplacian import (
     SPD_DENSE_MAX,
-    apply_delta,
     apply_p_delta,
     assemble,
     calabi_energy,
@@ -176,9 +175,9 @@ def test_genus2_offdiagonal_sums_spokes_only():
 
 def test_apply_delta_zero_and_constant():
     asm = assemble(TETRA, np.full(4, 1.3))
-    assert np.all(apply_delta(asm, np.zeros(4)) == 0.0)
+    assert np.all(apply_p_delta(asm, np.zeros(4), 2.0) == 0.0)
     c = 2.7
-    out = apply_delta(asm, np.full(4, c))
+    out = apply_p_delta(asm, np.full(4, c), 2.0)
     assert np.allclose(out, -asm.A * c, rtol=1e-14)
 
 
@@ -188,7 +187,7 @@ def test_apply_delta_matches_dense_form():
     asm = assemble(TETRA, r)
     for i in range(10):
         f = sample_rng(17, i + 1).normal(size=4)
-        edge_sum = apply_delta(asm, f)
+        edge_sum = apply_p_delta(asm, f, 2.0)
         dense = -asm.L @ f
         assert np.max(np.abs(edge_sum - dense)) <= 1e-12 * (1.0 + np.max(np.abs(dense)))
 
@@ -201,7 +200,7 @@ def test_p_delta_reduces_to_delta():
         asm = assemble(mesh, r)
         f = rng.normal(size=mesh.vertex_count)
         d2 = apply_p_delta(asm, f, 2.0)
-        d = apply_delta(asm, f)
+        d = -(asm.L @ f)
         assert np.max(np.abs(d2 - d)) <= 1e-12 * (1.0 + np.max(np.abs(d)))
 
 
@@ -257,7 +256,7 @@ def test_spd_check_tetra():
 def test_dimension_mismatch():
     asm = assemble(TETRA, np.ones(4))
     with pytest.raises(ValueError):
-        apply_delta(asm, np.zeros(3))
+        apply_p_delta(asm, np.zeros(3), 2.0)
     with pytest.raises(ValueError):
         curvature(TETRA, np.ones(3))
 

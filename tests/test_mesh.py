@@ -1,17 +1,24 @@
+import json
 import math
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cpflow.errors import MeshFormatError, MeshValidationError
+import oracles
+from cpflow.errors import CpflowError, MeshFormatError, MeshValidationError
 from cpflow.mesh import (
+    Edge,
+    Face,
+    WeightedTriangulation,
     builtin_mesh,
     check_star_condition,
     corner_gammas,
     load_mesh,
     save_mesh,
     simplicial_from_faces,
-    vertex_adjacency,
 )
 
 
@@ -86,6 +93,9 @@ def test_weight_out_of_range_rejected():
     assert bad != text
     with pytest.raises(MeshValidationError, match="outside"):
         load_mesh(bad)
+    # an integer beyond double range is out of range, as inf is
+    with pytest.raises(MeshValidationError, match="edge 0 weight inf outside"):
+        load_mesh(bad.replace("3.2]", "1" + "0" * 400 + "]"))
 
 
 def test_vertex_missing_from_faces_rejected():
@@ -112,6 +122,24 @@ def test_parse_errors():
         load_mesh('{"vertices": 4}')
     with pytest.raises(MeshFormatError, match="dense"):
         load_mesh('{"vertices": 2, "edges": [[5,0,1,0.0]], "faces": []}')
+    # JSON true and false are not ids, though Python counts bool as int
+    for text in _TETRA_WITH_BOOLEANS:
+        with pytest.raises(MeshFormatError, match="integer"):
+            load_mesh(text)
+
+
+def _tetra_with(path, value):
+    """The tetra file with the entry at path replaced."""
+    doc = json.loads(save_mesh(builtin_mesh("tetra")))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(doc)
+
+
+_TETRA_WITH_BOOLEANS = [_tetra_with(("edges", 1, 0), True), _tetra_with(("vertices",), True),
+                        _tetra_with(("faces", 2, 4), False)]
 
 
 def test_star_condition_zero_weights():
@@ -147,27 +175,6 @@ def test_gamma_multiset_stable_under_corner_relabeling(perm, weights):
     assert sorted(permuted) == pytest.approx(sorted(base))
 
 
-def test_vertex_adjacency_tetra():
-    records, degrees, d = vertex_adjacency(builtin_mesh("tetra"))
-    assert degrees == (3, 3, 3, 3) and d == 3
-    for v, entries in enumerate(records):
-        assert len(entries) == 3
-        for eid, faces, neighbor in entries:
-            assert neighbor != v
-            assert len(faces) == 2
-
-
-def test_vertex_adjacency_genus2():
-    m = builtin_mesh("genus2_min")
-    records, degrees, d = vertex_adjacency(m)
-    assert degrees == (8, 16) and d == 16
-    assert len(records[0]) == 8
-    assert all(nb == 1 for _, _, nb in records[0])        # all spokes hit the rim
-    assert len(records[1]) == 16
-    loop_entries = [e for e in records[1] if e[2] == 1]   # loop: neighbor is itself
-    assert len(loop_entries) == 8                          # 4 loops, both ends
-
-
 def test_simplicial_builder_octahedron():
     faces = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1),
              (5, 2, 1), (5, 3, 2), (5, 4, 3), (5, 1, 4)]
@@ -175,3 +182,165 @@ def test_simplicial_builder_octahedron():
     assert m.euler_characteristic() == 2
     assert m.edge_count == 12
     assert m.degrees() == (4, 4, 4, 4, 4, 4)
+
+
+def test_meshes_share_their_arrays_read_only():
+    m = builtin_mesh("genus2_min")
+    assert m.ends.shape == (12, 2) and m.corners.shape == m.edge_ids.shape == (8, 3)
+    m2 = m.with_weights(np.full(12, 0.5))
+    assert m2.ends is m.ends and m2.corners is m.corners and m2.edge_ids is m.edge_ids
+    assert m.phi.tolist() == [0.0] * 12 and m2.phi.tolist() == [0.5] * 12
+    for a in (m.ends, m.phi, m.corners, m.edge_ids, m2.phi):
+        with pytest.raises(ValueError):
+            a[0] = 1
+    with pytest.raises(MeshValidationError, match="edge 3 weight 3.2 outside"):
+        m.with_weights(np.array([0.0] * 3 + [3.2] + [0.0] * 8))
+
+
+def test_object_and_array_constructors_agree():
+    m = builtin_mesh("genus2_min", 0.3)
+    again = WeightedTriangulation(m.vertex_count, m.edges, m.faces)
+    arrays = WeightedTriangulation.from_arrays(m.vertex_count, m.ends, m.phi, m.corners, m.edge_ids)
+    assert save_mesh(again) == save_mesh(arrays) == save_mesh(m)
+    assert again.faces == arrays.faces == m.faces
+
+
+def test_face_that_is_not_a_triangle_keeps_the_loop_order():
+    m = builtin_mesh("tetra")
+    faces = list(m.faces)
+    faces[2] = Face(faces[2].corners[:2], faces[2].edges)
+    for edges, want in ((m.edges, "face 2 is not a triangle"),
+                        ((Edge(0, 9, 0.0),) + m.edges[1:], "edge 0 endpoint out of range")):
+        with pytest.raises(MeshValidationError) as exc:
+            WeightedTriangulation(4, edges, faces)
+        assert str(exc.value) == want
+        with pytest.raises(MeshValidationError) as ref:
+            oracles.validate_loop(4, edges, faces)
+        assert str(ref.value) == want
+
+
+def test_vertex_count_is_checked_before_any_per_vertex_array():
+    text = _tetra_with(("vertices",), 10**7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MeshValidationError, match="above 3 per face"):
+            load_mesh(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6         # one array per vertex would take 8e7 bytes
+
+
+# -- the array validator against the object loop ------------------------------------
+
+_INT64 = range(-2**63, 2**63)
+
+
+def _outcome(load, text):
+    try:
+        return load(text)
+    except CpflowError as exc:
+        return type(exc), str(exc)
+
+
+def _new(text):
+    m = load_mesh(text)
+    return m.vertex_count, m.edges, m.faces
+
+
+def _old(text):
+    n, edges, faces = oracles.load_mesh_loop(text)
+    return n, tuple(edges), tuple(faces)
+
+
+def _ints(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [x for child in node for x in _ints(child)]
+    return [node] if type(node) is int else []
+
+
+def _agree(text):
+    """load_mesh raises the class and message of the loop, or builds the
+    same mesh; with an id beyond int64 it still raises a CpflowError."""
+    got = _outcome(_new, text)
+    try:
+        beyond = not all(x in _INT64 for x in _ints(json.loads(text)))
+    except (ValueError, RecursionError):
+        beyond = False
+    if beyond:
+        assert isinstance(got, tuple) and issubclass(got[0], CpflowError), got
+    else:
+        assert got == _outcome(_old, text)
+
+
+def _malformed_inputs():
+    tetra = builtin_mesh("tetra")
+    text = save_mesh(tetra)
+    last = "  [%d, %d, %d, %d, %d, %d]" % (tetra.faces[-1].corners + tetra.faces[-1].edges)
+    near_pi = builtin_mesh("genus2_min")
+    near_pi = near_pi.with_weights([math.nextafter(math.pi, 0.0)] + [0.0] * 11)
+    return [
+        "not json", '{"vertices": 4}', '{"vertices": 2, "edges": [[5,0,1,0.0]], "faces": []}',
+        '{"vertices": 2, "edges": [[0,0,1,0.0]], "faces": []}',
+        text.replace(' "faces": [\n', ' "faces": [\n%s,\n' % last),
+        text.replace("[0, 0, 1, 0]", "[0, 0, 1, 3.2]"),
+        text.replace('"vertices": 4', '"vertices": 5'),
+        '{"vertices": 3, "edges": [[0,0,1,0.0],[1,0,2,0.0],[2,1,2,0.0]],'
+        ' "faces": [[0,1,2,0,1,2],[0,2,1,0,2,1]]}',
+        *_TETRA_WITH_BOOLEANS, _tetra_with(("edges", 0, 3), 10**400),
+        _tetra_with(("edges", 0, 3), "x"), _tetra_with(("edges", 0, 3), None),
+        _tetra_with(("vertices",), 2**62), "[" * 100_000, '{"vertices": ' + "1" * 5000 + "}",
+        _tetra_with(("faces", 0, 0), 2**70), _tetra_with(("edges", 5, 1), -2**70),
+        b'{"vertices": \xff}', save_mesh(near_pi),
+    ]
+
+
+def test_malformed_inputs_match_the_loop():
+    for text in _malformed_inputs():
+        _agree(text)
+
+
+_POOL = [-1, 0, 1, 2, 3, 5, 8, 11, 12, 13, 2**62, 2**63 - 1, 2**63, -2**63, -2**63 - 1,
+         2**70, -2**70, 10**400, True, False, 0.5, 3.2, math.pi, math.nextafter(math.pi, 0.0),
+         -0.0, -1e-300, math.nan, math.inf, -math.inf, None, "x", []]
+
+
+def _mutate(doc, rng):
+    """One random change: a leaf replaced, two entries of a row swapped, or
+    a row deleted, duplicated or swapped with another."""
+    key = rng.choice(["vertices", "edges", "faces", "edges", "faces"])
+    kind = rng.choice(["leaf", "leaf", "leaf", "swap", "row"])
+    if key == "vertices":
+        doc[key] = rng.choice(_POOL + [rng.randint(1, 15)])
+        return
+    rows = doc[key]
+    i = rng.randrange(len(rows))
+    if kind == "leaf":
+        j = rng.randrange(len(rows[i]))
+        rows[i][j] = rng.choice(_POOL + [rng.randint(-2, 15)])
+    elif kind == "swap":
+        j, k = rng.randrange(len(rows[i])), rng.randrange(len(rows[i]))
+        rows[i][j], rows[i][k] = rows[i][k], rows[i][j]
+    else:
+        action = rng.choice(["delete", "duplicate", "swap"])
+        if action == "delete":
+            del rows[i]
+        elif action == "duplicate":
+            rows.insert(rng.randrange(len(rows) + 1), list(rows[i]))
+        else:
+            k = rng.randrange(len(rows))
+            rows[i], rows[k] = rows[k], rows[i]
+
+
+def test_seeded_mutations_match_the_loop():
+    bases = [json.loads(save_mesh(builtin_mesh(name, w)))
+             for name in ("tetra", "genus2_min") for w in (0.0, 0.4)]
+    for seed in range(2400):
+        rng = random.Random(seed)
+        doc = json.loads(json.dumps(bases[seed % len(bases)]))
+        for _ in range(rng.choice([1, 1, 1, 2, 3])):
+            if doc["edges"] and doc["faces"]:
+                _mutate(doc, rng)
+        _agree(json.dumps(doc))

@@ -180,12 +180,12 @@ def test_poly_matches_closed_form_on_random_samples():
 
 
 def test_poly_t2_equals_t1_times_cosh_l_minus_one():
-    from cpflow.hypgeom import cosh_length_minus_one
+    from cpflow.hypgeom import edge_terms, half_angles
     radii = (0.5, 1.5, 2.5)
     weights = (0.3, 1.2, 0.9)
     tp = TrianglePacking(radii, weights)
     t1 = pair_derivative(tp, 2, 1, use_delta=True)
-    w = cosh_length_minus_one(radii[1], radii[2], weights[0])
+    w = edge_terms(radii[1], radii[2], half_angles(weights[0]))[0]
     t2s = closed_form_pair(tp)[1]
     assert t2s[0] == pytest.approx(t1 * w, rel=1e-12)
 
