@@ -19,7 +19,7 @@ from .errors import (
     StarConditionError,
     StepFailureError,
 )
-from .mesh import WeightedTriangulation, check_star_condition
+from .mesh import WeightedTriangulation, first_star_violation
 
 
 @dataclass(frozen=True)
@@ -208,11 +208,9 @@ class _EnergyIncrease(Exception):
 
 def run_flow(mesh: WeightedTriangulation, r0, cfg: FlowConfig) -> FlowTrace:
     """Integrate until max|K| <= k_tol, the horizon, or step failure."""
-    report = check_star_condition(mesh)
-    if not report.all_nonnegative:
-        raise StarConditionError(
-            f"corner condition fails at {report.violations[0][:2]}"
-        )
+    bad = first_star_violation(mesh)
+    if bad is not None:
+        raise StarConditionError(f"corner condition fails at {bad}")
     r = laplacian.validate_radii(mesh, np.array(r0, dtype=float, copy=True))
     asm = laplacian.assemble(mesh, r)
     K = asm.K

@@ -230,6 +230,19 @@ def check_star_condition(mesh: WeightedTriangulation) -> StarReport:
     return StarReport(tuple(gammas), not violations, tuple(violations))
 
 
+def first_star_violation(mesh: WeightedTriangulation):
+    """(face, corner) of the first violation `check_star_condition` lists,
+    or None. numpy screens every corner, and the scalar `corner_gammas`
+    decides the faces with a corner below 1e-12."""
+    g = np.cos(mesh.phi)[mesh.edge_ids]
+    low = (g + g[:, NEXT] * g[:, PREV]).min(axis=1) < 1e-12
+    for fid in np.flatnonzero(low).tolist():
+        for t, gamma in enumerate(corner_gammas(mesh.face_weights(fid))):
+            if gamma < 0.0:
+                return fid, t
+    return None
+
+
 # -- file format --------------------------------------------------------------
 
 def load_mesh(text) -> WeightedTriangulation:

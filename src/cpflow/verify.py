@@ -25,6 +25,15 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
+def _unit_draws(seed, ids, size):
+    """(len(ids), size) uniforms on [0, 1), row k drawn from sample_rng(seed, ids[k])."""
+    u = np.empty((len(ids), size))
+    for k, i in enumerate(ids):
+        sample_rng(seed, i).random(out=u[k])
+    u.setflags(write=False)         # a cached block is shared
+    return u
+
+
 def log_uniform(rng, lo, hi, size=None):
     return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
 
@@ -56,13 +65,35 @@ def sample_star_mesh_weights(mesh, rng, max_tries=1_000_000):
     raise CpflowError("weight rejection sampling did not terminate")
 
 
+# weight tries drawn with a triangle's radii: a try passes with
+# probability ~0.23, so ~1.5 % of the triangles need more than 16
+_TRIES = 16
+
+
 def sample_star_triangles(seed, ids, r_lo, r_hi):
     """The star triangles of the sample ids in one packing; triangle i
-    draws its log-uniform radii, then its weights, from sample_rng(seed, i)."""
-    radii, weights = np.empty((3, len(ids))), np.empty((3, len(ids)))
-    for k, i in enumerate(ids):
-        rng = sample_rng(seed, i)
-        radii[:, k] = log_uniform(rng, r_lo, r_hi, 3)
+    draws its log-uniform radii, then its weights, from sample_rng(seed, i).
+
+    Each triangle draws its radii and _TRIES weight tries as one block of
+    uniforms U, mapped by Generator.uniform's own lo + (hi - lo) U, so the
+    values are those of one draw at a time. numpy screens every try and
+    the scalar `corner_gammas` decides those within 1e-12 of zero; a
+    triangle with no passing try in its block goes on one try at a time."""
+    u = _unit_draws(seed, ids, 3 + 3 * _TRIES)
+    log_lo, log_hi = math.log(r_lo), math.log(r_hi)
+    radii = np.exp(log_lo + (log_hi - log_lo) * u[:, :3]).T.copy()
+    g = np.empty((len(ids), _TRIES))        # min gamma of each try, screened try by try
+    for j in range(_TRIES):
+        c = np.cos(math.pi * u[:, 3 + 3 * j:6 + 3 * j])
+        g[:, j] = (c + c[:, NEXT] * c[:, PREV]).min(axis=1)
+    passed = g >= 1e-12
+    for k, j in np.argwhere(np.abs(g) < 1e-12).tolist():
+        passed[k, j] = min(corner_gammas(tuple(math.pi * u[k, 3 + 3 * j:6 + 3 * j]))) >= 0.0
+    first = np.argmax(passed, axis=1)[:, None]
+    weights = (math.pi * np.take_along_axis(u, 3 + 3 * first + ROWS, axis=1)).T.copy()
+    for k in np.flatnonzero(~passed.any(axis=1)).tolist():
+        rng = sample_rng(seed, ids[k])
+        rng.random(3 + 3 * _TRIES)          # past the block
         weights[:, k] = sample_star_face_weights(rng)
     return TrianglePacking(radii, weights)
 
@@ -102,20 +133,28 @@ def _fd_stencils(u0, weights, h):
 
 
 def fd_curvature_jacobian(mesh, r, h: float = 1e-5) -> np.ndarray:
-    """Central differences of the curvature vector with respect to u."""
+    """Central differences of the curvature vector with respect to u: the
+    2n stencil points are one curvature call on 2n copies of the mesh,
+    or, if that call raises, one call each."""
     if not (1e-7 <= h <= 1e-3):
         raise ValueError(f"step {h!r} outside [1e-7, 1e-3]")
     u0 = laplacian.u_of_r(laplacian.validate_radii(mesh, r))
+    n = mesh.vertex_count
     for attempt_h in (h, 0.1 * h):
         if np.any(u0 + attempt_h >= 0.0):
             continue            # perturbed u leaves the domain
+        d = attempt_h * np.eye(n)
+        # rows u0 + h e_b, then u0 - h e_b, for b = 0, ..., n - 1
+        r_st = laplacian.r_of_u(np.stack((u0 + d, u0 - d), axis=1).reshape(2 * n, n))
         try:
-            columns = [laplacian.curvature(mesh, laplacian.r_of_u(u0 + d))
-                       - laplacian.curvature(mesh, laplacian.r_of_u(u0 - d))
-                       for d in attempt_h * np.eye(mesh.vertex_count)]
+            try:
+                k = laplacian.curvature(_copies(mesh, 2 * n), r_st.ravel())
+            except CpflowError:     # raise or retry as point by point does
+                k = np.array([laplacian.curvature(mesh, x) for x in r_st])
         except DegenerateFaceError:
             continue
-        return np.stack(columns, axis=1) / (2.0 * attempt_h)
+        k = k.reshape(n, 2, n)
+        return ((k[:, 0] - k[:, 1]) / (2.0 * attempt_h)).T.copy()
     raise DegenerateFaceError("finite-difference stencil leaves the admissible set")
 
 
@@ -502,7 +541,9 @@ def _octahedron():
 _CHUNK = 100
 
 
-@lru_cache(maxsize=4)       # a suite's two meshes, each in full and last chunks
+# a suite's two meshes, each in full and last chunks, or the 2n stencil
+# copies of a jacobians mesh; a mesh with sampled weights misses
+@lru_cache(maxsize=4)
 def _copies(mesh, m):
     """Disjoint union of m copies of the mesh; copy c holds vertex v as
     c n + v, and edges and faces likewise."""
@@ -589,6 +630,10 @@ def run_spd(samples=100, seed=42, mesh=None):
     return rep
 
 
+# theorem1 maps each metric's draws to three floors, under two weightings
+_floor_draws = lru_cache(maxsize=1)(_unit_draws)
+
+
 def sweep_floor_bounds(mesh, r_floor, samples, seed, label=""):
     """Certify a1 <= A_i <= a2 and 0 <= B_e <= a3 for radii in
     [r_floor, r_floor + 5], including the floor itself."""
@@ -596,8 +641,9 @@ def sweep_floor_bounds(mesh, r_floor, samples, seed, label=""):
     consts = floor_bound_constants(mesh, r_floor)
     n = mesh.vertex_count
     ids = ["boundary", *range(samples)]
-    radii = np.array([np.full(n, r_floor)] + [
-        sample_rng(seed, i).uniform(r_floor, r_floor + 5.0, n) for i in range(samples)])
+    # Generator.uniform(r_floor, r_floor + 5.0, n) of each sample, from its unit draws
+    units = _floor_draws(seed, range(samples), n)
+    radii = np.vstack((np.full(n, r_floor), r_floor + ((r_floor + 5.0) - r_floor) * units))
     tag = f"[{label}]" if label else ""
     for i, A, B, residual in _chunk_assemblies(mesh, radii):
         rep.check_batch(ids[i:i + len(A)], [

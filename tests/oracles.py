@@ -24,7 +24,8 @@ from cpflow.errors import (
 )
 from cpflow import verify
 from cpflow.hypgeom import A_NORM_FLOOR, RADIUS_CAP
-from cpflow.laplacian import AB_CONSISTENCY_RTOL, assemble, validate_radii
+from cpflow.laplacian import (
+    AB_CONSISTENCY_RTOL, assemble, curvature, r_of_u, u_of_r, validate_radii)
 from cpflow.mesh import Edge, Face, corner_gammas, simplicial_from_faces
 
 mp.mp.dps = 60
@@ -501,11 +502,40 @@ def apply_p_delta_loop(mesh, B, A, f, p):
     return out
 
 
-# -- per-metric mesh suites ----------------------------------------------------------
+# -- per-sample and per-metric suites ---------------------------------------------------
 #
 # The loops `cpflow.verify` batched: rejection sampling one try at a time,
-# and one assembly per sampled metric. The batched sampler and suites must
-# reproduce them bit for bit.
+# one generator per triangle and per draw, one assembly per sampled metric
+# and one curvature call per stencil point. The batched samplers and suites
+# must reproduce them bit for bit.
+
+def sample_star_triangles_loop(seed, ids, r_lo, r_hi):
+    """The star triangles of the sample ids in one packing; triangle i
+    draws its log-uniform radii, then its weights, from sample_rng(seed, i)."""
+    radii, weights = np.empty((3, len(ids))), np.empty((3, len(ids)))
+    for k, i in enumerate(ids):
+        rng = verify.sample_rng(seed, i)
+        radii[:, k] = verify.log_uniform(rng, r_lo, r_hi, 3)
+        weights[:, k] = verify.sample_star_face_weights(rng)
+    return verify.TrianglePacking(radii, weights)
+
+
+def fd_curvature_jacobian_loop(mesh, r, h: float = 1e-5) -> np.ndarray:
+    """Central differences of the curvature vector with respect to u."""
+    if not (1e-7 <= h <= 1e-3):
+        raise ValueError(f"step {h!r} outside [1e-7, 1e-3]")
+    u0 = u_of_r(validate_radii(mesh, r))
+    for attempt_h in (h, 0.1 * h):
+        if np.any(u0 + attempt_h >= 0.0):
+            continue            # perturbed u leaves the domain
+        try:
+            columns = [curvature(mesh, r_of_u(u0 + d)) - curvature(mesh, r_of_u(u0 - d))
+                       for d in attempt_h * np.eye(mesh.vertex_count)]
+        except DegenerateFaceError:
+            continue
+        return np.stack(columns, axis=1) / (2.0 * attempt_h)
+    raise DegenerateFaceError("finite-difference stencil leaves the admissible set")
+
 
 def sample_star_mesh_weights_loop(mesh, rng, max_tries=1_000_000):
     """Per-edge weights uniform on [0, pi), rejected until every face

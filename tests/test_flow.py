@@ -14,7 +14,7 @@ from cpflow.flow import (
     velocity_bound,
 )
 from cpflow.laplacian import apply_p_delta, assemble, calabi_energy, curvature, u_of_r
-from cpflow.mesh import builtin_mesh
+from cpflow.mesh import builtin_mesh, check_star_condition
 from oracles import DECAY_CURVE_1_14PI_01, GENUS2_FLAT_RC, GENUS2_FLAT_RV
 
 TETRA = builtin_mesh("tetra")
@@ -186,8 +186,10 @@ def test_flow_rejects_star_violating_mesh():
     phis[f.edges[0]] = 3 * math.pi / 4
     phis[f.edges[1]] = 3 * math.pi / 4
     bad = TETRA.with_weights(phis)
-    with pytest.raises(StarConditionError):
+    first = check_star_condition(bad).violations[0][:2]
+    with pytest.raises(StarConditionError) as err:
         run_flow(bad, np.ones(4), FlowConfig())
+    assert str(err.value) == f"corner condition fails at {first}"
 
 
 def test_step_failure_termination_recorded():

@@ -16,6 +16,7 @@ from cpflow.mesh import (
     builtin_mesh,
     check_star_condition,
     corner_gammas,
+    first_star_violation,
     load_mesh,
     save_mesh,
     simplicial_from_faces,
@@ -165,6 +166,43 @@ def test_star_condition_obtuse_violation():
     rep = check_star_condition(m.with_weights(phis))
     assert not rep.all_nonnegative
     assert any(g == pytest.approx(-math.sqrt(2)) for _, _, g in rep.violations)
+
+
+def _first_listed(mesh):
+    violations = check_star_condition(mesh).violations
+    return violations[0][:2] if violations else None
+
+
+@pytest.mark.parametrize("base", [builtin_mesh("tetra"), builtin_mesh("genus2_min"),
+                                  oracles.torus_grid(4, 5)], ids=["tetra", "genus2_min", "torus"])
+def test_first_star_violation_is_the_reports_first(base):
+    rng = np.random.default_rng(11)
+    hits = 0
+    for top in (math.pi / 2, 0.75 * math.pi, math.pi) * 40:
+        mesh = base.with_weights(rng.uniform(0.0, top, base.edge_count))
+        want = _first_listed(mesh)
+        assert first_star_violation(mesh) == want
+        hits += want is not None
+    assert 0 < hits < 120           # meshes with and without violations
+
+
+# weights (0, pi x, pi (1 - x)) on a face: two corner gammas cancel to
+# -1.1e-16, 1.1e-16 or 0 in doubles, inside the 1e-12 band left to corner_gammas
+_BAND = {"negative": 0.038442336495257114, "positive": 0.008986520219670495,
+         "zero": 0.0004992511233150275}
+
+
+@pytest.mark.parametrize("x", _BAND.values(), ids=_BAND.keys())
+def test_first_star_violation_leaves_near_zero_gammas_to_the_scalar_check(x):
+    m = builtin_mesh("tetra")
+    phis = np.zeros(m.edge_count)
+    _, e1, e2 = m.faces[2].edges
+    phis[e1], phis[e2] = math.pi * x, math.pi * (1.0 - x)
+    mesh = m.with_weights(phis)
+    gammas = corner_gammas(mesh.face_weights(2))
+    assert abs(min(gammas)) < 1e-12
+    assert first_star_violation(mesh) == _first_listed(mesh)
+    assert (first_star_violation(mesh) is None) == (min(gammas) >= 0.0)
 
 
 @given(st.permutations([0, 1, 2]),

@@ -7,10 +7,10 @@ import pytest
 
 import oracles
 from cpflow import verify
-from cpflow.errors import CpflowError, RadiusOverflowError
+from cpflow.errors import CpflowError, DegenerateFaceError, RadiusOverflowError
 from cpflow.hypgeom import TrianglePacking, angle_jacobian, pair_derivative
 from cpflow.laplacian import assemble
-from cpflow.mesh import builtin_mesh
+from cpflow.mesh import builtin_mesh, corner_gammas
 from cpflow.verify import (
     SubstitutedCoords,
     angle_decay_threshold,
@@ -443,3 +443,118 @@ def test_chunked_violations_match_per_metric_loop(monkeypatch):
     want = oracles.sweep_floor_bounds_loop(TETRA, 0.5, 23, 0)
     assert len(want.violations) > 10
     assert _report(sweep_floor_bounds(TETRA, 0.5, 23, 0)) == _report(want)
+
+
+# -- block triangle sampler and stacked stencils against the loops --------------------
+
+@pytest.mark.parametrize("r_lo, r_hi", [(1e-3, 1e2), (0.1, 10.0)], ids=["identities", "jacobians"])
+def test_triangle_sampler_matches_per_sample_loop(r_lo, r_hi):
+    for seed in range(5):
+        ids = range(seed * 3_000, seed * 3_000 + 4_000)
+        got = verify.sample_star_triangles(seed, ids, r_lo, r_hi)
+        want = oracles.sample_star_triangles_loop(seed, ids, r_lo, r_hi)
+        assert got.radii.tolist() == want.radii.tolist()
+        assert got.weights.tolist() == want.weights.tolist()
+
+
+class _UnitStream:
+    """Stands in for a Generator: hands out the given uniforms on [0, 1)
+    in turn, through random and through uniform's lo + (hi - lo) U."""
+
+    def __init__(self, units):
+        self.units, self.next = np.asarray(units, dtype=float), 0
+
+    def random(self, size=None, out=None):
+        count = size if out is None else len(out)
+        block = self.units[self.next:self.next + count].copy()
+        self.next += count
+        if out is None:
+            return block
+        out[...] = block
+        return out
+
+    def uniform(self, low, high, size):
+        return low + (high - low) * self.random(size)
+
+
+def test_triangle_sampler_scripted_band_and_fallback(monkeypatch):
+    # tries (0, x, 1 - x) have two corner gammas of -1.1e-16, 1.1e-16 or 0,
+    # inside the 1e-12 band; (0.9, 0.9, 0.9) fails by 0.047, and the radii
+    # units, read as a try, would pass
+    neg, pos, zero = 0.038442336495257114, 0.008986520219670495, 0.0004992511233150275
+    for x, want_min in ((neg, -1.1102230246251565e-16), (pos, 1.1102230246251565e-16),
+                        (zero, 0.0)):
+        assert min(corner_gammas(tuple(math.pi * np.array([0.0, x, 1.0 - x])))) == want_min
+    radii = [0.1, 0.2, 0.3]
+    fail = [0.9, 0.9, 0.9]
+    streams = {
+        0: radii + [0.0, neg, 1.0 - neg] + [0.0, pos, 1.0 - pos] + [0.1, 0.2, 0.3] * 20,
+        1: radii + [0.0, neg, 1.0 - neg] + [0.0, zero, 1.0 - zero] + [0.1, 0.2, 0.3] * 20,
+        # a full block of failing tries: the sample goes on past the block
+        2: radii + fail * verify._TRIES + [0.3, 0.1, 0.2] + [0.0] * 30,
+        3: radii + fail * (verify._TRIES + 3) + [0.0, pos, 1.0 - pos] + [0.0] * 30,
+    }
+    monkeypatch.setattr(verify, "sample_rng", lambda seed, i: _UnitStream(streams[i]))
+    got = verify.sample_star_triangles(0, range(4), 0.1, 10.0)
+    want = oracles.sample_star_triangles_loop(0, range(4), 0.1, 10.0)
+    assert got.weights.tolist() == want.weights.tolist()
+    assert got.radii.tolist() == want.radii.tolist()
+    assert got.weights.T[:2].tolist() == [(math.pi * np.array([0.0, x, 1.0 - x])).tolist()
+                                          for x in (pos, zero)]
+    assert got.weights[:, 2].tolist() == (math.pi * np.array([0.3, 0.1, 0.2])).tolist()
+
+
+def test_floor_sweeps_share_one_draw_per_sample(monkeypatch):
+    # at 7.3 and 30.3, (r_floor + 5) - r_floor is not 5 in doubles
+    for r_floor in (0.3, 7.3, 30.3):
+        assert _report(sweep_floor_bounds(TETRA, r_floor, 23, 3)) == \
+            _report(oracles.sweep_floor_bounds_loop(TETRA, r_floor, 23, 3))
+    calls = []
+    sample_rng_ = verify.sample_rng
+    monkeypatch.setattr(verify, "sample_rng", lambda seed, i: calls.append(i) or sample_rng_(seed, i))
+    verify._floor_draws.cache_clear()
+    run_theorem1(23, 4)
+    assert sorted(calls) == [*range(23), 90_000]
+
+
+_FD_MESHES = [TETRA, builtin_mesh("genus2_min"), verify._octahedron()]
+
+
+@pytest.mark.parametrize("mesh", _FD_MESHES, ids=["tetra", "genus2_min", "octahedron"])
+def test_stacked_curvature_stencils_match_column_loop(mesh):
+    for seed in range(6):
+        rng = sample_rng(seed, 0)
+        weighted = mesh if seed % 2 == 0 else sample_star_mesh_weights(mesh, rng)
+        r = verify.log_uniform(rng, 0.1, 5.0, mesh.vertex_count)
+        if seed >= 4:       # u + h leaves the domain at a radius of 13: h / 10 is taken
+            r[seed % mesh.vertex_count] = 13.0
+            assert np.any(verify.laplacian.u_of_r(r) + 1e-5 >= 0.0)
+        got = fd_curvature_jacobian(weighted, r)
+        assert got.tolist() == oracles.fd_curvature_jacobian_loop(weighted, r).tolist()
+        assert got.flags.c_contiguous
+
+
+def test_stacked_curvature_stencils_are_one_call(monkeypatch):
+    calls = []
+    curvature_ = verify.laplacian.curvature
+    monkeypatch.setattr(verify.laplacian, "curvature",
+                        lambda mesh, r: calls.append(mesh.vertex_count) or curvature_(mesh, r))
+    fd_curvature_jacobian(verify._octahedron(), np.linspace(0.5, 2.0, 6))
+    assert calls == [72]
+
+
+@pytest.mark.parametrize("error", [DegenerateFaceError, RadiusOverflowError])
+def test_stacked_curvature_stencils_fall_back_point_by_point(monkeypatch, error):
+    # the union of copies raises, so every stencil point is evaluated alone
+    curvature_ = verify.laplacian.curvature
+
+    def refuse_unions(mesh, r):
+        if mesh.vertex_count > 6:
+            raise error("refused")
+        return curvature_(mesh, r)
+
+    octa = verify._octahedron()
+    r = np.array([0.3, 13.0, 1.0, 2.0, 0.7, 4.0])
+    want = oracles.fd_curvature_jacobian_loop(octa, r)
+    monkeypatch.setattr(verify.laplacian, "curvature", refuse_unions)
+    assert fd_curvature_jacobian(octa, r).tolist() == want.tolist()
