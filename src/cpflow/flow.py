@@ -1,9 +1,13 @@
 """Time integration of the curvature flows in u = ln tanh(r/2) coordinates.
 
 Classical four-stage Runge-Kutta with halving on rejection. A step is
-rejected when any stage leaves the admissible set, and additionally at
-p = 2 when the energy sum(K^2) would increase, which keeps the discrete
-trajectory a genuine descent path of the energy.
+rejected when any stage leaves the admissible set, when the assembly at
+the step's end raises (an inadmissible radius, a degenerate face or the
+1e-9 A-route check), and additionally at p = 2 when the energy sum(K^2)
+would increase, which keeps the discrete trajectory a genuine descent
+path of the energy. The end-of-step assembly is handed to the next step:
+it gives K, the energy, the next first stage and the sups of A and B, so
+an accepted step costs four assemblies.
 """
 
 import math
@@ -125,7 +129,7 @@ class StepDiagnostics:
     dt_used: float
     halvings: int
     max_abs_u_velocity: float
-    K_next: np.ndarray
+    assembly: laplacian.LaplacianAssembly      # at r_next
     energy_next: float
 
 
@@ -166,8 +170,9 @@ _REJECTABLE = (RadiusOverflowError, DegenerateFaceError, NumericalConsistencyErr
 def step(mesh, r, dt, p, max_halvings=40, _k1=None, _energy0=None):
     """One accepted RK4 step from r; halves dt until acceptance.
 
-    Returns (r_next, StepDiagnostics). Raises StepFailureError once the
-    halving budget is spent.
+    Returns (r_next, StepDiagnostics), whose `assembly` is the one at
+    r_next; an error assembling there rejects the attempt, as at the
+    stages. Raises StepFailureError once the halving budget is spent.
     """
     r = laplacian.validate_radii(mesh, r)
     u = laplacian.u_of_r(r)
@@ -186,15 +191,14 @@ def step(mesh, r, dt, p, max_halvings=40, _k1=None, _energy0=None):
             if np.any(u_next >= 0.0) or not np.all(np.isfinite(u_next)):
                 raise RadiusOverflowError("step left the admissible set")
             r_next = laplacian.r_of_u(u_next)
-            r_next = laplacian.validate_radii(mesh, r_next)
-            k_next = laplacian.curvature(mesh, r_next)
-            energy_next = laplacian.calabi_energy(k_next)
+            asm_next = laplacian.assemble(mesh, r_next)
+            energy_next = laplacian.calabi_energy(asm_next.K)
             if p == 2.0 and energy_next > _energy0:
                 raise _EnergyIncrease()
             vel = max(
                 float(np.max(np.abs(k))) for k in (k1, k2, k3, k4)
             )
-            return r_next, StepDiagnostics(h, halvings, vel, k_next, energy_next)
+            return r_next, StepDiagnostics(h, halvings, vel, asm_next, energy_next)
         except (_EnergyIncrease, *_REJECTABLE):
             h *= 0.5
     raise StepFailureError(
@@ -249,7 +253,7 @@ def run_flow(mesh: WeightedTriangulation, r0, cfg: FlowConfig) -> FlowTrace:
         t += diag.dt_used
         steps += 1
         r = r_next
-        asm = laplacian.assemble(mesh, r)
+        asm = diag.assembly
         K = asm.K
         energy = diag.energy_next
         rhs_now = laplacian.apply_p_delta(asm, K, cfg.p)

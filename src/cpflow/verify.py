@@ -2,8 +2,12 @@
 
 Every sweep draws its randomness through a per-sample generator derived
 from (seed, sample index), so reports are reproducible bit for bit and
-independent of evaluation order. Suites return a SweepReport; a run with
-an empty violation list is a pass.
+independent of evaluation order. The sampled triangles and theorem1's
+metrics draw a block of samples in one numpy pass (`streams.uniforms`),
+bit-identical to numpy's SeedSequence and PCG64; each block checks its
+first row against numpy's generator and raises NumericalConsistencyError
+if they differ. Suites return a SweepReport; a run with an empty
+violation list is a pass.
 """
 
 import math
@@ -13,8 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import hypgeom, laplacian
-from .errors import CpflowError, DegenerateFaceError, MeshValidationError
+from . import hypgeom, laplacian, streams
+from .errors import (
+    CpflowError, DegenerateFaceError, MeshValidationError, NumericalConsistencyError)
 from .hypgeom import NEXT, PREV, ROWS, TrianglePacking
 from .mesh import WeightedTriangulation, builtin_mesh, corner_gammas, simplicial_from_faces
 
@@ -26,10 +31,14 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _unit_draws(seed, ids, size):
-    """(len(ids), size) uniforms on [0, 1), row k drawn from sample_rng(seed, ids[k])."""
-    u = np.empty((len(ids), size))
-    for k, i in enumerate(ids):
-        sample_rng(seed, i).random(out=u[k])
+    """(len(ids), size) uniforms on [0, 1), row k drawn from sample_rng(seed, ids[k]):
+    all rows in one numpy pass (`streams.uniforms`), checked against
+    numpy's own generator on the first row."""
+    u = streams.uniforms(seed, ids, size).T
+    if len(ids) and not np.array_equal(u[0], sample_rng(seed, ids[0]).random(size)):
+        raise NumericalConsistencyError(
+            f"the vectorised SeedSequence/PCG64 stream of sample {ids[0]!r} differs "
+            f"from numpy {np.__version__}'s; numpy's streams have changed")
     u.setflags(write=False)         # a cached block is shared
     return u
 
@@ -542,16 +551,29 @@ _CHUNK = 100
 
 
 # a suite's two meshes, each in full and last chunks, or the 2n stencil
-# copies of a jacobians mesh; a mesh with sampled weights misses
+# copies of a jacobians mesh; a mesh with sampled weights misses here,
+# and finds the union of its combinatorics in _union
 @lru_cache(maxsize=4)
 def _copies(mesh, m):
     """Disjoint union of m copies of the mesh; copy c holds vertex v as
-    c n + v, and edges and faces likewise."""
-    n, ne = mesh.vertex_count, mesh.edge_count
+    c n + v, and edges and faces likewise. Meshes with the same
+    combinatorics share one validated union, and set only its weights."""
+    union = _union(mesh.vertex_count, m, mesh.ends.tobytes(), mesh.corners.tobytes(),
+                   mesh.edge_ids.tobytes())
+    return union.with_weights(np.tile(mesh.phi, m))
+
+
+@lru_cache(maxsize=4)
+def _union(n, m, ends, corners, edge_ids):
+    """The m-copy union of the combinatorics given as the bytes of the
+    int64 index arrays, at zero weights."""
+    ends, corners, edge_ids = (np.frombuffer(b, dtype=np.int64).reshape(-1, k)
+                               for b, k in ((ends, 2), (corners, 3), (edge_ids, 3)))
+    ne = len(ends)
     c = np.arange(m)[:, None, None]
     return WeightedTriangulation.from_arrays(
-        n * m, (mesh.ends + c * n).reshape(-1, 2), np.tile(mesh.phi, m),
-        (mesh.corners + c * n).reshape(-1, 3), (mesh.edge_ids + c * ne).reshape(-1, 3))
+        n * m, (ends + c * n).reshape(-1, 2), np.zeros(m * ne),
+        (corners + c * n).reshape(-1, 3), (edge_ids + c * ne).reshape(-1, 3))
 
 
 def _chunk_assemblies(mesh, radii):

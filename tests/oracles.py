@@ -509,6 +509,14 @@ def apply_p_delta_loop(mesh, B, A, f, p):
 # and one curvature call per stencil point. The batched samplers and suites
 # must reproduce them bit for bit.
 
+def unit_draws_loop(seed, ids, size):
+    """(len(ids), size) uniforms on [0, 1), row k drawn from sample_rng(seed, ids[k])."""
+    u = np.empty((len(ids), size))
+    for k, i in enumerate(ids):
+        verify.sample_rng(seed, i).random(out=u[k])
+    return u
+
+
 def sample_star_triangles_loop(seed, ids, r_lo, r_hi):
     """The star triangles of the sample ids in one packing; triangle i
     draws its log-uniform radii, then its weights, from sample_rng(seed, i)."""

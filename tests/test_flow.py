@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cpflow import laplacian
-from cpflow.errors import StarConditionError, StepFailureError
+from cpflow.errors import (
+    DegenerateFaceError, NumericalConsistencyError, StarConditionError, StepFailureError)
 from cpflow.flow import (
     FlowConfig,
     flow_rhs,
@@ -125,18 +126,44 @@ def test_step_failure_carries_state():
     assert np.all(exc.value.r == 1.0)
 
 
-def test_value_error_in_a_step_propagates_without_halving(monkeypatch):
-    # a ValueError is a misuse, not an inadmissible stage: no halving retries it
-    calls = []
+def _assemble_failing_at_call(monkeypatch, error, at):
+    """Patch laplacian.assemble to raise error on its call number `at`
+    (1-based) and return the calls that raised."""
+    calls, raised = [], []
+    assemble_ = laplacian.assemble
 
-    def broken(mesh, r):
+    def failing(mesh, r):
         calls.append(r)
-        raise ValueError("misuse")
+        if len(calls) == at:
+            raised.append(r)
+            raise error
+        return assemble_(mesh, r)
 
-    monkeypatch.setattr(laplacian, "curvature", broken)
+    monkeypatch.setattr(laplacian, "assemble", failing)
+    return raised
+
+
+def test_value_error_in_a_step_propagates_without_halving(monkeypatch):
+    # a ValueError is a misuse, not an inadmissible stage: no halving retries it;
+    # calls 1-4 are the stages, call 5 the assembly at the step's end
+    calls = _assemble_failing_at_call(monkeypatch, ValueError("misuse"), 5)
     with pytest.raises(ValueError, match="misuse"):
-        step(GENUS2, np.ones(2), 1e-2, 3.0)     # at p = 3 only the step calls curvature
+        step(GENUS2, np.ones(2), 1e-2, 3.0)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("error", [NumericalConsistencyError("A routes disagree"),
+                                   DegenerateFaceError("degenerate")])
+def test_an_error_assembling_at_the_step_end_halves_the_step(monkeypatch, error):
+    want_r, want = step(GENUS2, np.ones(2), 5e-3, 2.0)
+    assert want.halvings == 0
+    raised = _assemble_failing_at_call(monkeypatch, error, 5)
+    got_r, got = step(GENUS2, np.ones(2), 1e-2, 2.0)
+    assert len(raised) == 1
+    assert (got.halvings, got.dt_used) == (1, 5e-3)
+    assert got_r.tolist() == want_r.tolist()
+    assert got.assembly.K.tolist() == want.assembly.K.tolist() == curvature(GENUS2, got_r).tolist()
+    assert got.energy_next == want.energy_next == calabi_energy(got.assembly.K)
 
 
 # -- full runs ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 
 import oracles
 from cpflow import verify
-from cpflow.errors import CpflowError, DegenerateFaceError, RadiusOverflowError
+from cpflow.errors import (
+    CpflowError, DegenerateFaceError, NumericalConsistencyError, RadiusOverflowError)
 from cpflow.hypgeom import TrianglePacking, angle_jacobian, pair_derivative
 from cpflow.laplacian import assemble
 from cpflow.mesh import builtin_mesh, corner_gammas
@@ -495,6 +496,7 @@ def test_triangle_sampler_scripted_band_and_fallback(monkeypatch):
         3: radii + fail * (verify._TRIES + 3) + [0.0, pos, 1.0 - pos] + [0.0] * 30,
     }
     monkeypatch.setattr(verify, "sample_rng", lambda seed, i: _UnitStream(streams[i]))
+    monkeypatch.setattr(verify, "_unit_draws", oracles.unit_draws_loop)
     got = verify.sample_star_triangles(0, range(4), 0.1, 10.0)
     want = oracles.sample_star_triangles_loop(0, range(4), 0.1, 10.0)
     assert got.weights.tolist() == want.weights.tolist()
@@ -509,12 +511,15 @@ def test_floor_sweeps_share_one_draw_per_sample(monkeypatch):
     for r_floor in (0.3, 7.3, 30.3):
         assert _report(sweep_floor_bounds(TETRA, r_floor, 23, 3)) == \
             _report(oracles.sweep_floor_bounds_loop(TETRA, r_floor, 23, 3))
-    calls = []
-    sample_rng_ = verify.sample_rng
+    calls, drawn = [], []
+    sample_rng_, uniforms_ = verify.sample_rng, verify.streams.uniforms
     monkeypatch.setattr(verify, "sample_rng", lambda seed, i: calls.append(i) or sample_rng_(seed, i))
+    monkeypatch.setattr(verify.streams, "uniforms",
+                        lambda seed, ids, size: drawn.extend(ids) or uniforms_(seed, ids, size))
     verify._floor_draws.cache_clear()
     run_theorem1(23, 4)
-    assert sorted(calls) == [*range(23), 90_000]
+    assert sorted(drawn) == [*range(23)]
+    assert sorted(calls) == [0, 90_000]     # the block's first-row check, the mixed weights
 
 
 _FD_MESHES = [TETRA, builtin_mesh("genus2_min"), verify._octahedron()]
@@ -543,6 +548,21 @@ def test_stacked_curvature_stencils_are_one_call(monkeypatch):
     assert calls == [72]
 
 
+def test_reweighted_meshes_share_one_union_of_copies():
+    octa = verify._octahedron()
+    n, ne = octa.vertex_count, octa.edge_count
+    verify._union.cache_clear()
+    for i in range(3):
+        mesh = sample_star_mesh_weights(octa, sample_rng(1, i))
+        union = verify._copies(mesh, 12)
+        assert union.phi.tolist() == np.tile(mesh.phi, 12).tolist()
+        assert union.vertex_count == 12 * n
+        for got, rows, step in ((union.ends, mesh.ends, n), (union.corners, mesh.corners, n),
+                                (union.edge_ids, mesh.edge_ids, ne)):
+            assert np.array_equal(got, np.concatenate([rows + c * step for c in range(12)]))
+    assert verify._union.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("error", [DegenerateFaceError, RadiusOverflowError])
 def test_stacked_curvature_stencils_fall_back_point_by_point(monkeypatch, error):
     # the union of copies raises, so every stencil point is evaluated alone
@@ -558,3 +578,29 @@ def test_stacked_curvature_stencils_fall_back_point_by_point(monkeypatch, error)
     want = oracles.fd_curvature_jacobian_loop(octa, r)
     monkeypatch.setattr(verify.laplacian, "curvature", refuse_unions)
     assert fd_curvature_jacobian(octa, r).tolist() == want.tolist()
+
+
+# ids of one and two 32-bit words, as a list, a range and numpy ints
+_STREAM_IDS = [
+    [0, 1, 2**32 - 1, 2**32, 2**32 + 7, 2**63, 2**64 - 1, 90_000],
+    range(50_000, 50_300),
+    np.random.default_rng(5).integers(0, 2**64, 200, dtype=np.uint64),
+    np.arange(2**32 - 50, 2**32 + 50, dtype=np.int64),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**32 + 5, 2**70 + 3, 2**130])
+def test_unit_draw_block_is_the_per_id_loop(seed):
+    for ids in _STREAM_IDS:
+        for size in (1, 3, 51):
+            got = verify._unit_draws(seed, ids, size)
+            assert got.shape == (len(ids), size) and not got.flags.writeable
+            assert got.tobytes() == oracles.unit_draws_loop(seed, ids, size).tobytes()
+
+
+def test_unit_draw_block_checks_its_first_row_against_numpy(monkeypatch):
+    sample_rng_ = verify.sample_rng
+    monkeypatch.setattr(verify, "sample_rng", lambda seed, i: sample_rng_(seed + 1, i))
+    with pytest.raises(NumericalConsistencyError, match=f"numpy {np.__version__}"):
+        verify._unit_draws(42, range(5), 3)
+    assert verify._unit_draws(42, [], 3).shape == (0, 3)     # nothing to check
