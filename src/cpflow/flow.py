@@ -23,7 +23,7 @@ from .errors import (
     StarConditionError,
     StepFailureError,
 )
-from .mesh import WeightedTriangulation, first_star_violation
+from .mesh import WeightedTriangulation
 
 
 @dataclass(frozen=True)
@@ -167,20 +167,21 @@ def _rhs_at_u(mesh, u, p):
 _REJECTABLE = (RadiusOverflowError, DegenerateFaceError, NumericalConsistencyError)
 
 
-def step(mesh, r, dt, p, max_halvings=40, _k1=None, _energy0=None):
+def step(mesh, r, dt, p, max_halvings=40, asm=None):
     """One accepted RK4 step from r; halves dt until acceptance.
 
-    Returns (r_next, StepDiagnostics), whose `assembly` is the one at
-    r_next; an error assembling there rejects the attempt, as at the
-    stages. Raises StepFailureError once the halving budget is spent.
+    asm is the assembly at r, which gives the first stage and the energy;
+    it is assembled here when omitted. Returns (r_next, StepDiagnostics),
+    whose `assembly` is the one at r_next; an error assembling there
+    rejects the attempt, as at the stages. Raises StepFailureError once
+    the halving budget is spent.
     """
     r = laplacian.validate_radii(mesh, r)
+    if asm is None:
+        asm = laplacian.assemble(mesh, r)
     u = laplacian.u_of_r(r)
-    if _k1 is None:
-        _k1 = _rhs_at_u(mesh, u, p)
-    if _energy0 is None and p == 2.0:
-        _energy0 = laplacian.calabi_energy(laplacian.curvature(mesh, r))
-    k1 = _k1
+    k1 = laplacian.apply_p_delta(asm, asm.K, p)
+    energy0 = laplacian.calabi_energy(asm.K)
     h = float(dt)
     for halvings in range(max_halvings + 1):
         try:
@@ -193,11 +194,9 @@ def step(mesh, r, dt, p, max_halvings=40, _k1=None, _energy0=None):
             r_next = laplacian.r_of_u(u_next)
             asm_next = laplacian.assemble(mesh, r_next)
             energy_next = laplacian.calabi_energy(asm_next.K)
-            if p == 2.0 and energy_next > _energy0:
+            if p == 2.0 and energy_next > energy0:
                 raise _EnergyIncrease()
-            vel = max(
-                float(np.max(np.abs(k))) for k in (k1, k2, k3, k4)
-            )
+            vel = max(float(np.max(np.abs(k))) for k in (k1, k2, k3, k4))
             return r_next, StepDiagnostics(h, halvings, vel, asm_next, energy_next)
         except (_EnergyIncrease, *_REJECTABLE):
             h *= 0.5
@@ -212,15 +211,13 @@ class _EnergyIncrease(Exception):
 
 def run_flow(mesh: WeightedTriangulation, r0, cfg: FlowConfig) -> FlowTrace:
     """Integrate until max|K| <= k_tol, the horizon, or step failure."""
-    bad = first_star_violation(mesh)
-    if bad is not None:
-        raise StarConditionError(f"corner condition fails at {bad}")
+    if mesh.first_star_violation is not None:
+        raise StarConditionError(f"corner condition fails at {mesh.first_star_violation}")
     r = laplacian.validate_radii(mesh, np.array(r0, dtype=float, copy=True))
     asm = laplacian.assemble(mesh, r)
     K = asm.K
     energy = laplacian.calabi_energy(K)
-    rhs_now = laplacian.apply_p_delta(asm, K, cfg.p)
-    c_emp = float(np.max(np.abs(rhs_now)))
+    c_emp = float(np.max(np.abs(laplacian.apply_p_delta(asm, K, cfg.p))))
     sup_a = float(np.max(asm.A))
     sup_b = float(np.max(asm.B))
     t = 0.0
@@ -242,10 +239,7 @@ def run_flow(mesh: WeightedTriangulation, r0, cfg: FlowConfig) -> FlowTrace:
             break
         dt_eff = min(cfg.dt, cfg.t_max - t)
         try:
-            r_next, diag = step(
-                mesh, r, dt_eff, cfg.p, cfg.max_halvings,
-                _k1=rhs_now, _energy0=energy,
-            )
+            r_next, diag = step(mesh, r, dt_eff, cfg.p, cfg.max_halvings, asm)
         except StepFailureError as exc:
             termination = "step_failure"
             failure = {"t": t, "r": r.copy(), "dt": exc.dt}
@@ -256,14 +250,16 @@ def run_flow(mesh: WeightedTriangulation, r0, cfg: FlowConfig) -> FlowTrace:
         asm = diag.assembly
         K = asm.K
         energy = diag.energy_next
-        rhs_now = laplacian.apply_p_delta(asm, K, cfg.p)
-        c_emp = max(c_emp, diag.max_abs_u_velocity, float(np.max(np.abs(rhs_now))))
+        # the step's velocity includes its first stage, |du/dt| at the r it left
+        c_emp = max(c_emp, diag.max_abs_u_velocity)
         sup_a = max(sup_a, float(np.max(asm.A)))
         sup_b = max(sup_b, float(np.max(asm.B)))
         if steps % cfg.trace_stride == 0 or _terminal_next(K, t, cfg):
             samples.append(sample(diag.max_abs_u_velocity, diag.dt_used))
+    velocity = float(np.max(np.abs(laplacian.apply_p_delta(asm, K, cfg.p))))    # at the last r
+    c_emp = max(c_emp, velocity)
     if samples[-1].t != t:
-        samples.append(sample(float(np.max(np.abs(rhs_now))), 0.0))
+        samples.append(sample(velocity, 0.0))
     trace = FlowTrace(
         samples=samples, termination=termination, steps=steps,
         c_emp=c_emp, sup_A=sup_a, sup_B=sup_b, failure=failure,

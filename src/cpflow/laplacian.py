@@ -8,10 +8,11 @@ identically, which is the only extension consistent with dK/du on
 non-simplicial meshes.
 
 `curvature` and `assemble` evaluate the edge terms of `hypgeom` once per
-edge, gather them to the faces on index arrays built once per mesh on
-first use, evaluate all faces in one call of the `hypgeom` triangle
-kernel, and scatter into K, B and A with `np.bincount` in the order a loop
-over faces would accumulate, so runs are bitwise reproducible.
+edge, gather them to the faces, evaluate all faces in one call of the
+`hypgeom` triangle kernel, and scatter into K, B and A with `np.bincount`
+in the order a loop over faces would accumulate, so runs are bitwise
+reproducible. The mesh holds the index arrays they read, shared by its
+`with_weights` copies, its face weights and its corner-condition check.
 
 `LaplacianAssembly.entries` lists the nonzero pattern of L as COO triples
 (rows, cols, vals), O(E) memory, built on first read. Every other view of
@@ -34,16 +35,14 @@ were off by 40 to 600 lambda_max from n = 62 on.
 """
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import hypgeom
 from .errors import NumericalConsistencyError, RadiusOverflowError, StarConditionError
-from .hypgeom import NEXT, PREV, RADIUS_CAP
+from .hypgeom import RADIUS_CAP, corner_gammas
 from .mesh import WeightedTriangulation
 
 AB_CONSISTENCY_RTOL = 1e-9
@@ -81,96 +80,24 @@ def r_of_u(u) -> np.ndarray:
     return np.log1p(np.exp(u)) - np.log(-np.expm1(u))
 
 
-# -- per-mesh arrays ---------------------------------------------------------
-
-_ARRAYS = weakref.WeakKeyDictionary()   # meshes are immutable
-
-
-def _mesh_arrays(mesh):
-    arrays = _ARRAYS.get(mesh)
-    if arrays is None:
-        arrays = _ARRAYS[mesh] = _build_arrays(mesh)
-    return arrays
-
-
-def _build_arrays(mesh):
-    """Index arrays and the face weights of a mesh. Per-corner arrays are
-    (3, F): row t holds corner t of every face. The scatter indices list
-    the corners face by face, the order of a loop over faces."""
-    corners, edges = np.ascontiguousarray(mesh.corners.T), np.ascontiguousarray(mesh.edge_ids.T)
-    ends, phi = mesh.ends, mesh.phi
-    # the radii are set per call with `with_radii`
-    packing = hypgeom.TrianglePacking(np.ones(corners.shape), phi.take(edges))
-    bad = np.argwhere(packing.gammas.T < 0.0)
-    star = ""
-    if len(bad):
-        fid, t = bad[0]
-        star = (f"face {fid} corner {t}: corner condition fails, "
-                f"gamma {float(packing.gammas[t, fid])!r}")
-    nonloop = np.flatnonzero(ends[:, 0] != ends[:, 1])
-    links = ends[nonloop]
-    # the terms of the direct route for A, face by face and corner by
-    # corner: rows t + 2, then t + 1, of a (3, F) array, flattened
-    F = mesh.face_count
-    rows = np.stack((PREV, NEXT), axis=1)[None, :, :] * F + np.arange(F)[:, None, None]
-    return SimpleNamespace(
-        corners=corners,                    # (3, F) vertex ids
-        edges=edges,                        # (3, F) edge ids, edge t opposite corner t
-        corner_ids=mesh.corners.ravel(),    # (3F,) vertex ids, face by face
-        edge_ids=mesh.edge_ids.ravel(),     # (3F,) edge ids, face by face
-        a_direct_ids=np.repeat(mesh.corners.ravel(), 2),
-        a_direct_terms=rows.ravel(),
-        ends=ends,                          # (E, 2) edge endpoints
-        half=hypgeom.half_angles(phi),      # cos and sin of half the edge weights
-        packing=packing,                    # the face weights, (3, F)
-        star_violation=star,                # names the first corner with gamma < 0
-        nonloop=nonloop,                    # ids of the edges with two distinct ends
-        links=links,                        # (E', 2) their endpoints
-        loop_edges=tuple(int(e) for e in np.flatnonzero(ends[:, 0] == ends[:, 1])),
-        # -A f first, then the ends of each link: the order of an edge loop
-        apply_index=np.concatenate((np.arange(mesh.vertex_count), links.ravel())),
-    )
-
-
-_PATTERNS = weakref.WeakKeyDictionary()
-
-
-def _entry_pattern(mesh):
-    """(pair_of, rows, cols): the vertex pair (i, j), i < j, of each link,
-    and the positions of the entries of L, each pair in both orientations
-    and then the diagonal. Built on the first read of an entry list of the
-    mesh, so the flow, which reads none, never pays for it."""
-    pattern = _PATTERNS.get(mesh)
-    if pattern is None:
-        links = _mesh_arrays(mesh).links
-        n = mesh.vertex_count
-        pairs, pair_of = np.unique(links.min(axis=1) * n + links.max(axis=1), return_inverse=True)
-        i, j = np.divmod(pairs, n)
-        diag = np.arange(n)
-        pattern = _PATTERNS[mesh] = (
-            pair_of, np.concatenate((i, j, diag)), np.concatenate((j, i, diag)))
-    return pattern
-
-
 # -- the face kernel ---------------------------------------------------------
 
 def _face_geometry(mesh, r):
     """Geometry of all faces at once, and K: the `hypgeom` kernel
     evaluates each edge once and every face in one call, and the angles
-    are scattered into K. Returns (arrays, wm1, geom, K), wm1 the
-    cosh l - 1 of each edge."""
-    arrays = _mesh_arrays(mesh)
-    ends = arrays.ends
-    terms = hypgeom.edge_terms(r.take(ends[:, 0]), r.take(ends[:, 1]), arrays.half)
-    geom = hypgeom.triangle_geometry(edges=tuple(x.take(arrays.edges) for x in terms))
-    cone = np.bincount(arrays.corner_ids, geom.angles.T.ravel(), minlength=mesh.vertex_count)
-    return arrays, terms[0], geom, 2.0 * math.pi - cone
+    are scattered into K. Returns (wm1, geom, K), wm1 the cosh l - 1 of
+    each edge."""
+    ends = mesh.ends
+    terms = hypgeom.edge_terms(r.take(ends[:, 0]), r.take(ends[:, 1]), mesh.half_phi)
+    geom = hypgeom.triangle_geometry(edges=tuple(x.take(mesh.edge_rows) for x in terms))
+    cone = np.bincount(mesh.corners.ravel(), geom.angles.T.ravel(), minlength=mesh.vertex_count)
+    return terms[0], geom, 2.0 * math.pi - cone
 
 
 def curvature(mesh: WeightedTriangulation, r) -> np.ndarray:
     """K_i = 2 pi minus the cone angle at vertex i."""
     r = validate_radii(mesh, r)
-    return _face_geometry(mesh, r)[3]
+    return _face_geometry(mesh, r)[2]
 
 
 @dataclass
@@ -182,7 +109,6 @@ class LaplacianAssembly:
     cosh_l_minus_1: np.ndarray
     ab_residual: float = 0.0   # max relative gap between the two A routes
     zero_b_edges: list = field(default_factory=list)
-    loop_edges: tuple = ()
 
     @cached_property
     def entries(self):
@@ -194,12 +120,11 @@ class LaplacianAssembly:
         sums in ascending edge id, and both orientations of a pair carry
         the same value, so L is exactly symmetric. No (row, col) repeats.
         """
-        arrays = _mesh_arrays(self.mesh)
-        pair_of, rows, cols = _entry_pattern(self.mesh)
-        n = self.mesh.vertex_count
-        b = self.B.take(arrays.nonloop)
+        mesh, n = self.mesh, self.mesh.vertex_count
+        pair_of, rows, cols = mesh.entry_pattern
+        b = self.B.take(mesh.nonloop)
         off = -np.bincount(pair_of, b)
-        diag = np.bincount(arrays.links.ravel(), np.repeat(b, 2), minlength=n) + self.A
+        diag = np.bincount(mesh.links.ravel(), np.repeat(b, 2), minlength=n) + self.A
         return rows, cols, np.concatenate((off, off, diag))
 
     @cached_property
@@ -221,20 +146,23 @@ def assemble(mesh: WeightedTriangulation, r) -> LaplacianAssembly:
     to 1e-9 relative.
     """
     r = validate_radii(mesh, r)
-    arrays, wm1, geom, K = _face_geometry(mesh, r)
-    if arrays.star_violation:
-        raise StarConditionError(arrays.star_violation)
+    wm1, geom, K = _face_geometry(mesh, r)
+    if mesh.first_star_violation is not None:
+        fid, t = mesh.first_star_violation
+        raise StarConditionError(f"face {fid} corner {t}: corner condition fails, "
+                                 f"gamma {corner_gammas(mesh.face_weights(fid))[t]!r}")
     # d theta_a / d u_b for the corner pair (a, b), a < b, opposite each corner
     jac = hypgeom.pair_derivative(
-        arrays.packing.with_radii(r, arrays.corners), hypgeom.PAIR_A, hypgeom.PAIR_B, geom)
+        mesh.packing.with_radii(r, mesh.corner_rows), hypgeom.PAIR_A, hypgeom.PAIR_B, geom)
     n = mesh.vertex_count
-    B = np.bincount(arrays.edge_ids, jac.T.ravel(), minlength=mesh.edge_count)
+    B = np.bincount(mesh.edge_ids.ravel(), jac.T.ravel(), minlength=mesh.edge_count)
     # direct route for A: corner t gains d theta_s / d u_t times cosh l - 1
     # of the edge joining s and t, for s = t + 1 and then t + 2
     x = jac * geom.cosh_l_minus_1
-    a_direct = np.bincount(arrays.a_direct_ids, x.ravel().take(arrays.a_direct_terms), minlength=n)
+    ids, terms = mesh.a_direct
+    a_direct = np.bincount(ids, x.ravel().take(terms), minlength=n)
     # edge-sum route; a loop edge adds to its vertex twice
-    A = np.bincount(arrays.ends.ravel(), np.repeat(B * wm1, 2), minlength=n)
+    A = np.bincount(mesh.ends.ravel(), np.repeat(B * wm1, 2), minlength=n)
     rel = np.abs(a_direct - A) / (1.0 + np.abs(A))
     if np.any(rel > AB_CONSISTENCY_RTOL):
         i = int(np.argmax(rel > AB_CONSISTENCY_RTOL))
@@ -247,7 +175,6 @@ def assemble(mesh: WeightedTriangulation, r) -> LaplacianAssembly:
         cosh_l_minus_1=wm1,
         ab_residual=float(np.max(rel)),
         zero_b_edges=np.flatnonzero(B == 0.0).tolist(),
-        loop_edges=arrays.loop_edges,
     )
 
 
@@ -261,14 +188,14 @@ def apply_p_delta(asm: LaplacianAssembly, f, p: float) -> np.ndarray:
     n = asm.mesh.vertex_count
     if f.shape != (n,):
         raise ValueError(f"vector shape {f.shape} != ({n},)")
-    arrays = _mesh_arrays(asm.mesh)
-    d = f.take(arrays.links[:, 1]) - f.take(arrays.links[:, 0])
+    links = asm.mesh.links
+    d = f.take(links[:, 1]) - f.take(links[:, 0])
     mag = np.abs(d)
     mag[d == 0.0] = 1.0         # keeps 0 ** (p - 2) from giving inf * 0 below p = 2
-    w = asm.B.take(arrays.nonloop) * mag ** (p - 2.0) * d
+    w = asm.B.take(asm.mesh.nonloop) * mag ** (p - 2.0) * d
     # -A_i f_i first, then +w at one end and -w at the other, edge by edge
     terms = np.concatenate((-asm.A * f, np.stack((w, -w), axis=1).ravel()))
-    return np.bincount(arrays.apply_index, terms, minlength=n)
+    return np.bincount(asm.mesh.apply_index, terms, minlength=n)
 
 
 def calabi_energy(K) -> float:

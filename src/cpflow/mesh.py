@@ -3,6 +3,11 @@
 Faces reference edges by id rather than by vertex pair, so non-simplicial
 triangulations are first class: a face may repeat a vertex and an edge may be
 a loop (both endpoints equal), which the minimal genus-2 mesh requires.
+
+A mesh also holds the arrays `laplacian` derives from it, built on first
+read: those of the combinatorics once, shared by every `with_weights` copy,
+and those of the weights once per mesh. `hypgeom.star_violations` decides
+the corner condition; `check_star_condition` is the full scalar report.
 """
 
 import json
@@ -14,7 +19,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import MeshFormatError, MeshValidationError
-from .hypgeom import NEXT, PREV
+from .hypgeom import NEXT, PREV, TrianglePacking, corner_gammas, half_angles, star_violations
 
 
 @dataclass(frozen=True)
@@ -46,11 +51,22 @@ class StarReport:
         }
 
 
+def _combinatorial(build):
+    """A property of the combinatorics alone, built on first read into the
+    dict that a mesh shares with its `with_weights` copies."""
+    def get(mesh):
+        if build.__name__ not in mesh._shared:
+            mesh._shared[build.__name__] = build(mesh)
+        return mesh._shared[build.__name__]
+    return property(get, doc=build.__doc__)
+
+
 class WeightedTriangulation:
     """Immutable combinatorics plus per-edge intersection weights, held as
     four read-only arrays: `ends` (E, 2) and `phi` (E,) per edge, `corners`
     (F, 3) vertex ids and `edge_ids` (F, 3) per face, edge t opposite
     corner t. `edges` and `faces` are Edge and Face tuples built when read.
+    Per-corner derived arrays are (3, F): row t holds corner t of every face.
     """
 
     def __init__(self, vertex_count, edges, faces):
@@ -73,11 +89,12 @@ class WeightedTriangulation:
         mesh._validate()
         return mesh
 
-    def _set(self, vertex_count, ends, phi, corners, edge_ids):
+    def _set(self, vertex_count, ends, phi, corners, edge_ids, shared=None):
         for a in (ends, phi, corners, edge_ids):
             a.setflags(write=False)
         self.vertex_count = int(vertex_count)
         self.ends, self.phi, self.corners, self.edge_ids = ends, phi, corners, edge_ids
+        self._shared = {} if shared is None else shared
 
     # -- validation -------------------------------------------------------
 
@@ -178,11 +195,74 @@ class WeightedTriangulation:
         if bad.any():
             raise _weight_error(phi, int(np.argmax(bad)))
         mesh = WeightedTriangulation.__new__(WeightedTriangulation)
-        mesh._set(self.vertex_count, self.ends, phi, self.corners, self.edge_ids)
+        mesh._set(self.vertex_count, self.ends, phi, self.corners, self.edge_ids, self._shared)
         return mesh
 
     def with_uniform_weight(self, phi):
         return self.with_weights([phi] * self.edge_count)
+
+    # -- arrays of the combinatorics, shared with reweighted copies ---------
+
+    @_combinatorial
+    def corner_rows(self):      # (3, F) vertex ids
+        return np.ascontiguousarray(self.corners.T)
+
+    @_combinatorial
+    def edge_rows(self):        # (3, F) edge ids, edge t opposite corner t
+        return np.ascontiguousarray(self.edge_ids.T)
+
+    @_combinatorial
+    def nonloop(self):          # ids of the edges with two distinct ends
+        return np.flatnonzero(self.ends[:, 0] != self.ends[:, 1])
+
+    @_combinatorial
+    def links(self):            # (E', 2) endpoints of those edges
+        return self.ends[self.nonloop]
+
+    @_combinatorial
+    def loop_edges(self):
+        return tuple(np.flatnonzero(self.ends[:, 0] == self.ends[:, 1]).tolist())
+
+    @_combinatorial
+    def apply_index(self):
+        """Scatter ids of the p-Laplacian: every vertex (the -A f term),
+        then the ends of each link, the order of an edge loop."""
+        return np.concatenate((np.arange(self.vertex_count), self.links.ravel()))
+
+    @_combinatorial
+    def a_direct(self):
+        """(ids, terms) of the direct route for A, face by face and corner by
+        corner: the vertex, and rows t + 2, then t + 1, of a flat (3, F) array."""
+        F = self.face_count
+        rows = np.stack((PREV, NEXT), axis=1)[None, :, :] * F + np.arange(F)[:, None, None]
+        return np.repeat(self.corners.ravel(), 2), rows.ravel()
+
+    @_combinatorial
+    def entry_pattern(self):
+        """(pair_of, rows, cols): the vertex pair (i, j), i < j, of each link,
+        and the entries of L, each pair both ways, then the diagonal."""
+        links, n = self.links, self.vertex_count
+        pairs, pair_of = np.unique(links.min(axis=1) * n + links.max(axis=1), return_inverse=True)
+        i, j = np.divmod(pairs, n)
+        diag = np.arange(n)
+        return pair_of, np.concatenate((i, j, diag)), np.concatenate((j, i, diag))
+
+    # -- arrays of the weights, once per mesh -------------------------------
+
+    @cached_property
+    def half_phi(self):         # cos and sin of half of each edge weight
+        return half_angles(self.phi)
+
+    @cached_property
+    def packing(self):          # the (3, F) face weights; `with_radii` sets radii
+        return TrianglePacking(np.ones(self.corner_rows.shape), self.phi.take(self.edge_rows))
+
+    @cached_property
+    def first_star_violation(self):
+        """(face, corner) of the first violation `check_star_condition`
+        lists, or None."""
+        bad = np.argwhere(star_violations(self.packing.weights, self.packing.cos_w).T)
+        return tuple(bad[0].tolist()) if len(bad) else None
 
 
 def _ids(rows, width):
@@ -213,34 +293,11 @@ def _first(bad):
 
 # -- star condition ---------------------------------------------------------
 
-def corner_gammas(weights):
-    """gamma per corner from the three opposite-ordered face weights."""
-    g = [math.cos(w) for w in weights]
-    return tuple(g[t] + g[(t + 1) % 3] * g[(t + 2) % 3] for t in range(3))
-
-
 def check_star_condition(mesh: WeightedTriangulation) -> StarReport:
-    gammas = []
-    violations = []
-    for fid, weights in enumerate(mesh.phi[mesh.edge_ids].tolist()):
-        for t, g in enumerate(corner_gammas(weights)):
-            gammas.append((fid, t, g))
-            if g < 0.0:
-                violations.append((fid, t, g))
-    return StarReport(tuple(gammas), not violations, tuple(violations))
-
-
-def first_star_violation(mesh: WeightedTriangulation):
-    """(face, corner) of the first violation `check_star_condition` lists,
-    or None. numpy screens every corner, and the scalar `corner_gammas`
-    decides the faces with a corner below 1e-12."""
-    g = np.cos(mesh.phi)[mesh.edge_ids]
-    low = (g + g[:, NEXT] * g[:, PREV]).min(axis=1) < 1e-12
-    for fid in np.flatnonzero(low).tolist():
-        for t, gamma in enumerate(corner_gammas(mesh.face_weights(fid))):
-            if gamma < 0.0:
-                return fid, t
-    return None
+    gammas = [(fid, t, g) for fid, weights in enumerate(mesh.phi[mesh.edge_ids].tolist())
+              for t, g in enumerate(corner_gammas(weights))]
+    violations = tuple([x for x in gammas if x[2] < 0.0])
+    return StarReport(tuple(gammas), not violations, violations)
 
 
 # -- file format --------------------------------------------------------------

@@ -20,8 +20,8 @@ import numpy as np
 from . import hypgeom, laplacian, streams
 from .errors import (
     CpflowError, DegenerateFaceError, MeshValidationError, NumericalConsistencyError)
-from .hypgeom import NEXT, PREV, ROWS, TrianglePacking
-from .mesh import WeightedTriangulation, builtin_mesh, corner_gammas, simplicial_from_faces
+from .hypgeom import NEXT, PREV, ROWS, TrianglePacking, star_violations
+from .mesh import WeightedTriangulation, builtin_mesh, simplicial_from_faces
 
 # -- reproducible sampling ----------------------------------------------------
 
@@ -43,40 +43,44 @@ def _unit_draws(seed, ids, size):
     return u
 
 
-def log_uniform(rng, lo, hi, size=None):
-    return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
+def log_uniform(u, lo, hi):
+    """Log-uniform values on [lo, hi] from unit draws u, bit for bit
+    exp(Generator.uniform(log lo, log hi)), which maps U to lo + (hi - lo) U."""
+    log_lo, log_hi = math.log(lo), math.log(hi)
+    return np.exp(log_lo + (log_hi - log_lo) * u)
+
+
+# weight tries drawn at once: a try passes with probability ~0.23, so
+# ~1.5 % of the blocks hold no passing try
+_TRIES = 16
 
 
 def sample_star_face_weights(rng):
-    """Three weights uniform on [0, pi), rejected until every corner
-    value gamma is nonnegative."""
+    """Three weights uniform on [0, pi), rejected until every corner value
+    gamma is nonnegative: the first passing try, drawn _TRIES tries at a
+    time, so the generator ends past the block of that try."""
     while True:
-        w = rng.uniform(0.0, math.pi, 3)
-        if min(corner_gammas(tuple(w))) >= 0.0:
-            return tuple(float(x) for x in w)
+        tries = rng.uniform(0.0, math.pi, (_TRIES, 3))
+        passed = ~star_violations(tries.T).any(axis=0)
+        if passed.any():
+            return tuple(tries[np.argmax(passed)].tolist())
 
 
 def sample_star_mesh_weights(mesh, rng, max_tries=1_000_000):
     """Per-edge weights uniform on [0, pi), rejected until every face meets
-    the corner condition: tries are screened in numpy blocks, the scalar
-    `corner_gammas` decides, and the generator ends as single tries leave it."""
-    edges, ne = mesh.edge_ids, mesh.edge_count
+    the corner condition: tries are checked in numpy blocks, and the
+    generator ends as single tries leave it."""
+    ne, edges = mesh.edge_count, mesh.edge_rows     # block.T[edges] is (3, F, tries)
     rows = max(1, 2**11 // ne)      # tries per block: 2**11 weights
     for lo in range(0, max_tries, rows):
         state = rng.bit_generator.state
         block = rng.uniform(0.0, math.pi, (min(rows, max_tries - lo), ne))
-        g = np.cos(block)[:, edges]             # (tries, F, 3)
-        maybe = (g + g[..., NEXT] * g[..., PREV]).min(axis=(1, 2)) >= -1e-12
-        for k in np.flatnonzero(maybe):
-            if all(min(corner_gammas(w)) >= 0.0 for w in block[k, edges].tolist()):
-                rng.bit_generator.state = state
-                return mesh.with_weights(rng.uniform(0.0, math.pi, (k + 1, ne))[k])
+        passed = ~star_violations(block.T[edges], np.cos(block).T[edges]).any(axis=(0, 1))
+        if passed.any():
+            k = int(np.argmax(passed))
+            rng.bit_generator.state = state
+            return mesh.with_weights(rng.uniform(0.0, math.pi, (k + 1, ne))[k])
     raise CpflowError("weight rejection sampling did not terminate")
-
-
-# weight tries drawn with a triangle's radii: a try passes with
-# probability ~0.23, so ~1.5 % of the triangles need more than 16
-_TRIES = 16
 
 
 def sample_star_triangles(seed, ids, r_lo, r_hi):
@@ -85,19 +89,13 @@ def sample_star_triangles(seed, ids, r_lo, r_hi):
 
     Each triangle draws its radii and _TRIES weight tries as one block of
     uniforms U, mapped by Generator.uniform's own lo + (hi - lo) U, so the
-    values are those of one draw at a time. numpy screens every try and
-    the scalar `corner_gammas` decides those within 1e-12 of zero; a
-    triangle with no passing try in its block goes on one try at a time."""
+    values are those of one draw at a time. A triangle with no passing try
+    in its block goes on past it with `sample_star_face_weights`."""
     u = _unit_draws(seed, ids, 3 + 3 * _TRIES)
-    log_lo, log_hi = math.log(r_lo), math.log(r_hi)
-    radii = np.exp(log_lo + (log_hi - log_lo) * u[:, :3]).T.copy()
-    g = np.empty((len(ids), _TRIES))        # min gamma of each try, screened try by try
-    for j in range(_TRIES):
-        c = np.cos(math.pi * u[:, 3 + 3 * j:6 + 3 * j])
-        g[:, j] = (c + c[:, NEXT] * c[:, PREV]).min(axis=1)
-    passed = g >= 1e-12
-    for k, j in np.argwhere(np.abs(g) < 1e-12).tolist():
-        passed[k, j] = min(corner_gammas(tuple(math.pi * u[k, 3 + 3 * j:6 + 3 * j]))) >= 0.0
+    radii = log_uniform(u[:, :3], r_lo, r_hi).T.copy()
+    # try j is rows 3 + 3 j to 5 + 3 j of u.T; a (3, N) block at a time stays in cache
+    passed = np.array([~star_violations(math.pi * u.T[3 + 3 * j:6 + 3 * j]).any(axis=0)
+                       for j in range(_TRIES)]).T
     first = np.argmax(passed, axis=1)[:, None]
     weights = (math.pi * np.take_along_axis(u, 3 + 3 * first + ROWS, axis=1)).T.copy()
     for k in np.flatnonzero(~passed.any(axis=1)).tolist():
@@ -374,7 +372,7 @@ def angle_decay_threshold(weights, epsilon, r_other_range, samples=24, seed=0):
     lo_r, hi_r = r_other_range
     rng = sample_rng(seed, 0)
     pairs = [(lo_r, lo_r), (lo_r, hi_r), (hi_r, hi_r)]
-    pairs += [tuple(log_uniform(rng, lo_r, hi_r, 2)) for _ in range(samples)]
+    pairs += [tuple(log_uniform(rng.random(2), lo_r, hi_r)) for _ in range(samples)]
     cap = min(hypgeom.RADIUS_CAP, 708.0 - hi_r)
 
     # one triangle per pair (r_j, r_k) and multiple of l for r_i
@@ -607,7 +605,7 @@ def run_jacobians(samples=1_000, seed=42, mesh_metrics=None, mesh=None):
         for i in range(mesh_metrics):
             rng = sample_rng(seed, 10_000 + i)
             mesh = base if i % 2 == 0 else sample_star_mesh_weights(base, rng)
-            r = log_uniform(rng, 0.1, 5.0, mesh.vertex_count)
+            r = log_uniform(rng.random(mesh.vertex_count), 0.1, 5.0)
             asm = laplacian.assemble(mesh, r)
             rep.check_upper(f"{name}:{i}", "ab_identity_residual",
                             asm.ab_residual, AB_IDENTITY_RTOL)
@@ -622,7 +620,7 @@ def run_jacobians(samples=1_000, seed=42, mesh_metrics=None, mesh=None):
     for i in range(20):
         rng = sample_rng(seed, 20_000 + i)
         mesh = octa if i % 2 == 0 else sample_star_mesh_weights(octa, rng)
-        r = log_uniform(rng, 0.1, 5.0, mesh.vertex_count)
+        r = log_uniform(rng.random(mesh.vertex_count), 0.1, 5.0)
         fd = fd_curvature_jacobian(mesh, r, 1e-5)
         for a, b in nonadjacent:
             rep.check_upper(f"octa:{i}", "nonadjacent_fd_entry",
@@ -638,7 +636,7 @@ def run_spd(samples=100, seed=42, mesh=None):
         for i in range(samples):
             rng = sample_rng(seed, i if name == "tetra" else 50_000 + i)
             mesh = sample_star_mesh_weights(base, rng)
-            r = log_uniform(rng, 0.1, 10.0, mesh.vertex_count)
+            r = log_uniform(rng.random(mesh.vertex_count), 0.1, 10.0)
             asm = laplacian.assemble(mesh, r)
             min_eig, sym = laplacian.spd_check(asm)
             rep.check_lower(f"{name}:{i}", "min_eigenvalue", min_eig, 0.0)
@@ -758,7 +756,7 @@ def sweep_uniform_bounds(weight_triples, seed=42, grid_per_axis=6, degree=3):
     names += [f"{ray}:{i}" for ray, pts, _ in segments[1:] for i in range(len(pts))]
     radii = np.array([p for _, pts, _ in segments for p in pts]).T
     for w_idx, weights in enumerate(weight_triples):
-        if min(corner_gammas(tuple(weights))) < 0.0:
+        if star_violations(np.array(weights, dtype=float)).any():
             raise ValueError(f"weight triple {w_idx} violates the corner condition")
         w = np.repeat(np.array(weights, dtype=float)[:, None], radii.shape[1], axis=1)
         t1, t2 = closed_form_pair(TrianglePacking(radii, w))
@@ -855,9 +853,9 @@ def run_prop24(samples=1_000, seed=42, mesh=None):
     for name, mesh in _targets(None if mesh is None else mesh.with_uniform_weight(0.0)):
         deg = np.asarray(mesh.degrees(), dtype=float)
         ids = [f"{name}:{i}" for i in range(samples)]
-        radii = np.array([
-            log_uniform(sample_rng(seed, i if name == "tetra" else 60_000 + i),
-                        1e-3, 50.0, mesh.vertex_count) for i in range(samples)])
+        first = 0 if name == "tetra" else 60_000
+        radii = log_uniform(_unit_draws(seed, range(first, first + samples), mesh.vertex_count),
+                            1e-3, 50.0)
         for i, A, B, _ in _chunk_assemblies(mesh, radii):
             b_min, b_max = B.min(axis=1), B.max(axis=1)
             ratio = (A / (deg * cosh1)).max(axis=1)

@@ -10,6 +10,7 @@ constant cannot hide.
 import json
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -517,14 +518,43 @@ def unit_draws_loop(seed, ids, size):
     return u
 
 
+class ScriptedRng:
+    """Stands in for a Generator: uniform draws hand out the given rows in
+    turn, and bit_generator.state is the index of the next row."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+        self.bit_generator = SimpleNamespace(state=0)
+
+    def uniform(self, low, high, size):
+        count = size[0] if isinstance(size, tuple) else 1
+        k = self.bit_generator.state
+        self.bit_generator.state = k + count
+        block = self.rows[k:k + count]
+        return block if isinstance(size, tuple) else block[0]
+
+
+def log_uniform_draw(rng, lo, hi, size):
+    return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
+
+
+def sample_star_face_weights_loop(rng):
+    """Three weights uniform on [0, pi), rejected until the scalar
+    corner_gammas are all nonnegative."""
+    while True:
+        w = rng.uniform(0.0, math.pi, 3)
+        if min(corner_gammas(tuple(w))) >= 0.0:
+            return tuple(float(x) for x in w)
+
+
 def sample_star_triangles_loop(seed, ids, r_lo, r_hi):
     """The star triangles of the sample ids in one packing; triangle i
     draws its log-uniform radii, then its weights, from sample_rng(seed, i)."""
     radii, weights = np.empty((3, len(ids))), np.empty((3, len(ids)))
     for k, i in enumerate(ids):
         rng = verify.sample_rng(seed, i)
-        radii[:, k] = verify.log_uniform(rng, r_lo, r_hi, 3)
-        weights[:, k] = verify.sample_star_face_weights(rng)
+        radii[:, k] = log_uniform_draw(rng, r_lo, r_hi, 3)
+        weights[:, k] = sample_star_face_weights_loop(rng)
     return verify.TrianglePacking(radii, weights)
 
 
@@ -587,7 +617,7 @@ def run_prop24_loop(samples=1_000, seed=42, mesh=None):
         deg = np.asarray(mesh.degrees(), dtype=float)
         for i in range(samples):
             rng = verify.sample_rng(seed, i if name == "tetra" else 60_000 + i)
-            r = verify.log_uniform(rng, 1e-3, 50.0, mesh.vertex_count)
+            r = log_uniform_draw(rng, 1e-3, 50.0, mesh.vertex_count)
             asm = assemble(mesh, r)
             rep.check_lower(f"{name}:{i}", "B_min", float(np.min(asm.B)), 0.0)
             if np.any(asm.B <= 0.0):

@@ -119,6 +119,27 @@ def test_tiny_step_matches_explicit_euler():
     assert np.max(np.abs(r_next - r_euler)) <= tol
 
 
+def test_standalone_step_is_run_flows_first_step():
+    from cpflow.laplacian import r_of_u
+    mesh, h = builtin_mesh("genus2_min", 0.3), 1e-2
+    for i in range(20):
+        r = np.random.default_rng(i).uniform(0.1, 5.0, 2)
+        for p in (2.0, 3.0):
+            trace = run_flow(mesh, r, FlowConfig(p=p, dt=h, t_max=h, k_tol=1e-300))
+            r_next, diag = step(mesh, r, h, p)
+            assert r_next.tobytes() == trace.samples[1].r.tobytes()
+            assert diag.assembly.K.tobytes() == trace.samples[1].K.tobytes()
+            # the RK4 formula at the accepted dt, its first stage at r itself,
+            # not at r_of_u(u_of_r(r))
+            u, dt = u_of_r(r), diag.dt_used
+            k1 = flow_rhs(mesh, r, p)
+            k2 = flow_rhs(mesh, r_of_u(u + 0.5 * dt * k1), p)
+            k3 = flow_rhs(mesh, r_of_u(u + 0.5 * dt * k2), p)
+            k4 = flow_rhs(mesh, r_of_u(u + dt * k3), p)
+            want = r_of_u(u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+            assert r_next.tobytes() == want.tobytes()
+
+
 def test_step_failure_carries_state():
     with pytest.raises(StepFailureError) as exc:
         step(GENUS2, np.ones(2), 1e12, 2.0, max_halvings=0)
@@ -145,7 +166,7 @@ def _assemble_failing_at_call(monkeypatch, error, at):
 
 def test_value_error_in_a_step_propagates_without_halving(monkeypatch):
     # a ValueError is a misuse, not an inadmissible stage: no halving retries it;
-    # calls 1-4 are the stages, call 5 the assembly at the step's end
+    # call 1 is the assembly at r, calls 2-4 the stages, call 5 the step's end
     calls = _assemble_failing_at_call(monkeypatch, ValueError("misuse"), 5)
     with pytest.raises(ValueError, match="misuse"):
         step(GENUS2, np.ones(2), 1e-2, 3.0)
@@ -203,6 +224,9 @@ def test_flow_diagnostics_and_conformance():
     assert trace.warnings == []
     bound = velocity_bound(GENUS2.max_degree(), trace.sup_A, trace.sup_B, 2.0)
     assert trace.c_emp <= bound
+    # every step is sampled: c_emp is the largest step velocity or |du/dt| at the end
+    end = float(np.max(np.abs(flow_rhs(GENUS2, trace.samples[-1].r, 2.0))))
+    assert trace.c_emp == max(max(s.max_abs_u_velocity for s in trace.samples), end)
     ts = [s.t for s in trace.samples]
     assert all(a < b for a, b in zip(ts, ts[1:]))
 

@@ -163,7 +163,7 @@ def test_genus2_offdiagonal_sums_spokes_only():
     spoke_B = asm.B[:8]
     assert asm.L[0, 1] == pytest.approx(-np.sum(spoke_B), rel=1e-14)
     # loop edges feed A (twice each) but never the off-diagonal
-    assert asm.loop_edges == (8, 9, 10, 11)
+    assert asm.mesh.loop_edges == (8, 9, 10, 11)
     a_v = sum(
         asm.B[e] * asm.cosh_l_minus_1[e] * (2 if e >= 8 else 1)
         for e in range(12) if GENUS2.edges[e].b == 1
@@ -251,6 +251,28 @@ def test_spd_check_tetra():
     assert sym == 0.0
     margin = np.diag(asm.L) - (np.sum(np.abs(asm.L), axis=1) - np.abs(np.diag(asm.L)))
     assert np.allclose(margin, asm.A, rtol=1e-12)
+
+
+def test_reweighted_copy_shares_combinatorics_and_assembles_as_a_fresh_mesh():
+    for base in MESHES:
+        rng = np.random.default_rng(3)
+        phis = rng.uniform(0.0, 0.5 * math.pi, base.edge_count)
+        copy = base.with_weights(phis)
+        fresh = WeightedTriangulation.from_arrays(
+            base.vertex_count, base.ends, phis, base.corners, base.edge_ids)
+        for name in ("corner_rows", "edge_rows", "nonloop", "links", "loop_edges",
+                     "apply_index", "a_direct", "entry_pattern"):
+            assert getattr(copy, name) is getattr(base, name)
+        assert fresh.edge_rows is not base.edge_rows
+        r = np.exp(rng.uniform(math.log(0.1), math.log(5.0), base.vertex_count))
+        got, want = assemble(copy, r), assemble(fresh, r)
+        for a, b in ((got.K, want.K), (got.B, want.B), (got.A, want.A),
+                     *zip(got.entries, want.entries)):
+            assert a.tobytes() == b.tobytes()
+    assemble(TETRA, np.ones(4))     # the source's weight arrays are its own
+    with pytest.raises(StarConditionError) as err:
+        assemble(_star_violating_tetra(), np.ones(4))
+    assert str(err.value) == "face 0 corner 0: corner condition fails, gamma -0.6180339887498947"
 
 
 def test_dimension_mismatch():

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from cpflow.errors import CpflowError, MeshFormatError, MeshValidationError
+from cpflow import verify
+from cpflow.errors import CpflowError, MeshFormatError, MeshValidationError, StarConditionError
+from cpflow.hypgeom import TrianglePacking
 from cpflow.mesh import (
     Edge,
     Face,
@@ -16,7 +18,6 @@ from cpflow.mesh import (
     builtin_mesh,
     check_star_condition,
     corner_gammas,
-    first_star_violation,
     load_mesh,
     save_mesh,
     simplicial_from_faces,
@@ -181,28 +182,55 @@ def test_first_star_violation_is_the_reports_first(base):
     for top in (math.pi / 2, 0.75 * math.pi, math.pi) * 40:
         mesh = base.with_weights(rng.uniform(0.0, top, base.edge_count))
         want = _first_listed(mesh)
-        assert first_star_violation(mesh) == want
+        assert mesh.first_star_violation == want
         hits += want is not None
     assert 0 < hits < 120           # meshes with and without violations
 
 
 # weights (0, pi x, pi (1 - x)) on a face: two corner gammas cancel to
-# -1.1e-16, 1.1e-16 or 0 in doubles, inside the 1e-12 band left to corner_gammas
-_BAND = {"negative": 0.038442336495257114, "positive": 0.008986520219670495,
-         "zero": 0.0004992511233150275}
+# -1.1e-16, 1.1e-16 or 0 in doubles, inside the 1e-12 band left to
+# corner_gammas; "tie" is (0, y, pi - y), two gammas of -1.1e-16
+_BAND = {name: (math.pi * x, math.pi * (1.0 - x)) for name, x in (
+    ("negative", 0.038442336495257114), ("positive", 0.008986520219670495),
+    ("zero", 0.0004992511233150275))}
+_BAND["tie"] = (0.9691644825584158, math.pi - 0.9691644825584158)
 
 
-@pytest.mark.parametrize("x", _BAND.values(), ids=_BAND.keys())
-def test_first_star_violation_leaves_near_zero_gammas_to_the_scalar_check(x):
+def _passes(check):
+    try:
+        check()
+    except StarConditionError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("pair", _BAND.values(), ids=_BAND.keys())
+def test_first_star_violation_leaves_near_zero_gammas_to_the_scalar_check(pair, monkeypatch):
     m = builtin_mesh("tetra")
     phis = np.zeros(m.edge_count)
     _, e1, e2 = m.faces[2].edges
-    phis[e1], phis[e2] = math.pi * x, math.pi * (1.0 - x)
+    phis[e1], phis[e2] = pair
     mesh = m.with_weights(phis)
-    gammas = corner_gammas(mesh.face_weights(2))
+    face = mesh.face_weights(2)
+    gammas = corner_gammas(face)
     assert abs(min(gammas)) < 1e-12
-    assert first_star_violation(mesh) == _first_listed(mesh)
-    assert (first_star_violation(mesh) is None) == (min(gammas) >= 0.0)
+    passes = min(gammas) >= 0.0
+    assert mesh.first_star_violation == _first_listed(mesh)
+    assert (mesh.first_star_violation is None) == passes
+    # the packing check and the three samplers decide as the scalar check does;
+    # a sampler takes the band try if it passes, else the zero try after it
+    assert _passes(TrianglePacking(np.ones(3), face).require_star) == passes
+    want = face if passes else (0.0, 0.0, 0.0)
+    rng = oracles.ScriptedRng([face, np.zeros(3)])
+    assert verify.sample_star_face_weights(rng) == want
+    rng = oracles.ScriptedRng([phis] + [np.zeros(m.edge_count)] * 400)
+    assert verify.sample_star_mesh_weights(m, rng).phi.tolist() == \
+        (phis.tolist() if passes else [0.0] * m.edge_count)
+    units = np.zeros((1, 3 + 3 * verify._TRIES))
+    units[0, 3:6] = np.array(face) / math.pi
+    monkeypatch.setattr(verify, "_unit_draws", lambda seed, ids, size: units)
+    assert (math.pi * units[0, 3:6]).tolist() == list(face)
+    assert verify.sample_star_triangles(0, [0], 0.1, 10.0).weights[:, 0].tolist() == list(want)
 
 
 @given(st.permutations([0, 1, 2]),

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -355,22 +354,6 @@ def test_block_sampler_matches_per_try_loop(mesh):
         assert fast.random() == slow.random()       # the generators end in the same state
 
 
-class _ScriptedRng:
-    """Stands in for a Generator: uniform draws hand out the given rows in
-    turn, and bit_generator.state is the index of the next row."""
-
-    def __init__(self, rows):
-        self.rows = np.asarray(rows, dtype=float)
-        self.bit_generator = SimpleNamespace(state=0)
-
-    def uniform(self, low, high, size):
-        count = size[0] if isinstance(size, tuple) else 1
-        k = self.bit_generator.state
-        self.bit_generator.state = k + count
-        block = self.rows[k:k + count]
-        return block if isinstance(size, tuple) else block[0]
-
-
 def test_block_sampler_leaves_near_zero_gammas_to_the_scalar_check():
     # face 0 weighs (0, x, pi - x): two corner gammas cancel to ~1e-16
     x = 0.9691644825584158
@@ -379,7 +362,7 @@ def test_block_sampler_leaves_near_zero_gammas_to_the_scalar_check():
     g = np.cos(tie)[np.array([f.edges for f in TETRA.faces])]
     assert -1e-12 <= (g + g[:, [1, 2, 0]] * g[:, [2, 0, 1]]).min() < 0.0
     rows = [np.full(TETRA.edge_count, 3.0), tie] + [np.zeros(TETRA.edge_count)] * 2000
-    fast, slow = _ScriptedRng(rows), _ScriptedRng(rows)
+    fast, slow = oracles.ScriptedRng(rows), oracles.ScriptedRng(rows)
     got = sample_star_mesh_weights(TETRA, fast)
     want = oracles.sample_star_mesh_weights_loop(TETRA, slow)
     assert [e.phi for e in got.edges] == [e.phi for e in want.edges]
@@ -425,7 +408,7 @@ def test_chunk_with_an_overflowing_metric_raises_what_the_loop_raises(monkeypatc
                          ids=["tetra", "genus2_min", "octahedron"])
 def test_chunk_rows_are_the_per_metric_assemblies(monkeypatch, mesh):
     monkeypatch.setattr(verify, "_CHUNK", 7)
-    radii = np.array([verify.log_uniform(sample_rng(5, i), 1e-3, 50.0, mesh.vertex_count)
+    radii = np.array([verify.log_uniform(sample_rng(5, i).random(mesh.vertex_count), 1e-3, 50.0)
                       for i in range(16)])
     chunks = list(verify._chunk_assemblies(mesh, radii))
     assert [first for first, *_ in chunks] == [0, 7, 14]
@@ -466,8 +449,9 @@ class _UnitStream:
         self.units, self.next = np.asarray(units, dtype=float), 0
 
     def random(self, size=None, out=None):
-        count = size if out is None else len(out)
-        block = self.units[self.next:self.next + count].copy()
+        shape = np.shape(out) if out is not None else size
+        count = int(np.prod(shape))
+        block = self.units[self.next:self.next + count].reshape(shape)
         self.next += count
         if out is None:
             return block
@@ -491,9 +475,10 @@ def test_triangle_sampler_scripted_band_and_fallback(monkeypatch):
     streams = {
         0: radii + [0.0, neg, 1.0 - neg] + [0.0, pos, 1.0 - pos] + [0.1, 0.2, 0.3] * 20,
         1: radii + [0.0, neg, 1.0 - neg] + [0.0, zero, 1.0 - zero] + [0.1, 0.2, 0.3] * 20,
-        # a full block of failing tries: the sample goes on past the block
-        2: radii + fail * verify._TRIES + [0.3, 0.1, 0.2] + [0.0] * 30,
-        3: radii + fail * (verify._TRIES + 3) + [0.0, pos, 1.0 - pos] + [0.0] * 30,
+        # a full block of failing tries: the sample goes on past the block,
+        # where its fallback draws a block of tries too
+        2: radii + fail * verify._TRIES + [0.3, 0.1, 0.2] + [0.0] * 48,
+        3: radii + fail * (verify._TRIES + 3) + [0.0, pos, 1.0 - pos] + [0.0] * 48,
     }
     monkeypatch.setattr(verify, "sample_rng", lambda seed, i: _UnitStream(streams[i]))
     monkeypatch.setattr(verify, "_unit_draws", oracles.unit_draws_loop)
@@ -530,7 +515,7 @@ def test_stacked_curvature_stencils_match_column_loop(mesh):
     for seed in range(6):
         rng = sample_rng(seed, 0)
         weighted = mesh if seed % 2 == 0 else sample_star_mesh_weights(mesh, rng)
-        r = verify.log_uniform(rng, 0.1, 5.0, mesh.vertex_count)
+        r = verify.log_uniform(rng.random(mesh.vertex_count), 0.1, 5.0)
         if seed >= 4:       # u + h leaves the domain at a radius of 13: h / 10 is taken
             r[seed % mesh.vertex_count] = 13.0
             assert np.any(verify.laplacian.u_of_r(r) + 1e-5 >= 0.0)
