@@ -35,7 +35,7 @@ were off by 40 to 600 lambda_max from n = 62 on.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -108,7 +108,10 @@ class LaplacianAssembly:
     A: np.ndarray              # per-vertex coefficient
     cosh_l_minus_1: np.ndarray
     ab_residual: float = 0.0   # max relative gap between the two A routes
-    zero_b_edges: list = field(default_factory=list)
+
+    @cached_property
+    def zero_b_edges(self):     # ids of the edges with B_e = 0
+        return np.flatnonzero(self.B == 0.0).tolist()
 
     @cached_property
     def entries(self):
@@ -174,7 +177,6 @@ def assemble(mesh: WeightedTriangulation, r) -> LaplacianAssembly:
         mesh=mesh, K=K, B=B, A=A,
         cosh_l_minus_1=wm1,
         ab_residual=float(np.max(rel)),
-        zero_b_edges=np.flatnonzero(B == 0.0).tolist(),
     )
 
 

@@ -4,10 +4,11 @@ Faces reference edges by id rather than by vertex pair, so non-simplicial
 triangulations are first class: a face may repeat a vertex and an edge may be
 a loop (both endpoints equal), which the minimal genus-2 mesh requires.
 
-A mesh also holds the arrays `laplacian` derives from it, built on first
-read: those of the combinatorics once, shared by every `with_weights` copy,
-and those of the weights once per mesh. `hypgeom.star_violations` decides
-the corner condition; `check_star_condition` is the full scalar report.
+A mesh also holds the arrays `laplacian` derives from it and `copies(m)`,
+the disjoint union of m copies on which `verify` evaluates many metrics,
+each built on first read: those of the combinatorics once, shared by every
+`with_weights` copy, those of the weights once per mesh. The corner condition
+is decided by `hypgeom.star_violations`; `check_star_condition` is the full scalar report.
 """
 
 import json
@@ -95,6 +96,7 @@ class WeightedTriangulation:
         self.vertex_count = int(vertex_count)
         self.ends, self.phi, self.corners, self.edge_ids = ends, phi, corners, edge_ids
         self._shared = {} if shared is None else shared
+        self._copies = {}           # m -> `copies(m)`
 
     # -- validation -------------------------------------------------------
 
@@ -200,6 +202,22 @@ class WeightedTriangulation:
 
     def with_uniform_weight(self, phi):
         return self.with_weights([phi] * self.edge_count)
+
+    def copies(self, m):
+        """Disjoint union of m copies of the mesh: copy c holds vertex v as
+        c n + v, and its edges and faces likewise. The union at zero weights
+        is built once per m and shared with `with_weights` copies; the one
+        at this mesh's weights is kept on the mesh."""
+        if m not in self._copies:
+            key = ("copies", m)
+            if key not in self._shared:
+                n, ne = self.vertex_count, self.edge_count
+                c = np.arange(m)[:, None, None]
+                self._shared[key] = WeightedTriangulation.from_arrays(
+                    n * m, (self.ends + c * n).reshape(-1, 2), np.zeros(m * ne),
+                    (self.corners + c * n).reshape(-1, 3), (self.edge_ids + c * ne).reshape(-1, 3))
+            self._copies[m] = self._shared[key].with_weights(np.tile(self.phi, m))
+        return self._copies[m]
 
     # -- arrays of the combinatorics, shared with reweighted copies ---------
 

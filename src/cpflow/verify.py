@@ -109,6 +109,11 @@ def sample_star_triangles(seed, ids, r_lo, r_hi):
 # per sample at its peak, so this keeps a suite within ~2 MB of memory
 _BATCH = 2_000
 
+# copies per union (`WeightedTriangulation.copies`): the metrics of one
+# assembly in theorem1 and prop24, the stencil points of one curvature call
+# in fd_curvature_jacobian; a whole suite at once costs ~20 MB
+_CHUNK = 100
+
 
 # -- finite-difference oracles -------------------------------------------------
 
@@ -141,8 +146,8 @@ def _fd_stencils(u0, weights, h):
 
 def fd_curvature_jacobian(mesh, r, h: float = 1e-5) -> np.ndarray:
     """Central differences of the curvature vector with respect to u: the
-    2n stencil points are one curvature call on 2n copies of the mesh,
-    or, if that call raises, one call each."""
+    2n stencil points take one curvature call per _CHUNK of them, each on
+    that many copies of the mesh, or, if a call raises, one call each."""
     if not (1e-7 <= h <= 1e-3):
         raise ValueError(f"step {h!r} outside [1e-7, 1e-3]")
     u0 = laplacian.u_of_r(laplacian.validate_radii(mesh, r))
@@ -155,7 +160,8 @@ def fd_curvature_jacobian(mesh, r, h: float = 1e-5) -> np.ndarray:
         r_st = laplacian.r_of_u(np.stack((u0 + d, u0 - d), axis=1).reshape(2 * n, n))
         try:
             try:
-                k = laplacian.curvature(_copies(mesh, 2 * n), r_st.ravel())
+                k = np.concatenate([laplacian.curvature(mesh.copies(len(x)), x.ravel())
+                                    for x in np.split(r_st, range(_CHUNK, 2 * n, _CHUNK))])
             except CpflowError:     # raise or retry as point by point does
                 k = np.array([laplacian.curvature(mesh, x) for x in r_st])
         except DegenerateFaceError:
@@ -342,19 +348,22 @@ def cosine_inequality_bruteforce(c: float, grid_n: int):
     if grid_n < 10:
         raise ValueError(f"grid_n must be at least 10, got {grid_n}")
     ticks = np.array([c + k * (1.0 - c) / grid_n for k in range(grid_n + 1)])
-    y, z = ticks[None, :, None], ticks[None, None, :]
+    m, z = grid_n + 1, ticks[None, None, :]
     best, argmin = math.inf, None
-    # x values per pass, so that a pass holds ~2**15 points and ~2 MB
-    slab = max(1, 2**15 // (grid_n + 1) ** 2)
-    for lo in range(0, grid_n + 1, slab):
+    # a pass holds ~2**15 points and ~2 MB: whole x-planes while one fits,
+    # else one x value and a band of y values
+    slab, band = max(1, 2**15 // m**2), min(m, max(1, 2**15 // m))
+    for lo in range(0, m, slab):
         x = ticks[lo:lo + slab, None, None]
-        cxy, cyx, czx = x + y * z, y + x * z, z + x * y
-        val = np.where((cxy >= 0.0) & (cyx >= 0.0) & (czx >= 0.0),
-                       2.0 - x * x - y * y + cxy + cyx + czx, math.inf)
-        i, j, k = np.unravel_index(np.argmin(val), val.shape)
-        if val[i, j, k] < best:
-            best = float(val[i, j, k])
-            argmin = (float(x[i, 0, 0]), float(ticks[j]), float(ticks[k]))
+        for y_lo in range(0, m, band):
+            y = ticks[None, y_lo:y_lo + band, None]
+            cxy, cyx, czx = x + y * z, y + x * z, z + x * y
+            val = np.where((cxy >= 0.0) & (cyx >= 0.0) & (czx >= 0.0),
+                           2.0 - x * x - y * y + cxy + cyx + czx, math.inf)
+            i, j, k = np.unravel_index(np.argmin(val), val.shape)
+            if val[i, j, k] < best:
+                best = float(val[i, j, k])
+                argmin = (float(x[i, 0, 0]), float(y[0, j, 0]), float(ticks[k]))
     return best, argmin
 
 
@@ -544,43 +553,13 @@ def _octahedron():
     return simplicial_from_faces(6, faces)
 
 
-# metrics per assembly in theorem1 and prop24; a whole suite at once costs ~20 MB
-_CHUNK = 100
-
-
-# a suite's two meshes, each in full and last chunks, or the 2n stencil
-# copies of a jacobians mesh; a mesh with sampled weights misses here,
-# and finds the union of its combinatorics in _union
-@lru_cache(maxsize=4)
-def _copies(mesh, m):
-    """Disjoint union of m copies of the mesh; copy c holds vertex v as
-    c n + v, and edges and faces likewise. Meshes with the same
-    combinatorics share one validated union, and set only its weights."""
-    union = _union(mesh.vertex_count, m, mesh.ends.tobytes(), mesh.corners.tobytes(),
-                   mesh.edge_ids.tobytes())
-    return union.with_weights(np.tile(mesh.phi, m))
-
-
-@lru_cache(maxsize=4)
-def _union(n, m, ends, corners, edge_ids):
-    """The m-copy union of the combinatorics given as the bytes of the
-    int64 index arrays, at zero weights."""
-    ends, corners, edge_ids = (np.frombuffer(b, dtype=np.int64).reshape(-1, k)
-                               for b, k in ((ends, 2), (corners, 3), (edge_ids, 3)))
-    ne = len(ends)
-    c = np.arange(m)[:, None, None]
-    return WeightedTriangulation.from_arrays(
-        n * m, (ends + c * n).reshape(-1, 2), np.zeros(m * ne),
-        (corners + c * n).reshape(-1, 3), (edge_ids + c * ne).reshape(-1, 3))
-
-
 def _chunk_assemblies(mesh, radii):
     """(first row, A, B, ab_residual) per chunk of the (metrics, n) radii,
     from one assembly of copies; A and B get one row per metric."""
     for i in range(0, len(radii), _CHUNK):
         r = radii[i:i + _CHUNK]
         try:
-            asm = laplacian.assemble(_copies(mesh, len(r)), r.ravel())
+            asm = laplacian.assemble(mesh.copies(len(r)), r.ravel())
         except CpflowError:
             for metric in r:        # raise what assembling metric by metric raises
                 laplacian.assemble(mesh, metric)

@@ -1,5 +1,8 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -219,6 +222,35 @@ def test_cosine_grid_in_passes_matches_one_array():
     k = np.argmin(val)
     want = (float(val.flat[k]), (float(x.flat[k]), float(y.flat[k]), float(z.flat[k])))
     assert cosine_inequality_bruteforce(c, n) == want
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cosine_grid_above_180_passes_over_bands_of_y():
+    # an x-plane of grid_n = 250 holds 251**2 > 2**15 points: each pass
+    # takes one x and a band of y values
+    c, n = -0.7, 250
+    ticks = np.array([c + k * (1.0 - c) / n for k in range(n + 1)])
+    y, z = np.meshgrid(ticks, ticks, indexing="ij")
+    want = (math.inf, None)
+    for x in ticks:             # the first minimum, plane by plane
+        cxy, cyx, czx = x + y * z, y + x * z, z + x * y
+        val = np.where((cxy >= 0) & (cyx >= 0) & (czx >= 0),
+                       2.0 - x * x - y * y + cxy + cyx + czx, np.inf)
+        k = np.argmin(val)
+        if val.flat[k] < want[0]:
+            want = (float(val.flat[k]), (float(x), float(y.flat[k]), float(z.flat[k])))
+    assert cosine_inequality_bruteforce(c, n) == want
+    # the passes, not the grid, set the memory
+    assert _traced_peak(cosine_inequality_bruteforce, c, n) < \
+        1.5 * _traced_peak(cosine_inequality_bruteforce, c, 50)
 
 
 def test_cosine_grid_validation():
@@ -507,14 +539,19 @@ def test_floor_sweeps_share_one_draw_per_sample(monkeypatch):
     assert sorted(calls) == [0, 90_000]     # the block's first-row check, the mixed weights
 
 
-_FD_MESHES = [TETRA, builtin_mesh("genus2_min"), verify._octahedron()]
+_FD_MESHES = [TETRA, builtin_mesh("genus2_min"), verify._octahedron(), oracles.torus_grid(8, 8)]
 
 
-@pytest.mark.parametrize("mesh", _FD_MESHES, ids=["tetra", "genus2_min", "octahedron"])
+@pytest.mark.parametrize("mesh", _FD_MESHES, ids=["tetra", "genus2_min", "octahedron", "torus8x8"])
 def test_stacked_curvature_stencils_match_column_loop(mesh):
     for seed in range(6):
         rng = sample_rng(seed, 0)
-        weighted = mesh if seed % 2 == 0 else sample_star_mesh_weights(mesh, rng)
+        if seed % 2 == 0:
+            weighted = mesh
+        elif mesh.edge_count <= 12:
+            weighted = sample_star_mesh_weights(mesh, rng)
+        else:   # rejection would not end; weights below pi / 2 meet the corner condition
+            weighted = mesh.with_weights(rng.uniform(0.0, 0.5 * math.pi, mesh.edge_count))
         r = verify.log_uniform(rng.random(mesh.vertex_count), 0.1, 5.0)
         if seed >= 4:       # u + h leaves the domain at a radius of 13: h / 10 is taken
             r[seed % mesh.vertex_count] = 13.0
@@ -533,19 +570,45 @@ def test_stacked_curvature_stencils_are_one_call(monkeypatch):
     assert calls == [72]
 
 
-def test_reweighted_meshes_share_one_union_of_copies():
+def test_curvature_stencils_take_one_call_per_chunk_of_copies(monkeypatch):
+    # 128 stencil points on the 64-vertex torus: 100 copies, then 28
+    calls = []
+    curvature_ = verify.laplacian.curvature
+    monkeypatch.setattr(verify.laplacian, "curvature",
+                        lambda mesh, r: calls.append(mesh.vertex_count) or curvature_(mesh, r))
+    fd_curvature_jacobian(oracles.torus_grid(8, 8), np.linspace(0.5, 2.0, 64))
+    assert calls == [6_400, 1_792]
+
+
+def test_reweighted_meshes_share_one_union_of_copies(monkeypatch):
     octa = verify._octahedron()
     n, ne = octa.vertex_count, octa.edge_count
-    verify._union.cache_clear()
-    for i in range(3):
-        mesh = sample_star_mesh_weights(octa, sample_rng(1, i))
-        union = verify._copies(mesh, 12)
+    builds = []
+    from_arrays = verify.WeightedTriangulation.from_arrays
+    monkeypatch.setattr(verify.WeightedTriangulation, "from_arrays",
+                        lambda *args: builds.append(args) or from_arrays(*args))
+    meshes = [sample_star_mesh_weights(octa, sample_rng(1, i)) for i in range(3)]
+    unions = [mesh.copies(12) for mesh in meshes]
+    assert len(builds) == 1
+    for mesh, union in zip(meshes, unions):
+        assert mesh.copies(12) is union
         assert union.phi.tolist() == np.tile(mesh.phi, 12).tolist()
         assert union.vertex_count == 12 * n
         for got, rows, step in ((union.ends, mesh.ends, n), (union.corners, mesh.corners, n),
                                 (union.edge_ids, mesh.edge_ids, ne)):
             assert np.array_equal(got, np.concatenate([rows + c * step for c in range(12)]))
-    assert verify._union.cache_info().misses == 1
+        for name in ("ends", "corners", "edge_ids"):
+            assert getattr(union, name) is getattr(unions[0], name)
+
+
+@pytest.mark.parametrize("suite", verify.MESH_SUITES)
+def test_mesh_suites_keep_no_reference_to_the_mesh(suite):
+    mesh = verify._octahedron()
+    ref = weakref.ref(mesh)
+    run_suite(suite, 3, mesh=mesh)
+    del mesh
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("error", [DegenerateFaceError, RadiusOverflowError])
