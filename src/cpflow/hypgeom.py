@@ -65,7 +65,7 @@ class TrianglePacking:
         self.weights = weights
         self.cos_w = g = np.cos(weights)
         self.one_minus_cos2 = 1.0 - g * g
-        self.gammas = g + g.take(NEXT, axis=0) * g.take(PREV, axis=0)
+        self.gammas = corner_values(g)
         self.radii, self.sinh_r, self.cosh_r = radii, np.sinh(radii), np.cosh(radii)
 
     def with_radii(self, r, corners):
@@ -78,28 +78,20 @@ class TrianglePacking:
         return tp
 
     def require_star(self):
-        _require(~star_violations(self.weights, self.cos_w), StarConditionError,
-                 "corner condition fails")
+        _require(self.gammas >= 0.0, StarConditionError, "corner condition fails")
 
 
-def corner_gammas(weights):
-    """gamma per corner from the three opposite-ordered face weights, with math.cos."""
-    g = [math.cos(w) for w in weights]
-    return tuple(g[t] + g[(t + 1) % 3] * g[(t + 2) % 3] for t in range(3))
+def corner_values(cos_w):
+    """The corner values gamma_t = cos phi_t + cos phi_{t+1} cos phi_{t+2}
+    of the star condition, from the weight cosines (3, ...), row t opposite
+    corner t. Every corner-condition decision, report and bound reads these."""
+    return cos_w + cos_w.take(NEXT, axis=0) * cos_w.take(PREV, axis=0)
 
 
 def star_violations(weights, cos_w=None):
     """Mask of the corners failing the corner condition gamma >= 0, for
-    weights (3, ...), row t opposite corner t, and their cosines if at hand.
-    numpy decides where |gamma| >= 1e-12 and `corner_gammas` nearer zero, so
-    a last-digit difference between np.cos and math.cos flips no decision."""
-    g = np.cos(weights) if cos_w is None else cos_w
-    gammas = g + g.take(NEXT, axis=0) * g.take(PREV, axis=0)
-    bad, near = gammas < 0.0, np.abs(gammas) < 1e-12
-    if near.any():
-        for t, *k in np.argwhere(near).tolist():
-            bad[(t, *k)] = corner_gammas(weights[(slice(None), *k)].tolist())[t] < 0.0
-    return bad
+    weights (3, ...), row t opposite corner t, and their cosines if at hand."""
+    return corner_values(np.cos(weights) if cos_w is None else cos_w) < 0.0
 
 
 def half_angles(phi):

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import hypgeom
 from .errors import NumericalConsistencyError, RadiusOverflowError, StarConditionError
-from .hypgeom import RADIUS_CAP, corner_gammas
+from .hypgeom import RADIUS_CAP
 from .mesh import WeightedTriangulation
 
 AB_CONSISTENCY_RTOL = 1e-9
@@ -58,7 +58,7 @@ def validate_radii(mesh: WeightedTriangulation, r) -> np.ndarray:
     if not ok.all():
         bad = int(np.argmin(ok))
         raise RadiusOverflowError(
-            f"radius at vertex {bad} = {r[bad]!r} outside (0, {RADIUS_CAP}]"
+            f"radius at vertex {bad} = {float(r[bad])!r} outside (0, {RADIUS_CAP}]"
         )
     return r
 
@@ -153,7 +153,7 @@ def assemble(mesh: WeightedTriangulation, r) -> LaplacianAssembly:
     if mesh.first_star_violation is not None:
         fid, t = mesh.first_star_violation
         raise StarConditionError(f"face {fid} corner {t}: corner condition fails, "
-                                 f"gamma {corner_gammas(mesh.face_weights(fid))[t]!r}")
+                                 f"gamma {float(mesh.packing.gammas[t, fid])!r}")
     # d theta_a / d u_b for the corner pair (a, b), a < b, opposite each corner
     jac = hypgeom.pair_derivative(
         mesh.packing.with_radii(r, mesh.corner_rows), hypgeom.PAIR_A, hypgeom.PAIR_B, geom)
@@ -170,8 +170,8 @@ def assemble(mesh: WeightedTriangulation, r) -> LaplacianAssembly:
     if np.any(rel > AB_CONSISTENCY_RTOL):
         i = int(np.argmax(rel > AB_CONSISTENCY_RTOL))
         raise NumericalConsistencyError(
-            f"vertex {i}: area-derivative route {a_direct[i]!r} vs "
-            f"edge-sum route {A[i]!r} disagree beyond 1e-9 relative"
+            f"vertex {i}: area-derivative route {float(a_direct[i])!r} vs "
+            f"edge-sum route {float(A[i])!r} disagree beyond 1e-9 relative"
         )
     return LaplacianAssembly(
         mesh=mesh, K=K, B=B, A=A,

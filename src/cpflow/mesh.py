@@ -7,8 +7,9 @@ a loop (both endpoints equal), which the minimal genus-2 mesh requires.
 A mesh also holds the arrays `laplacian` derives from it and `copies(m)`,
 the disjoint union of m copies on which `verify` evaluates many metrics,
 each built on first read: those of the combinatorics once, shared by every
-`with_weights` copy, those of the weights once per mesh. The corner condition
-is decided by `hypgeom.star_violations`; `check_star_condition` is the full scalar report.
+`with_weights` copy, those of the weights once per mesh. The corner values
+gamma are `packing.gammas`, from `hypgeom.corner_values`: the first
+violation and `check_star_condition`'s report both read them.
 """
 
 import json
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import MeshFormatError, MeshValidationError
-from .hypgeom import NEXT, PREV, TrianglePacking, corner_gammas, half_angles, star_violations
+from .hypgeom import NEXT, PREV, TrianglePacking, half_angles
 
 
 @dataclass(frozen=True)
@@ -279,7 +280,7 @@ class WeightedTriangulation:
     def first_star_violation(self):
         """(face, corner) of the first violation `check_star_condition`
         lists, or None."""
-        bad = np.argwhere(star_violations(self.packing.weights, self.packing.cos_w).T)
+        bad = np.argwhere(self.packing.gammas.T < 0.0)
         return tuple(bad[0].tolist()) if len(bad) else None
 
 
@@ -312,10 +313,11 @@ def _first(bad):
 # -- star condition ---------------------------------------------------------
 
 def check_star_condition(mesh: WeightedTriangulation) -> StarReport:
-    gammas = [(fid, t, g) for fid, weights in enumerate(mesh.phi[mesh.edge_ids].tolist())
-              for t, g in enumerate(corner_gammas(weights))]
-    violations = tuple([x for x in gammas if x[2] < 0.0])
-    return StarReport(tuple(gammas), not violations, violations)
+    """Every corner value, face by face and corner by corner, and the negative ones."""
+    g = mesh.packing.gammas.T.ravel()
+    gammas = tuple(zip((np.arange(g.size) // 3).tolist(), [0, 1, 2] * mesh.face_count, g.tolist()))
+    violations = tuple([gammas[k] for k in np.flatnonzero(g < 0.0).tolist()])
+    return StarReport(gammas, not violations, violations)
 
 
 # -- file format --------------------------------------------------------------

@@ -207,8 +207,8 @@ def floor_bound_constants(mesh: WeightedTriangulation, r_floor: float) -> BoundC
     if not (r_floor > 0.0):
         raise ValueError(f"radius floor must be positive, got {r_floor!r}")
     a = 0.5 * (-math.expm1(-r_floor))        # (1 - e^-R)/2
-    cosines = [math.cos(p) for p in mesh.phi.tolist()]
-    phi_bar = min(0.0, min(cosines))
+    tp = mesh.packing
+    phi_bar = min(0.0, float(tp.cos_w.min()))   # every edge is in two faces
     one_pb = 1.0 + phi_bar
     if one_pb == 0.0:       # a weight within ~1e-8 of pi has cosine -1 in doubles
         raise MeshValidationError("1 + phi_bar is 0, so the bound constants are infinite")
@@ -223,20 +223,14 @@ def floor_bound_constants(mesh: WeightedTriangulation, r_floor: float) -> BoundC
         raise ValueError(
             f"radius floor {r_floor!r} is too small: a**14 underflows, so the "
             "bound constants leave double range")
-    m4 = []
-    for weights in mesh.phi[mesh.edge_ids].tolist():
-        g = [math.cos(w) for w in weights]
-        row = []
-        for t in range(3):
-            gt, gu, gv = g[t], g[(t + 1) % 3], g[(t + 2) % 3]
-            bracket = (1.0 - gt * gt) + (gu + gt * gv) + (gv + gt * gu)
-            row.append(32.0 * a**10 * bracket)
-        m4.append(tuple(row))
+    # per corner t: 32 a^10 ((1 - cos^2 phi_t) + gamma_{t+1} + gamma_{t+2})
+    gam = tp.gammas
+    m4 = 32.0 * a**10 * (tp.one_minus_cos2 + gam.take(NEXT, axis=0) + gam.take(PREV, axis=0))
     return BoundConstants(
         R=r_floor, a=a, phi_bar=phi_bar,
         m1=m1, m2=2.0, m3=5.0, m5=6.0, m6=m6, m7=19.0, m8=m8,
         a1=a1, a2=a2, a3=a3,
-        n_vertices=mesh.vertex_count, m4_per_face=tuple(m4),
+        n_vertices=mesh.vertex_count, m4_per_face=tuple(map(tuple, m4.T.tolist())),
     )
 
 
@@ -369,7 +363,7 @@ def cosine_inequality_bruteforce(c: float, grid_n: int):
 
 # -- angle decay scan ------------------------------------------------------------
 
-def angle_decay_threshold(weights, epsilon, r_other_range, samples=24, seed=0):
+def angle_decay_threshold(weights, epsilon, r_other_range, seed=0):
     """Smallest tested radius l such that the corner angle stays below
     epsilon for r_i in {l, 2l, 4l} against sampled opposite radii.
 
@@ -381,7 +375,7 @@ def angle_decay_threshold(weights, epsilon, r_other_range, samples=24, seed=0):
     lo_r, hi_r = r_other_range
     rng = sample_rng(seed, 0)
     pairs = [(lo_r, lo_r), (lo_r, hi_r), (hi_r, hi_r)]
-    pairs += [tuple(log_uniform(rng.random(2), lo_r, hi_r)) for _ in range(samples)]
+    pairs += [tuple(log_uniform(rng.random(2), lo_r, hi_r)) for _ in range(_DECAY_SAMPLES)]
     cap = min(hypgeom.RADIUS_CAP, 708.0 - hi_r)
 
     # one triangle per pair (r_j, r_k) and multiple of l for r_i
@@ -676,6 +670,9 @@ def run_theorem1(samples=1_000, seed=42, floors=(0.25, 0.5, 1.0), mesh=None):
 
 STABILIZATION_RTOL = 0.05
 _RAY_POINTS = 36
+_GRID_PER_AXIS = 6      # radii per axis of theorem2's log grid
+_DEGREE = 3             # C1_candidate assumes vertex degree 3; genus2_min reaches 16
+_DECAY_SAMPLES = 24     # sampled radius pairs of angle_decay_threshold
 
 
 def _log_space(lo, hi, n):
@@ -721,14 +718,14 @@ def _rel_gap(p, t):
     return np.where(big < 1e-250, 0.0, np.abs(p - t) / big)
 
 
-def sweep_uniform_bounds(weight_triples, seed=42, grid_per_axis=6, degree=3):
+def sweep_uniform_bounds(weight_triples, seed=42):
     """For each admissible weight triple: sweep a radii log grid plus the
     boundary rays, asserting finiteness and nonnegativity of the edge
     derivative forms, cross-checking the polynomial representation, and
     requiring the running sup to stabilize on the boundary decade of
     every ray. Each triple is one kernel call over all its points."""
     rep = SweepReport("theorem2", seed, 0)
-    grid = np.exp(np.linspace(math.log(1e-6), math.log(1e2), grid_per_axis))
+    grid = np.exp(np.linspace(math.log(1e-6), math.log(1e2), _GRID_PER_AXIS))
     grid_points = [(x, y, z) for x in grid for y in grid for z in grid]
     segments = [("grid", grid_points, 0)] + _uniform_bound_rays()
     names = [f"grid({x:.1e},{y:.1e},{z:.1e})" for x, y, z in grid_points]
@@ -794,7 +791,7 @@ def sweep_uniform_bounds(weight_triples, seed=42, grid_per_axis=6, degree=3):
                         f"w{w_idx}:{ray_name}", f"{kind}_sup_stabilization",
                         sup_all, (1.0 + STABILIZATION_RTOL) * sup_rest,
                     )
-        rep.record_sup(f"C1_candidate[w{w_idx}]", 2.0 * degree * rep.sups.get(key2, 0.0))
+        rep.record_sup(f"C1_candidate[w{w_idx}]", 2.0 * _DEGREE * rep.sups.get(key2, 0.0))
         rep.record_sup(f"C2_candidate[w{w_idx}]", 2.0 * rep.sups.get(key1, 0.0))
         if crossed.any():
             rep.record_sup("poly_cross_check_max", cross[crossed].max())

@@ -27,9 +27,16 @@ from cpflow import verify
 from cpflow.hypgeom import A_NORM_FLOOR, RADIUS_CAP
 from cpflow.laplacian import (
     AB_CONSISTENCY_RTOL, assemble, curvature, r_of_u, u_of_r, validate_radii)
-from cpflow.mesh import Edge, Face, corner_gammas, simplicial_from_faces
+from cpflow.mesh import Edge, Face, simplicial_from_faces
 
 mp.mp.dps = 60
+
+
+def corner_gammas(weights):
+    """gamma per corner from the three opposite-ordered face weights, with
+    math.cos: the scalar reference for `hypgeom.corner_values`."""
+    g = [math.cos(w) for w in weights]
+    return tuple(g[t] + g[(t + 1) % 3] * g[(t + 2) % 3] for t in range(3))
 
 
 def edge_length_mp(r_a, r_b, phi):

@@ -67,6 +67,19 @@ def test_u_domain_errors():
         u_of_r([701.0])
 
 
+def test_error_messages_print_plain_floats(monkeypatch):
+    for r, shown in ((math.nan, "nan"), (800.0, "800.0")):
+        with pytest.raises(RadiusOverflowError) as err:
+            assemble(TETRA, [1.0, r, 1.0, 1.0])
+        assert str(err.value) == f"radius at vertex 1 = {shown} outside (0, 700.0]"
+    asm = assemble(TETRA, [1.0, 2.0, 3.0, 4.0])
+    monkeypatch.setattr(laplacian, "AB_CONSISTENCY_RTOL", -1.0)     # every vertex disagrees
+    with pytest.raises(NumericalConsistencyError) as err:
+        assemble(TETRA, [1.0, 2.0, 3.0, 4.0])
+    assert str(err.value).startswith(
+        f"vertex 0: area-derivative route {float(asm.A[0])!r} vs edge-sum route ")
+
+
 def test_u_near_zero_matches_infinite_radius_limit():
     # u -> 0- corresponds to r -> infinity
     assert r_of_u([-1e-300])[0] > 690.0

@@ -17,11 +17,11 @@ from cpflow.mesh import (
     WeightedTriangulation,
     builtin_mesh,
     check_star_condition,
-    corner_gammas,
     load_mesh,
     save_mesh,
     simplicial_from_faces,
 )
+from oracles import corner_gammas
 
 
 def test_tetra_combinatorics():
@@ -188,8 +188,9 @@ def test_first_star_violation_is_the_reports_first(base):
 
 
 # weights (0, pi x, pi (1 - x)) on a face: two corner gammas cancel to
-# -1.1e-16, 1.1e-16 or 0 in doubles, inside the 1e-12 band left to
-# corner_gammas; "tie" is (0, y, pi - y), two gammas of -1.1e-16
+# -1.1e-16, 1.1e-16 or 0 in doubles, where a last-digit difference in a
+# cosine would flip the decision; "tie" is (0, y, pi - y), two gammas of
+# -1.1e-16
 _BAND = {name: (math.pi * x, math.pi * (1.0 - x)) for name, x in (
     ("negative", 0.038442336495257114), ("positive", 0.008986520219670495),
     ("zero", 0.0004992511233150275))}
@@ -205,7 +206,7 @@ def _passes(check):
 
 
 @pytest.mark.parametrize("pair", _BAND.values(), ids=_BAND.keys())
-def test_first_star_violation_leaves_near_zero_gammas_to_the_scalar_check(pair, monkeypatch):
+def test_every_corner_route_reads_one_gamma_near_zero(pair, monkeypatch):
     m = builtin_mesh("tetra")
     phis = np.zeros(m.edge_count)
     _, e1, e2 = m.faces[2].edges
@@ -215,9 +216,12 @@ def test_first_star_violation_leaves_near_zero_gammas_to_the_scalar_check(pair, 
     gammas = corner_gammas(face)
     assert abs(min(gammas)) < 1e-12
     passes = min(gammas) >= 0.0
+    # the report lists the packing's gammas, which equal the scalar reference's
+    assert [g for f, _, g in check_star_condition(mesh).gammas if f == 2] == \
+        mesh.packing.gammas[:, 2].tolist() == list(gammas)
     assert mesh.first_star_violation == _first_listed(mesh)
     assert (mesh.first_star_violation is None) == passes
-    # the packing check and the three samplers decide as the scalar check does;
+    # the packing check and the three samplers decide as the scalar reference does;
     # a sampler takes the band try if it passes, else the zero try after it
     assert _passes(TrianglePacking(np.ones(3), face).require_star) == passes
     want = face if passes else (0.0, 0.0, 0.0)

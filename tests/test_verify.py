@@ -13,7 +13,7 @@ from cpflow.errors import (
     CpflowError, DegenerateFaceError, NumericalConsistencyError, RadiusOverflowError)
 from cpflow.hypgeom import TrianglePacking, angle_jacobian, pair_derivative
 from cpflow.laplacian import assemble
-from cpflow.mesh import builtin_mesh, corner_gammas
+from cpflow.mesh import builtin_mesh, check_star_condition
 from cpflow.verify import (
     SubstitutedCoords,
     angle_decay_threshold,
@@ -40,7 +40,7 @@ from cpflow.verify import (
     sample_star_mesh_weights,
     sweep_floor_bounds,
 )
-from oracles import COSINE_GRID_MIN_C07_N50
+from oracles import COSINE_GRID_MIN_C07_N50, corner_gammas
 
 TETRA = builtin_mesh("tetra")
 
@@ -127,6 +127,30 @@ def test_floor_constants_mixed_weights_reflect_phi_bar():
     consts = floor_bound_constants(m, 1.0)
     assert consts.phi_bar == pytest.approx(math.cos(2.5), rel=1e-15)
     assert consts.phi_bar < 0.0
+
+
+@pytest.mark.parametrize("mesh", [TETRA, builtin_mesh("genus2_min"), verify._octahedron(),
+                                  oracles.torus_grid(4, 5)],
+                         ids=["tetra", "genus2_min", "octahedron", "torus"])
+def test_corner_values_equal_the_scalar_loop_in_report_and_bounds(mesh):
+    a = 0.5 * (-math.expm1(-0.5))
+    rng = np.random.default_rng(21)
+    for top in (math.pi / 2, 0.9 * math.pi, math.pi):
+        m = mesh.with_weights(rng.uniform(0.0, top, mesh.edge_count))
+        gammas, m4 = [], []
+        for fid, f in enumerate(m.faces):
+            weights = tuple(m.phi[e] for e in f.edges)
+            g, cosines = corner_gammas(weights), [math.cos(w) for w in weights]
+            gammas += [(fid, t, g[t]) for t in range(3)]
+            m4.append(tuple(32.0 * a**10 * ((1.0 - cosines[t] * cosines[t])
+                                            + g[(t + 1) % 3] + g[(t + 2) % 3])
+                            for t in range(3)))
+        rep = check_star_condition(m)
+        assert rep.gammas == tuple(gammas)
+        assert rep.violations == tuple(x for x in gammas if x[2] < 0.0)
+        consts = floor_bound_constants(m, 0.5)
+        assert consts.phi_bar == min(0.0, min(math.cos(p) for p in m.phi.tolist()))
+        assert consts.m4_per_face == tuple(m4)
 
 
 def test_floor_bounds_boundary_metric_included():
@@ -350,7 +374,6 @@ def test_lemma52_suite():
 def test_weight_triples_all_admissible():
     triples = default_weight_triples(20, 42)
     assert len(triples) == 20
-    from cpflow.mesh import corner_gammas
     assert all(min(corner_gammas(w)) >= 0.0 for w in triples)
 
 
@@ -496,8 +519,9 @@ class _UnitStream:
 
 def test_triangle_sampler_scripted_band_and_fallback(monkeypatch):
     # tries (0, x, 1 - x) have two corner gammas of -1.1e-16, 1.1e-16 or 0,
-    # inside the 1e-12 band; (0.9, 0.9, 0.9) fails by 0.047, and the radii
-    # units, read as a try, would pass
+    # where a last-digit difference in a cosine flips the decision;
+    # (0.9, 0.9, 0.9) fails by 0.047, and the radii units, read as a try,
+    # would pass
     neg, pos, zero = 0.038442336495257114, 0.008986520219670495, 0.0004992511233150275
     for x, want_min in ((neg, -1.1102230246251565e-16), (pos, 1.1102230246251565e-16),
                         (zero, 0.0)):
