@@ -22,16 +22,18 @@ the flow never reads it), the Lanczos matvec and the symmetry residual of
 laplacian` allocates an n x n array.
 
 `spd_check` takes the smallest eigenvalue of L from `np.linalg.eigvalsh`
-on the dense L up to SPD_DENSE_MAX = 384 vertices, and above that from
+on the dense L up to SPD_DENSE_MAX = 254 vertices, and above that from
 Lanczos on the entry list, one `np.bincount` matvec per step.
 Theorem 1 gives A_i > 0 and B_e >= 0, so L is a weighted graph Laplacian
 plus a positive diagonal: a symmetric Z-matrix, whose lowest eigenvector
 can be taken nonnegative (Perron-Frobenius) and so always overlaps the
 ones vector that Lanczos starts from. The Lanczos value must lie in
-[min A, sum A / n] (Weyl below, the Rayleigh quotient of 1 above). Each
-Lanczos vector is orthogonalised against the whole basis twice: with one
-classical Gram-Schmidt pass the basis loses orthogonality, and the values
-were off by 40 to 600 lambda_max from n = 62 on.
+[min A, sum A / n] (Weyl below, the Rayleigh quotient of 1 above).
+Lanczos runs the three-term recurrence alone, on two vectors, in O(n)
+memory: in floating point no Ritz value falls below lambda_min(L) by more
+than O(eps ||L||) (Paige, Linear Algebra Appl. 34, 1980), the smallest one
+only falls as T grows, and a small Ritz residual |beta_k s_k1| puts it
+within that residual of an eigenvalue of L.
 """
 
 import math
@@ -207,10 +209,11 @@ def calabi_energy(K) -> float:
 
 # spd_check runs eigvalsh on the dense L up to this many vertices, Lanczos
 # above. Single-threaded on a 2-core x86-64 host, radii log-uniform in
-# [0.1, 5], medians: dense is faster at n = 254 (3.6 against 7.4 ms), even
-# at n = 384 (8.2 against 8.9 ms), Lanczos at n = 506 (8.9 against 15.6 ms)
-# and n = 1022 (16 against 109 ms).
-SPD_DENSE_MAX = 384
+# [0.1, 5], medians of 18 calls (dense against Lanczos): they tie at
+# n = 254 (4.8 against 4.7 ms), and Lanczos is faster from n = 256 (4.9
+# against 4.4 ms), at n = 384 (11.8 against 6.0 ms) and n = 506 (18.4
+# against 7.1 ms).
+SPD_DENSE_MAX = 254
 LANCZOS_CHECK_EVERY = 16
 LANCZOS_RTOL = 1e-14        # Ritz residual, relative to the largest Ritz value
 LANCZOS_BRACKET_RTOL = 1e-12
@@ -224,9 +227,9 @@ def spd_check(asm: LaplacianAssembly):
     `symmetry_residual` of the entry list. The eigenvalue comes from
     `np.linalg.eigvalsh(L)` on the dense L up to SPD_DENSE_MAX vertices,
     where dense is faster, and from `lanczos_min_eigenvalue` above:
-    Lanczos from the ones vector (the Perron guess), two
-    reorthogonalisation passes per step, and a check against
-    [min A, sum A / n]; it agrees with eigvalsh to ~5e-15 lambda_max(L).
+    the Lanczos three-term recurrence from the ones vector (the Perron
+    guess), in O(n) memory, and a check against [min A, sum A / n]; it
+    agrees with eigvalsh to ~5e-15 lambda_max(L).
     """
     n = asm.mesh.vertex_count
     sym_residual = symmetry_residual(*asm.entries, n)
@@ -263,9 +266,8 @@ def lanczos_min_eigenvalue(asm: LaplacianAssembly) -> float:
     """Smallest eigenvalue of L by Lanczos on the entry list of L.
 
     Each step is one matvec on `asm.entries`; the dense L is not used.
-    The basis starts at the normalised ones vector and grows with the
-    step count; each new vector is orthogonalised against all of it by two
-    classical Gram-Schmidt passes (see the module docstring for why both).
+    The recurrence starts at the normalised ones vector and keeps only the
+    last two vectors, with no reorthogonalisation (see the module docstring).
     Every LANCZOS_CHECK_EVERY steps the tridiagonal T is diagonalised, and
     the iteration stops once the Ritz residual |beta_k s_k1| is at most
     LANCZOS_RTOL times the largest Ritz value, when beta_k itself is that
@@ -276,16 +278,13 @@ def lanczos_min_eigenvalue(asm: LaplacianAssembly) -> float:
     Ritz value for rounding.
     """
     n = asm.mesh.vertex_count
-    basis = np.empty((min(n, 2 * LANCZOS_CHECK_EVERY), n))
-    basis[0] = 1.0 / math.sqrt(n)
+    q, q_prev, b = np.full(n, 1.0 / math.sqrt(n)), np.zeros(n), 0.0
     alpha, beta = [], []
     k = 0
     while True:
-        w = _matvec(asm, basis[k])
-        alpha.append(float(basis[k] @ w))
-        q = basis[:k + 1]
-        for _ in range(2):
-            w -= (q @ w) @ q
+        w = _matvec(asm, q) - b * q_prev
+        alpha.append(float(q @ w))
+        w -= alpha[-1] * q
         b = float(np.linalg.norm(w))
         k += 1
         # max(alpha) <= theta_max, so a beta this small (0 included) meets
@@ -297,9 +296,7 @@ def lanczos_min_eigenvalue(asm: LaplacianAssembly) -> float:
             if done or abs(b * s[-1, 0]) <= LANCZOS_RTOL * theta[-1]:
                 break
         beta.append(b)
-        if k == len(basis):
-            basis = np.concatenate((basis, np.empty((min(k, n - k), n))))
-        basis[k] = w / b
+        q_prev, q = q, w / b
     lam = float(theta[0])
     lo, hi = float(np.min(asm.A)), float(np.sum(asm.A)) / n
     slack = LANCZOS_BRACKET_RTOL * abs(float(theta[-1]))

@@ -20,7 +20,7 @@ import numpy as np
 from . import hypgeom, laplacian, streams
 from .errors import (
     CpflowError, DegenerateFaceError, MeshValidationError, NumericalConsistencyError)
-from .hypgeom import NEXT, PREV, ROWS, TrianglePacking, star_violations
+from .hypgeom import NEXT, PREV, ROWS, TrianglePacking, corner_values, star_violations
 from .mesh import WeightedTriangulation, builtin_mesh, simplicial_from_faces
 
 # -- reproducible sampling ----------------------------------------------------
@@ -70,12 +70,12 @@ def sample_star_mesh_weights(mesh, rng, max_tries=1_000_000):
     """Per-edge weights uniform on [0, pi), rejected until every face meets
     the corner condition: tries are checked in numpy blocks, and the
     generator ends as single tries leave it."""
-    ne, edges = mesh.edge_count, mesh.edge_rows     # block.T[edges] is (3, F, tries)
+    ne, edges = mesh.edge_count, mesh.edge_rows     # np.cos(block).T[edges] is (3, F, tries)
     rows = max(1, 2**11 // ne)      # tries per block: 2**11 weights
     for lo in range(0, max_tries, rows):
         state = rng.bit_generator.state
         block = rng.uniform(0.0, math.pi, (min(rows, max_tries - lo), ne))
-        passed = ~star_violations(block.T[edges], np.cos(block).T[edges]).any(axis=(0, 1))
+        passed = ~(corner_values(np.cos(block).T[edges]) < 0.0).any(axis=(0, 1))
         if passed.any():
             k = int(np.argmax(passed))
             rng.bit_generator.state = state

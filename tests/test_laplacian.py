@@ -506,6 +506,39 @@ def test_lanczos_starts_from_ones(monkeypatch):
         assert abs(lam - asm.A[0]) <= 8 * EPS * asm.A[0]
 
 
+SWEEP_BASES = [oracles.torus_grid(20, 20), oracles.torus_grid(32, 32),
+               oracles.torus_grid(12, 40), oracles.torus_grid(16, 16).copies(2)]
+
+
+@pytest.mark.parametrize("base", SWEEP_BASES,
+                         ids=["torus20x20", "torus32x32", "torus12x40", "torus16x16x2"])
+def test_lanczos_recurrence_matches_eigvalsh(base):
+    """The three-term recurrence with no stored basis finds the smallest
+    eigenvalue to the bound of the dense comparison, over radii
+    log-uniform in [0.1, 10], [1e-3, 50] and [0.5, 0.6], on tori of
+    400 to 1024 vertices and a disjoint union of two tori."""
+    for seed in range(3):
+        for r_lo, r_hi in ((0.1, 10.0), (1e-3, 50.0), (0.5, 0.6)):
+            asm = assemble(*_draw(base, np.random.default_rng([seed, 43]), r_lo, r_hi))
+            eig = np.linalg.eigvalsh(asm.L)
+            assert abs(lanczos_min_eigenvalue(asm) - eig[0]) <= 1e-12 * eig[-1]
+
+
+def test_lanczos_memory_at_n_4096():
+    """The recurrence keeps two vectors of n, not a basis of k x n (17 MB
+    traced at n = 4096 with the stored basis)."""
+    asm = assemble(*_draw(oracles.torus_grid(64, 64), np.random.default_rng(7), 0.1, 10.0))
+    asm.entries         # the O(E) entry list is the assembly's, read before tracing
+    tracemalloc.start()
+    try:
+        lam = lanczos_min_eigenvalue(asm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
+    assert np.min(asm.A) <= lam <= np.mean(asm.A)
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_lanczos_bracket_guard(monkeypatch, sign):
     """A matvec shifted by s * I moves every eigenvalue by s; shifted
