@@ -88,10 +88,10 @@ def corner_values(cos_w):
     return cos_w + cos_w.take(NEXT, axis=0) * cos_w.take(PREV, axis=0)
 
 
-def star_violations(weights):
-    """Mask of the corners failing the corner condition gamma >= 0, for
-    weights (3, ...), row t opposite corner t."""
-    return corner_values(np.cos(weights)) < 0.0
+def star_violations(cos_w):
+    """Mask of the corners failing the corner condition gamma >= 0, from
+    the weight cosines (3, ...), row t opposite corner t."""
+    return corner_values(cos_w) < 0.0
 
 
 def half_angles(phi):

@@ -209,10 +209,10 @@ def calabi_energy(K) -> float:
 
 # spd_check runs eigvalsh on the dense L up to this many vertices, Lanczos
 # above. Single-threaded on a 2-core x86-64 host, radii log-uniform in
-# [0.1, 5], medians of 18 calls (dense against Lanczos): they tie at
-# n = 254 (4.8 against 4.7 ms), and Lanczos is faster from n = 256 (4.9
-# against 4.4 ms), at n = 384 (11.8 against 6.0 ms) and n = 506 (18.4
-# against 7.1 ms).
+# [0.1, 5], medians of 18 calls (dense against Lanczos): at the tie,
+# n = 254 (4.8 against 4.7 ms), the dense route is kept; Lanczos is faster
+# from n = 256 (4.9 against 4.4 ms), at n = 384 (11.8 against 6.0 ms) and
+# n = 506 (18.4 against 7.1 ms).
 SPD_DENSE_MAX = 254
 LANCZOS_CHECK_EVERY = 16
 LANCZOS_RTOL = 1e-14        # Ritz residual, relative to the largest Ritz value
@@ -270,12 +270,13 @@ def lanczos_min_eigenvalue(asm: LaplacianAssembly) -> float:
     last two vectors, with no reorthogonalisation (see the module docstring).
     Every LANCZOS_CHECK_EVERY steps the tridiagonal T is diagonalised, and
     the iteration stops once the Ritz residual |beta_k s_k1| is at most
-    LANCZOS_RTOL times the largest Ritz value, when beta_k itself is that
-    small (the Krylov space is invariant), or after n steps.
+    LANCZOS_RTOL times the largest Ritz value, or when beta_k itself is
+    that small (the Krylov space is invariant).
 
-    Raises NumericalConsistencyError if the result lies outside
-    [min A, sum A / n], widened by LANCZOS_BRACKET_RTOL times the largest
-    Ritz value for rounding.
+    Raises NumericalConsistencyError if neither stop is met in n steps (in
+    floating point the recurrence need not end at step n), or if the result
+    lies outside [min A, sum A / n], widened by LANCZOS_BRACKET_RTOL times
+    the largest Ritz value for rounding.
     """
     n = asm.mesh.vertex_count
     q, q_prev, b = np.full(n, 1.0 / math.sqrt(n)), np.zeros(n), 0.0
@@ -289,12 +290,14 @@ def lanczos_min_eigenvalue(asm: LaplacianAssembly) -> float:
         k += 1
         # max(alpha) <= theta_max, so a beta this small (0 included) meets
         # the residual bound for every Ritz value: an invariant subspace
-        done = k == n or b <= LANCZOS_RTOL * max(max(alpha), 0.0)
-        if done or k % LANCZOS_CHECK_EVERY == 0:
+        invariant = b <= LANCZOS_RTOL * max(max(alpha), 0.0)
+        if invariant or k == n or k % LANCZOS_CHECK_EVERY == 0:
             T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
             theta, s = np.linalg.eigh(T)
-            if done or abs(b * s[-1, 0]) <= LANCZOS_RTOL * theta[-1]:
+            if invariant or abs(b * s[-1, 0]) <= LANCZOS_RTOL * theta[-1]:
                 break
+            if k == n:
+                raise NumericalConsistencyError(f"Lanczos did not converge in {n} steps")
         beta.append(b)
         q_prev, q = q, w / b
     lam = float(theta[0])

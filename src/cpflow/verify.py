@@ -20,7 +20,7 @@ import numpy as np
 from . import hypgeom, laplacian, streams
 from .errors import (
     CpflowError, DegenerateFaceError, MeshValidationError, NumericalConsistencyError)
-from .hypgeom import NEXT, PREV, ROWS, TrianglePacking, corner_values, star_violations
+from .hypgeom import NEXT, PREV, ROWS, TrianglePacking, star_violations
 from .mesh import WeightedTriangulation, builtin_mesh, simplicial_from_faces
 
 # -- reproducible sampling ----------------------------------------------------
@@ -61,7 +61,7 @@ def sample_star_face_weights(rng):
     time, so the generator ends past the block of that try."""
     while True:
         tries = rng.uniform(0.0, math.pi, (_TRIES, 3))
-        passed = ~star_violations(tries.T).any(axis=0)
+        passed = ~star_violations(np.cos(tries.T)).any(axis=0)
         if passed.any():
             return tuple(tries[np.argmax(passed)].tolist())
 
@@ -75,7 +75,7 @@ def sample_star_mesh_weights(mesh, rng, max_tries=1_000_000):
     for lo in range(0, max_tries, rows):
         state = rng.bit_generator.state
         block = rng.uniform(0.0, math.pi, (min(rows, max_tries - lo), ne))
-        passed = ~(corner_values(np.cos(block).T[edges]) < 0.0).any(axis=(0, 1))
+        passed = ~star_violations(np.cos(block).T[edges]).any(axis=(0, 1))
         if passed.any():
             k = int(np.argmax(passed))
             rng.bit_generator.state = state
@@ -94,7 +94,7 @@ def sample_star_triangles(seed, ids, r_lo, r_hi):
     u = _unit_draws(seed, ids, 3 + 3 * _TRIES)
     radii = log_uniform(u[:, :3], r_lo, r_hi).T.copy()
     # try j is rows 3 + 3 j to 5 + 3 j of u.T; a (3, N) block at a time stays in cache
-    passed = np.array([~star_violations(math.pi * u.T[3 + 3 * j:6 + 3 * j]).any(axis=0)
+    passed = np.array([~star_violations(np.cos(math.pi * u.T[3 + 3 * j:6 + 3 * j])).any(axis=0)
                        for j in range(_TRIES)]).T
     first = np.argmax(passed, axis=1)[:, None]
     weights = (math.pi * np.take_along_axis(u, 3 + 3 * first + ROWS, axis=1)).T.copy()
@@ -732,7 +732,7 @@ def sweep_uniform_bounds(weight_triples, seed=42):
     names += [f"{ray}:{i}" for ray, pts, _ in segments[1:] for i in range(len(pts))]
     radii = np.array([p for _, pts, _ in segments for p in pts]).T
     for w_idx, weights in enumerate(weight_triples):
-        if star_violations(np.array(weights, dtype=float)).any():
+        if star_violations(np.cos(np.array(weights, dtype=float))).any():
             raise ValueError(f"weight triple {w_idx} violates the corner condition")
         w = np.repeat(np.array(weights, dtype=float)[:, None], radii.shape[1], axis=1)
         t1, t2 = closed_form_pair(TrianglePacking(radii, w))

@@ -506,17 +506,20 @@ def test_lanczos_starts_from_ones(monkeypatch):
         assert abs(lam - asm.A[0]) <= 8 * EPS * asm.A[0]
 
 
-SWEEP_BASES = [oracles.torus_grid(20, 20), oracles.torus_grid(32, 32),
+# n = 256 and 384 are the sizes just above SPD_DENSE_MAX, where spd_check
+# switches from eigvalsh to Lanczos
+SWEEP_BASES = [oracles.torus_grid(16, 16), oracles.torus_grid(16, 24),
+               oracles.torus_grid(20, 20), oracles.torus_grid(32, 32),
                oracles.torus_grid(12, 40), oracles.torus_grid(16, 16).copies(2)]
 
 
-@pytest.mark.parametrize("base", SWEEP_BASES,
-                         ids=["torus20x20", "torus32x32", "torus12x40", "torus16x16x2"])
+@pytest.mark.parametrize("base", SWEEP_BASES, ids=[
+    "torus16x16", "torus16x24", "torus20x20", "torus32x32", "torus12x40", "torus16x16x2"])
 def test_lanczos_recurrence_matches_eigvalsh(base):
     """The three-term recurrence with no stored basis finds the smallest
     eigenvalue to the bound of the dense comparison, over radii
     log-uniform in [0.1, 10], [1e-3, 50] and [0.5, 0.6], on tori of
-    400 to 1024 vertices and a disjoint union of two tori."""
+    256 to 1024 vertices and a disjoint union of two tori."""
     for seed in range(3):
         for r_lo, r_hi in ((0.1, 10.0), (1e-3, 50.0), (0.5, 0.6)):
             asm = assemble(*_draw(base, np.random.default_rng([seed, 43]), r_lo, r_hi))
@@ -537,6 +540,15 @@ def test_lanczos_memory_at_n_4096():
         tracemalloc.stop()
     assert peak <= 2e6
     assert np.min(asm.A) <= lam <= np.mean(asm.A)
+
+
+def test_lanczos_unconverged_after_n_steps_raises(monkeypatch):
+    """In floating point the recurrence need not end at step n; a value
+    whose residual test fails there is refused, not returned."""
+    asm = assemble(*_draw(oracles.torus_grid(6, 6), np.random.default_rng(0), 0.1, 10.0))
+    monkeypatch.setattr(laplacian, "LANCZOS_RTOL", -1.0)     # no residual meets it
+    with pytest.raises(NumericalConsistencyError, match="did not converge in 36 steps"):
+        lanczos_min_eigenvalue(asm)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
