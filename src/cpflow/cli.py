@@ -26,10 +26,6 @@ EXIT_IO = 3
 EXIT_STEP_FAILURE = 4
 EXIT_USAGE = 5
 
-# `flow` refuses a --t-max / --dt above this many full steps; at ~1 ms a
-# step on `tetra` (x86-64, one thread) the cap is a quarter of an hour
-MAX_FLOW_STEPS = 10**6
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -118,24 +114,12 @@ def cmd_laplacian(args):
 
 
 def cmd_flow(args):
-    if not (args.p > 1.0):
-        raise _Usage(f"--p must exceed 1, got {args.p}")
-    if not (args.dt > 0.0):
-        raise _Usage(f"--dt must be positive, got {args.dt}")
-    if not (0.0 < args.t_max < math.inf):
-        raise _Usage(f"--t-max must be positive and finite, got {args.t_max}")
-    if args.t_max / args.dt > MAX_FLOW_STEPS:
-        raise _Usage(f"--t-max / --dt = {args.t_max / args.dt:g} exceeds {MAX_FLOW_STEPS} steps")
-    if not (args.k_tol > 0.0):
-        raise _Usage(f"--k-tol must be positive, got {args.k_tol}")
-    if args.trace_stride < 1:
-        raise _Usage(f"--trace-stride must be at least 1, got {args.trace_stride}")
-    mesh = _load_mesh_arg(args.mesh)
-    r0 = _load_r0(args.r0, mesh.vertex_count)
     cfg = flow.FlowConfig(
         p=args.p, dt=args.dt, t_max=args.t_max, k_tol=args.k_tol,
         trace_stride=args.trace_stride,
     )
+    mesh = _load_mesh_arg(args.mesh)
+    r0 = _load_r0(args.r0, mesh.vertex_count)
     start = time.perf_counter()
     trace = flow.run_flow(mesh, r0, cfg)
     wall = time.perf_counter() - start
@@ -155,14 +139,9 @@ def cmd_flow(args):
 
 
 def cmd_verify(args):
-    if args.suite not in verify.SUITE_NAMES:
-        raise _Usage(f"unknown suite {args.suite!r}; choose from {verify.SUITE_NAMES}")
-    if args.samples is not None and args.samples < 1:
-        raise _Usage("--samples must be positive")
+    verify.check_suite_args(args.suite, args.samples, args.seed)
     if args.grid < 10:
-        raise _Usage("--grid must be at least 10")
-    if args.seed < 0:
-        raise _Usage(f"--seed must be nonnegative, got {args.seed}")
+        raise ValueError("--grid must be at least 10")
     mesh = _load_mesh_arg(args.mesh) if args.mesh else None
     report = verify.run_suite(args.suite, args.samples, args.seed, args.grid, mesh)
     _emit(report.to_dict(), args.out)
@@ -171,18 +150,11 @@ def cmd_verify(args):
 
 def cmd_bounds(args):
     if not (args.R > 0.0):
-        raise _Usage(f"--R must be positive, got {args.R}")
+        raise ValueError(f"--R must be positive, got {args.R}")
     mesh = _load_mesh_arg(args.mesh)
-    try:
-        consts = verify.floor_bound_constants(mesh, args.R)
-    except ValueError as exc:       # a floor so small that a**14 underflows
-        raise _Usage(str(exc)) from None
+    consts = verify.floor_bound_constants(mesh, args.R)
     _emit(consts.to_dict(), args.out)
     return EXIT_OK
-
-
-class _Usage(Exception):
-    pass
 
 
 def build_parser():
@@ -242,7 +214,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except _Usage as exc:
+    except ValueError as exc:       # an argument refused, by the CLI or the library
         return _fail(exc, EXIT_USAGE)
     except OSError as exc:          # FileNotFoundError included
         return _fail(exc, EXIT_IO)

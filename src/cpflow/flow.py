@@ -26,13 +26,19 @@ from .errors import (
 from .mesh import WeightedTriangulation
 
 
+# a run refuses a t_max / dt above this many full steps; at ~1 ms a step
+# on `tetra` (x86-64, one thread) the cap is a quarter of an hour
+MAX_STEPS = 10**6
+# `step` halves dt at most this many times before it raises StepFailureError
+MAX_HALVINGS = 40
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     p: float = 2.0
     dt: float = 1e-2
     t_max: float = 100.0
     k_tol: float = 1e-8
-    max_halvings: int = 40
     trace_stride: int = 1
 
     def __post_init__(self):
@@ -40,10 +46,14 @@ class FlowConfig:
             raise ValueError(f"p must exceed 1, got {self.p!r}")
         if not (self.dt > 0.0):
             raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if not (self.t_max > 0.0):
-            raise ValueError(f"t_max must be positive, got {self.t_max!r}")
-        if self.max_halvings < 0 or self.trace_stride < 1:
-            raise ValueError("max_halvings must be >= 0 and trace_stride >= 1")
+        if not (0.0 < self.t_max < math.inf):
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max!r}")
+        if self.t_max / self.dt > MAX_STEPS:
+            raise ValueError(f"t_max / dt = {self.t_max / self.dt:g} exceeds {MAX_STEPS} steps")
+        if not (self.k_tol > 0.0):
+            raise ValueError(f"k_tol must be positive, got {self.k_tol!r}")
+        if self.trace_stride < 1:
+            raise ValueError(f"trace_stride must be at least 1, got {self.trace_stride!r}")
 
 
 @dataclass(frozen=True)
@@ -157,24 +167,26 @@ def r_lower_bound_curve(r0_i: float, c: float, t: float) -> float:
     return min(raw, r0_i)
 
 
-def _rhs_at_u(mesh, u, p):
-    """Evaluate the flow field at a stage point; raises if inadmissible."""
-    if np.any(u >= 0.0) or not np.all(np.isfinite(u)):
-        raise RadiusOverflowError("stage left the admissible set (u >= 0)")
-    return flow_rhs(mesh, laplacian.r_of_u(u), p)
+def _admissible_r(u):
+    """r at a stage or step-end point u; a u that is not finite and
+    negative raises RadiusOverflowError, which rejects the attempt."""
+    try:
+        return laplacian.r_of_u(u)
+    except ValueError:
+        raise RadiusOverflowError("step left the admissible set (u >= 0)") from None
 
 
 _REJECTABLE = (RadiusOverflowError, DegenerateFaceError, NumericalConsistencyError)
 
 
-def step(mesh, r, dt, p, max_halvings=40, asm=None):
+def step(mesh, r, dt, p, asm=None):
     """One accepted RK4 step from r; halves dt until acceptance.
 
     asm is the assembly at r, which gives the first stage and the energy;
     it is assembled here when omitted. Returns (r_next, StepDiagnostics),
     whose `assembly` is the one at r_next; an error assembling there
     rejects the attempt, as at the stages. Raises StepFailureError once
-    the halving budget is spent.
+    MAX_HALVINGS halvings are spent.
     """
     r = laplacian.validate_radii(mesh, r)
     if asm is None:
@@ -183,15 +195,12 @@ def step(mesh, r, dt, p, max_halvings=40, asm=None):
     k1 = laplacian.apply_p_delta(asm, asm.K, p)
     energy0 = laplacian.calabi_energy(asm.K)
     h = float(dt)
-    for halvings in range(max_halvings + 1):
+    for halvings in range(MAX_HALVINGS + 1):
         try:
-            k2 = _rhs_at_u(mesh, u + 0.5 * h * k1, p)
-            k3 = _rhs_at_u(mesh, u + 0.5 * h * k2, p)
-            k4 = _rhs_at_u(mesh, u + h * k3, p)
-            u_next = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if np.any(u_next >= 0.0) or not np.all(np.isfinite(u_next)):
-                raise RadiusOverflowError("step left the admissible set")
-            r_next = laplacian.r_of_u(u_next)
+            k2 = flow_rhs(mesh, _admissible_r(u + 0.5 * h * k1), p)
+            k3 = flow_rhs(mesh, _admissible_r(u + 0.5 * h * k2), p)
+            k4 = flow_rhs(mesh, _admissible_r(u + h * k3), p)
+            r_next = _admissible_r(u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
             asm_next = laplacian.assemble(mesh, r_next)
             energy_next = laplacian.calabi_energy(asm_next.K)
             if p == 2.0 and energy_next > energy0:
@@ -201,7 +210,7 @@ def step(mesh, r, dt, p, max_halvings=40, asm=None):
         except (_EnergyIncrease, *_REJECTABLE):
             h *= 0.5
     raise StepFailureError(
-        f"no admissible step after {max_halvings} halvings", r=r, dt=h
+        f"no admissible step after {MAX_HALVINGS} halvings", r=r, dt=h
     )
 
 
@@ -239,7 +248,7 @@ def run_flow(mesh: WeightedTriangulation, r0, cfg: FlowConfig) -> FlowTrace:
             break
         dt_eff = min(cfg.dt, cfg.t_max - t)
         try:
-            r_next, diag = step(mesh, r, dt_eff, cfg.p, cfg.max_halvings, asm)
+            r_next, diag = step(mesh, r, dt_eff, cfg.p, asm)
         except StepFailureError as exc:
             termination = "step_failure"
             failure = {"t": t, "r": r.copy(), "dt": exc.dt}

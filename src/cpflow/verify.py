@@ -896,18 +896,29 @@ SUITE_NAMES = tuple(SUITES)
 MESH_SUITES = ("jacobians", "spd", "theorem1", "prop24")
 
 
+def check_suite_args(name, samples, seed):
+    """Refuse, with ValueError, an unknown suite, a samples below 1 where
+    one is given, and a negative seed. prop31 checks its own grid."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be positive, got {samples!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
+
+
 def run_suite(name, samples=None, seed=42, grid=None, mesh=None):
     """Run a named certification suite, by default at its default size,
     and time it.
 
-    samples sets the size, or grid for prop31; mesh replaces the built-in
-    targets of the mesh-specific suites, and the triangle-level suites
-    ignore it.
+    samples sets the size, or grid for prop31, and None selects the
+    default; mesh replaces the built-in targets of the mesh-specific
+    suites, and the triangle-level suites ignore it.
     """
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}")
+    check_suite_args(name, samples, seed)
     run, size = SUITES[name]
-    args = () if size is None else ((grid if name == "prop31" else samples) or size,)
+    given = grid if name == "prop31" else samples
+    args = () if size is None else (size if given is None else given,)
     kwargs = {"mesh": mesh} if name in MESH_SUITES else {}
     start = time.perf_counter()
     rep = run(*args, seed=seed, **kwargs)

@@ -257,6 +257,9 @@ def test_non_utf8_mesh_file_is_validation_error(capsys, tmp_path):
     ["verify", "--suite", "identities", "--seed", "-1"],
     ["flow", "--mesh", "tetra", "--t-max", "inf"],     # tetra never converges
     ["flow", "--mesh", "tetra", "--dt", "1e-300", "--t-max", "0.05"],  # 5e298 steps
+    # the argument is refused before the missing mesh file is read
+    ["flow", "--trace-stride", "0", "--mesh", "missing.json"],
+    ["verify", "--suite", "spd", "--samples", "0", "--mesh", "missing.json"],
 ])
 def test_out_of_range_input_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

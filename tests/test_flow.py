@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cpflow import laplacian
+from cpflow import flow, laplacian
 from cpflow.errors import (
     DegenerateFaceError, NumericalConsistencyError, StarConditionError, StepFailureError)
 from cpflow.flow import (
@@ -140,9 +140,10 @@ def test_standalone_step_is_run_flows_first_step():
             assert r_next.tobytes() == want.tobytes()
 
 
-def test_step_failure_carries_state():
+def test_step_failure_carries_state(monkeypatch):
+    monkeypatch.setattr(flow, "MAX_HALVINGS", 0)
     with pytest.raises(StepFailureError) as exc:
-        step(GENUS2, np.ones(2), 1e12, 2.0, max_halvings=0)
+        step(GENUS2, np.ones(2), 1e12, 2.0)
     assert exc.value.dt > 0.0
     assert np.all(exc.value.r == 1.0)
 
@@ -243,8 +244,9 @@ def test_flow_rejects_star_violating_mesh():
     assert str(err.value) == f"corner condition fails at {first}"
 
 
-def test_step_failure_termination_recorded():
-    cfg = FlowConfig(p=2.0, dt=1e12, t_max=1e13, k_tol=1e-12, max_halvings=0)
+def test_step_failure_termination_recorded(monkeypatch):
+    monkeypatch.setattr(flow, "MAX_HALVINGS", 0)
+    cfg = FlowConfig(p=2.0, dt=1e12, t_max=1e13, k_tol=1e-12)
     trace = run_flow(GENUS2, np.ones(2), cfg)
     assert trace.termination == "step_failure"
     assert trace.failure is not None
@@ -272,3 +274,11 @@ def test_flow_config_validation():
         FlowConfig(dt=0.0)
     with pytest.raises(ValueError):
         FlowConfig(t_max=-1.0)
+    # a flow is never stopped but by these: the paper's flows exist for all time
+    with pytest.raises(ValueError):
+        FlowConfig(t_max=math.inf)
+    for k_tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            FlowConfig(k_tol=k_tol)
+    with pytest.raises(ValueError):
+        FlowConfig(dt=1e-9, t_max=1.0)      # 10^9 steps

@@ -386,6 +386,10 @@ def test_report_schema_and_dispatch():
     assert doc["suite"] == "prop31"
     with pytest.raises(ValueError):
         run_suite("nope")
+    for name in verify.SUITE_NAMES:     # only None selects the default size
+        for samples, seed in ((0, 42), (-5, 42), (None, -1)):
+            with pytest.raises(ValueError):
+                run_suite(name, samples, seed)
 
 
 def test_suite_reports_reproducible():
