@@ -143,7 +143,8 @@ def cmd_verify(args):
     if args.grid < 10:
         raise ValueError("--grid must be at least 10")
     mesh = _load_mesh_arg(args.mesh) if args.mesh else None
-    report = verify.run_suite(args.suite, args.samples, args.seed, args.grid, mesh)
+    size = args.grid if args.suite == "prop31" else args.samples
+    report = verify.run_suite(args.suite, size, args.seed, mesh)
     _emit(report.to_dict(), args.out)
     return EXIT_OK if report.passed else EXIT_VIOLATION
 

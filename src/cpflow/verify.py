@@ -8,12 +8,16 @@ bit-identical to numpy's SeedSequence and PCG64; each block checks its
 first row against numpy's generator and raises NumericalConsistencyError
 if they differ. Suites return a SweepReport; a run with an empty
 violation list is a pass.
+
+A suite takes one size (its sample count, or prop31's grid) and a seed,
+with defaults in SUITES and run_suite; its other settings are the module
+constants below. Metrics and stencil points on one mesh are evaluated a
+chunk at a time on a union of copies of it (`_on_copies`).
 """
 
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +26,14 @@ from .errors import (
     CpflowError, DegenerateFaceError, MeshValidationError, NumericalConsistencyError)
 from .hypgeom import NEXT, PREV, ROWS, TrianglePacking, star_violations
 from .mesh import WeightedTriangulation, builtin_mesh, simplicial_from_faces
+
+IDENTITY_RADII = (1e-3, 1e2)            # identities: log-uniform triangle radii
+MESH_METRICS = 100                      # jacobians: at most this many metrics per mesh
+FLOORS = (0.25, 0.5, 1.0)               # theorem1: the radius floors R
+C_VALUES = (0.0, -0.3, -0.7, -0.99)     # prop31: the lower ends c of the cosines
+DECAY_RADII = (0.1, 10.0)               # lemma52: the range of the opposite radii
+FD_STEP = 1e-5      # the FD oracles' step in u; a stencil that leaves is taken at a tenth
+MAX_WEIGHT_TRIES = 1_000_000            # sample_star_mesh_weights gives up after these
 
 # -- reproducible sampling ----------------------------------------------------
 
@@ -39,7 +51,6 @@ def _unit_draws(seed, ids, size):
         raise NumericalConsistencyError(
             f"the vectorised SeedSequence/PCG64 stream of sample {ids[0]!r} differs "
             f"from numpy {np.__version__}'s; numpy's streams have changed")
-    u.setflags(write=False)         # a cached block is shared
     return u
 
 
@@ -66,15 +77,15 @@ def sample_star_face_weights(rng):
             return tuple(tries[np.argmax(passed)].tolist())
 
 
-def sample_star_mesh_weights(mesh, rng, max_tries=1_000_000):
+def sample_star_mesh_weights(mesh, rng):
     """Per-edge weights uniform on [0, pi), rejected until every face meets
     the corner condition: tries are checked in numpy blocks, and the
     generator ends as single tries leave it."""
     ne, edges = mesh.edge_count, mesh.edge_rows     # np.cos(block).T[edges] is (3, F, tries)
     rows = max(1, 2**11 // ne)      # tries per block: 2**11 weights
-    for lo in range(0, max_tries, rows):
+    for lo in range(0, MAX_WEIGHT_TRIES, rows):
         state = rng.bit_generator.state
-        block = rng.uniform(0.0, math.pi, (min(rows, max_tries - lo), ne))
+        block = rng.uniform(0.0, math.pi, (min(rows, MAX_WEIGHT_TRIES - lo), ne))
         passed = ~star_violations(np.cos(block).T[edges]).any(axis=(0, 1))
         if passed.any():
             k = int(np.argmax(passed))
@@ -115,21 +126,36 @@ _BATCH = 2_000
 _CHUNK = 100
 
 
+def _on_copies(f, mesh, rows):
+    """(first row, f(mesh.copies(m), chunk.ravel())) for each chunk of
+    m <= _CHUNK of the (k, n) rows. If a chunk raises, its rows are
+    evaluated one at a time on the mesh, so the error raised is the first
+    failing row's: every check is per face or per vertex, so a union
+    raises exactly when one of its rows does."""
+    for i in range(0, len(rows), _CHUNK):
+        chunk = rows[i:i + _CHUNK]
+        try:
+            out = f(mesh.copies(len(chunk)), chunk.ravel())
+        except CpflowError:
+            for row in chunk:
+                f(mesh, row)
+            raise
+        yield i, out
+
+
 # -- finite-difference oracles -------------------------------------------------
 
-def fd_angle_jacobian(tp: TrianglePacking, h: float = 1e-5) -> np.ndarray:
+def fd_angle_jacobian(tp: TrianglePacking) -> np.ndarray:
     """(3, 3, N) central differences of the corner angles with respect to
     u in one kernel call; if a stencil leaves the admissible set, each
-    triangle is differenced alone and, if it still leaves, at h / 10."""
-    if not (1e-7 <= h <= 1e-3):
-        raise ValueError(f"step {h!r} outside [1e-7, 1e-3]")
+    triangle is differenced alone and, if it still leaves, at FD_STEP / 10."""
     u0, w = laplacian.u_of_r(tp.radii), tp.weights
     try:
-        return _fd_stencils(u0, w, h)
+        return _fd_stencils(u0, w, FD_STEP)
     except DegenerateFaceError:
         if u0.shape[1] == 1:
-            return _fd_stencils(u0, w, 0.1 * h)
-    return np.concatenate([fd_angle_jacobian(TrianglePacking(tp.radii[:, [i]], w[:, [i]]), h)
+            return _fd_stencils(u0, w, 0.1 * FD_STEP)
+    return np.concatenate([fd_angle_jacobian(TrianglePacking(tp.radii[:, [i]], w[:, [i]]))
                            for i in range(u0.shape[1])], axis=2)
 
 
@@ -144,30 +170,25 @@ def _fd_stencils(u0, weights, h):
     return ((angles[..., 0::2] - angles[..., 1::2]) / (2.0 * h)).transpose(0, 2, 1)
 
 
-def fd_curvature_jacobian(mesh, r, h: float = 1e-5) -> np.ndarray:
+def fd_curvature_jacobian(mesh, r) -> np.ndarray:
     """Central differences of the curvature vector with respect to u: the
-    2n stencil points take one curvature call per _CHUNK of them, each on
-    that many copies of the mesh, or, if a call raises, one call each."""
-    if not (1e-7 <= h <= 1e-3):
-        raise ValueError(f"step {h!r} outside [1e-7, 1e-3]")
+    2n stencil points take one curvature call per _CHUNK of them
+    (_on_copies), at FD_STEP or, if a point leaves the admissible set, at
+    FD_STEP / 10."""
     u0 = laplacian.u_of_r(laplacian.validate_radii(mesh, r))
     n = mesh.vertex_count
-    for attempt_h in (h, 0.1 * h):
-        if np.any(u0 + attempt_h >= 0.0):
+    for h in (FD_STEP, 0.1 * FD_STEP):
+        if np.any(u0 + h >= 0.0):
             continue            # perturbed u leaves the domain
-        d = attempt_h * np.eye(n)
+        d = h * np.eye(n)
         # rows u0 + h e_b, then u0 - h e_b, for b = 0, ..., n - 1
         r_st = laplacian.r_of_u(np.stack((u0 + d, u0 - d), axis=1).reshape(2 * n, n))
         try:
-            try:
-                k = np.concatenate([laplacian.curvature(mesh.copies(len(x)), x.ravel())
-                                    for x in np.split(r_st, range(_CHUNK, 2 * n, _CHUNK))])
-            except CpflowError:     # raise or retry as point by point does
-                k = np.array([laplacian.curvature(mesh, x) for x in r_st])
+            k = np.concatenate([c for _, c in _on_copies(laplacian.curvature, mesh, r_st)])
         except DegenerateFaceError:
             continue
         k = k.reshape(n, 2, n)
-        return ((k[:, 0] - k[:, 1]) / (2.0 * attempt_h)).T.copy()
+        return ((k[:, 0] - k[:, 1]) / (2.0 * h)).T.copy()
     raise DegenerateFaceError("finite-difference stencil leaves the admissible set")
 
 
@@ -314,7 +335,7 @@ def poly_pair_derivative(co: SubstitutedCoords):
     return np.where(ok, t1, np.nan), np.where(ok, t2, np.nan)
 
 
-def closed_form_pair(tp: TrianglePacking, geom=None):
+def closed_form_pair(tp: TrianglePacking):
     """(t1, t2) for each edge role straight from the triangle kernel.
 
     Both are (3, N): row t is the edge joining corners t+1 and t+2, with
@@ -324,8 +345,7 @@ def closed_form_pair(tp: TrianglePacking, geom=None):
     boundary rays visit; its agreement with the production denominator is
     certified separately.
     """
-    if geom is None:
-        geom = hypgeom.triangle_geometry(tp)
+    geom = hypgeom.triangle_geometry(tp)
     t1 = hypgeom.pair_derivative(tp, PREV, NEXT, geom, use_delta=True)
     return t1, t1 * geom.cosh_l_minus_1
 
@@ -363,16 +383,17 @@ def cosine_inequality_bruteforce(c: float, grid_n: int):
 
 # -- angle decay scan ------------------------------------------------------------
 
-def angle_decay_threshold(weights, epsilon, r_other_range, seed=0):
+def angle_decay_threshold(weights, epsilon, seed=0):
     """Smallest tested radius l such that the corner angle stays below
-    epsilon for r_i in {l, 2l, 4l} against sampled opposite radii.
+    epsilon for r_i in {l, 2l, 4l} against opposite radii r_j, r_k at the
+    corners of DECAY_RADII and sampled log-uniformly from it.
 
     Returns (threshold, found). found is False when even the radius cap
     fails, which would falsify the decay claim numerically.
     """
     if not (epsilon > 0.0):
         raise ValueError("epsilon must be positive")
-    lo_r, hi_r = r_other_range
+    lo_r, hi_r = DECAY_RADII
     rng = sample_rng(seed, 0)
     pairs = [(lo_r, lo_r), (lo_r, hi_r), (hi_r, hi_r)]
     pairs += [tuple(log_uniform(rng.random(2), lo_r, hi_r)) for _ in range(_DECAY_SAMPLES)]
@@ -498,14 +519,14 @@ _LO = np.array([0, 0, 1])
 _HI = np.array([1, 2, 2])
 
 
-def run_identities(samples=10_000, seed=42, r_lo=1e-3, r_hi=1e2):
+def run_identities(samples, seed):
     """Row identity with chain-rule diagonals, pairwise symmetry, sign of
     the off-diagonal derivatives, and equality of the two denominator
     representations, on random admissible triangles."""
     rep = SweepReport("identities", seed, samples)
     for lo in range(0, samples, _BATCH):
         ids = range(lo, min(lo + _BATCH, samples))
-        rep.check_batch(ids, _identity_checks(sample_star_triangles(seed, ids, r_lo, r_hi)))
+        rep.check_batch(ids, _identity_checks(sample_star_triangles(seed, ids, *IDENTITY_RADII)))
     return rep
 
 
@@ -547,42 +568,26 @@ def _octahedron():
     return simplicial_from_faces(6, faces)
 
 
-def _chunk_assemblies(mesh, radii):
-    """(first row, A, B, ab_residual) per chunk of the (metrics, n) radii,
-    from one assembly of copies; A and B get one row per metric."""
-    for i in range(0, len(radii), _CHUNK):
-        r = radii[i:i + _CHUNK]
-        try:
-            asm = laplacian.assemble(mesh.copies(len(r)), r.ravel())
-        except CpflowError:
-            for metric in r:        # raise what assembling metric by metric raises
-                laplacian.assemble(mesh, metric)
-            raise
-        yield i, asm.A.reshape(r.shape), asm.B.reshape(len(r), -1), asm.ab_residual
-
-
-def run_jacobians(samples=1_000, seed=42, mesh_metrics=None, mesh=None):
+def run_jacobians(samples, seed, mesh=None):
     """Analytic derivatives against central finite differences: per-triangle
-    angle Jacobians, then mesh-level curvature Jacobians on mesh_metrics
-    metrics per mesh (by default min(100, samples)), their symmetry, and
-    the zero pattern across non-adjacent vertex pairs."""
-    if mesh_metrics is None:
-        mesh_metrics = min(100, samples)
+    angle Jacobians, then mesh-level curvature Jacobians on
+    min(MESH_METRICS, samples) metrics per mesh, their symmetry, and the
+    zero pattern across non-adjacent vertex pairs."""
     rep = SweepReport("jacobians", seed, samples)
     for lo in range(0, samples, _BATCH // 6):      # a triangle's stencil has 6 points
         ids = range(lo, min(lo + _BATCH // 6, samples))
         tp = sample_star_triangles(seed, ids, 0.1, 10.0)
-        err = matrix_rel_error(fd_angle_jacobian(tp, 1e-5), hypgeom.angle_jacobian(tp))
+        err = matrix_rel_error(fd_angle_jacobian(tp), hypgeom.angle_jacobian(tp))
         rep.check_batch(ids, [("angle_fd_matrix_rel", err, ANGLE_FD_RTOL, "upper")])
     for name, base in _targets(mesh):
-        for i in range(mesh_metrics):
+        for i in range(min(MESH_METRICS, samples)):
             rng = sample_rng(seed, 10_000 + i)
             mesh = base if i % 2 == 0 else sample_star_mesh_weights(base, rng)
             r = log_uniform(rng.random(mesh.vertex_count), 0.1, 5.0)
             asm = laplacian.assemble(mesh, r)
             rep.check_upper(f"{name}:{i}", "ab_identity_residual",
                             asm.ab_residual, AB_IDENTITY_RTOL)
-            fd = fd_curvature_jacobian(mesh, r, 1e-5)
+            fd = fd_curvature_jacobian(mesh, r)
             err = np.abs(fd - asm.L) - np.maximum(
                 CURVATURE_FD_RTOL * np.abs(asm.L), CURVATURE_FD_ATOL)
             rep.check_upper(f"{name}:{i}", "curvature_fd_margin", float(np.max(err)), 0.0)
@@ -594,14 +599,14 @@ def run_jacobians(samples=1_000, seed=42, mesh_metrics=None, mesh=None):
         rng = sample_rng(seed, 20_000 + i)
         mesh = octa if i % 2 == 0 else sample_star_mesh_weights(octa, rng)
         r = log_uniform(rng.random(mesh.vertex_count), 0.1, 5.0)
-        fd = fd_curvature_jacobian(mesh, r, 1e-5)
+        fd = fd_curvature_jacobian(mesh, r)
         for a, b in nonadjacent:
             rep.check_upper(f"octa:{i}", "nonadjacent_fd_entry",
                             abs(float(fd[a, b])), CURVATURE_FD_ATOL)
     return rep
 
 
-def run_spd(samples=100, seed=42, mesh=None):
+def run_spd(samples, seed, mesh=None):
     """Positive definiteness and exact symmetry of L on random admissible
     metrics over the built-in meshes."""
     rep = SweepReport("spd", seed, samples)
@@ -623,46 +628,34 @@ def run_spd(samples=100, seed=42, mesh=None):
     return rep
 
 
-# theorem1 maps each metric's draws to three floors, under two weightings
-_floor_draws = lru_cache(maxsize=1)(_unit_draws)
-
-
-def sweep_floor_bounds(mesh, r_floor, samples, seed, label=""):
-    """Certify a1 <= A_i <= a2 and 0 <= B_e <= a3 for radii in
-    [r_floor, r_floor + 5], including the floor itself."""
-    rep = SweepReport("theorem1", seed, samples)
-    consts = floor_bound_constants(mesh, r_floor)
-    n = mesh.vertex_count
-    ids = ["boundary", *range(samples)]
-    # Generator.uniform(r_floor, r_floor + 5.0, n) of each sample, from its unit draws
-    units = _floor_draws(seed, range(samples), n)
-    radii = np.vstack((np.full(n, r_floor), r_floor + ((r_floor + 5.0) - r_floor) * units))
-    tag = f"[{label}]" if label else ""
-    for i, A, B, residual in _chunk_assemblies(mesh, radii):
-        rep.check_batch(ids[i:i + len(A)], [
-            (f"A_min{tag}", A.min(axis=1), consts.a1, "lower"),
-            (f"A_max{tag}", A.max(axis=1), consts.a2, "upper"),
-            (f"B_min{tag}", B.min(axis=1), 0.0, "lower"),
-            (f"B_max{tag}", B.max(axis=1), consts.a3, "upper"),
-            (f"ab_identity_residual{tag}", np.full(len(A), residual), AB_IDENTITY_RTOL, "upper"),
-        ])
-    return rep
-
-
-def run_theorem1(samples=1_000, seed=42, floors=(0.25, 0.5, 1.0), mesh=None):
-    """Floor-bound certification on the tetrahedron with zero and with
-    mixed admissible weights."""
-    rep = SweepReport("theorem1", seed, samples)
+def run_theorem1(samples, seed, mesh=None):
+    """Certify a1 <= A_i <= a2 and 0 <= B_e <= a3 for radii in [R, R + 5],
+    the floor itself included, for each floor R in FLOORS, on the
+    tetrahedron with zero and with mixed admissible weights. Each metric
+    is drawn once and mapped to every floor."""
     base = mesh if mesh is not None else builtin_mesh("tetra")
     mixed = sample_star_mesh_weights(base, sample_rng(seed, 90_000))
-    for r_floor in floors:
+    n = base.vertex_count
+    units = _unit_draws(seed, range(samples), n)
+    ids = ["boundary", *range(samples)]
+    rep = SweepReport("theorem1", seed, samples * len(FLOORS) * 2)
+    for r_floor in FLOORS:
+        # Generator.uniform(r_floor, r_floor + 5.0, n) of each sample, from its unit draws
+        radii = np.vstack((np.full(n, r_floor), r_floor + ((r_floor + 5.0) - r_floor) * units))
         for mode, mesh in (("zero", base), ("mixed", mixed)):
-            label = f"R={r_floor},{mode}"
-            sub = sweep_floor_bounds(mesh, r_floor, samples, seed, label)
-            rep.sups.update(sub.sups)
-            rep.infs.update(sub.infs)
-            rep.violations.extend(sub.violations)
-    rep.samples = samples * len(floors) * 2
+            consts = floor_bound_constants(mesh, r_floor)
+            tag = f"[R={r_floor},{mode}]"
+            for i, asm in _on_copies(laplacian.assemble, mesh, radii):
+                A = asm.A.reshape(-1, n)
+                B = asm.B.reshape(len(A), -1)
+                rep.check_batch(ids[i:i + len(A)], [
+                    (f"A_min{tag}", A.min(axis=1), consts.a1, "lower"),
+                    (f"A_max{tag}", A.max(axis=1), consts.a2, "upper"),
+                    (f"B_min{tag}", B.min(axis=1), 0.0, "lower"),
+                    (f"B_max{tag}", B.max(axis=1), consts.a3, "upper"),
+                    (f"ab_identity_residual{tag}", np.full(len(A), asm.ab_residual),
+                     AB_IDENTITY_RTOL, "upper"),
+                ])
     return rep
 
 
@@ -680,9 +673,9 @@ def _log_space(lo, hi, n):
 
 
 def _boundary_decade_count(ts):
-    """Number of leading points within one decade of the boundary end."""
-    return int(np.sum(np.asarray(ts) <= 10.0 * ts[0])) if ts[0] < ts[-1] else \
-        int(np.sum(np.asarray(ts) >= 0.1 * ts[0]))
+    """Number of leading points of an ascending ray within one decade of
+    its boundary end ts[0]."""
+    return int(np.sum(ts <= 10.0 * ts[0]))
 
 
 def _uniform_bound_rays():
@@ -705,7 +698,7 @@ def _uniform_bound_rays():
     for idx, d in enumerate(((1.0, 1.0, 1.0), (1.0, 1.0, 0.01))):
         ss = _log_space(1e2 / max(d), 1.0, _RAY_POINTS)   # descending scale
         pts = [tuple(s * x for x in d) for s in ss]
-        rays.append((f"large_r{idx}", pts, _boundary_decade_count(ss)))
+        rays.append((f"large_r{idx}", pts, 0))    # no stabilization check
     return rays
 
 
@@ -718,20 +711,38 @@ def _rel_gap(p, t):
     return np.where(big < 1e-250, 0.0, np.abs(p - t) / big)
 
 
-def sweep_uniform_bounds(weight_triples, seed=42):
-    """For each admissible weight triple: sweep a radii log grid plus the
-    boundary rays, asserting finiteness and nonnegativity of the edge
-    derivative forms, cross-checking the polynomial representation, and
-    requiring the running sup to stabilize on the boundary decade of
-    every ray. Each triple is one kernel call over all its points."""
-    rep = SweepReport("theorem2", seed, 0)
-    grid = np.exp(np.linspace(math.log(1e-6), math.log(1e2), _GRID_PER_AXIS))
+def default_weight_triples(count, seed):
+    """Named corner cases plus seeded random admissible triples."""
+    triples = [
+        (0.0, 0.0, 0.0),
+        (0.0, math.pi / 2, math.pi / 2),       # derivative vanishes on one edge
+        # near the boundary pair-sum pi, nudged inside so cos rounding
+        # cannot flip a corner sign on another libm
+        (0.0, 2.0, math.pi - 2.0 - 1e-9),
+        (0.5, 0.5, 0.5),
+        (math.pi / 2, math.pi / 2, math.pi / 2),
+    ]
+    triples += [sample_star_face_weights(sample_rng(seed, 70_000 + i))
+                for i in range(count - len(triples))]
+    return triples
+
+
+def run_theorem2(samples, seed):
+    """For each of default_weight_triples(samples, seed): sweep a radii log
+    grid plus the boundary rays, asserting finiteness and nonnegativity of
+    the edge derivative forms, cross-checking the polynomial
+    representation, and requiring the running sup to stabilize on the
+    boundary decade of every shrinking ray. Each triple is one kernel call
+    over all its points."""
+    grid = _log_space(1e-6, 1e2, _GRID_PER_AXIS)
     grid_points = [(x, y, z) for x in grid for y in grid for z in grid]
     segments = [("grid", grid_points, 0)] + _uniform_bound_rays()
     names = [f"grid({x:.1e},{y:.1e},{z:.1e})" for x, y, z in grid_points]
     names += [f"{ray}:{i}" for ray, pts, _ in segments[1:] for i in range(len(pts))]
     radii = np.array([p for _, pts, _ in segments for p in pts]).T
-    for w_idx, weights in enumerate(weight_triples):
+    triples = default_weight_triples(samples, seed)
+    rep = SweepReport("theorem2", seed, radii.shape[1] * len(triples))
+    for w_idx, weights in enumerate(triples):
         if star_violations(np.cos(np.array(weights, dtype=float))).any():
             raise ValueError(f"weight triple {w_idx} violates the corner condition")
         w = np.repeat(np.array(weights, dtype=float)[:, None], radii.shape[1], axis=1)
@@ -796,31 +807,10 @@ def sweep_uniform_bounds(weight_triples, seed=42):
         if crossed.any():
             rep.record_sup("poly_cross_check_max", cross[crossed].max())
         rep.record_sup(f"poly_cross_checked[w{w_idx}]", float(np.count_nonzero(crossed)))
-    rep.samples = radii.shape[1] * len(weight_triples)
     return rep
 
 
-def default_weight_triples(count=20, seed=42):
-    """Named corner cases plus seeded random admissible triples."""
-    triples = [
-        (0.0, 0.0, 0.0),
-        (0.0, math.pi / 2, math.pi / 2),       # derivative vanishes on one edge
-        # near the boundary pair-sum pi, nudged inside so cos rounding
-        # cannot flip a corner sign on another libm
-        (0.0, 2.0, math.pi - 2.0 - 1e-9),
-        (0.5, 0.5, 0.5),
-        (math.pi / 2, math.pi / 2, math.pi / 2),
-    ]
-    triples += [sample_star_face_weights(sample_rng(seed, 70_000 + i))
-                for i in range(count - len(triples))]
-    return triples
-
-
-def run_theorem2(samples=20, seed=42):
-    return sweep_uniform_bounds(default_weight_triples(samples, seed), seed=seed)
-
-
-def run_prop24(samples=1_000, seed=42, mesh=None):
+def run_prop24(samples, seed, mesh=None):
     """Zero-weight bounds 0 < B < 1 and 0 < A_i < d_i cosh 1 on the
     built-in meshes over random metrics."""
     rep = SweepReport("prop24", seed, samples)
@@ -832,7 +822,9 @@ def run_prop24(samples=1_000, seed=42, mesh=None):
         first = 0 if name == "tetra" else 60_000
         radii = log_uniform(_unit_draws(seed, range(first, first + samples), mesh.vertex_count),
                             1e-3, 50.0)
-        for i, A, B, _ in _chunk_assemblies(mesh, radii):
+        for i, asm in _on_copies(laplacian.assemble, mesh, radii):
+            A = asm.A.reshape(-1, mesh.vertex_count)
+            B = asm.B.reshape(len(A), -1)
             b_min, b_max = B.min(axis=1), B.max(axis=1)
             ratio = (A / (deg * cosh1)).max(axis=1)
             rep.check_batch(ids[i:i + len(A)], [
@@ -846,11 +838,11 @@ def run_prop24(samples=1_000, seed=42, mesh=None):
     return rep
 
 
-def run_prop31(grid_n=50, seed=42, c_values=(0.0, -0.3, -0.7, -0.99)):
-    """Constrained grid minima of the cosine-triple expression; the bound
-    1 + c is exact, no tolerance."""
-    rep = SweepReport("prop31", seed, len(c_values))
-    for c in c_values:
+def run_prop31(grid_n, seed):
+    """Constrained grid minima of the cosine-triple expression for each c
+    in C_VALUES; the bound 1 + c is exact, no tolerance."""
+    rep = SweepReport("prop31", seed, len(C_VALUES))
+    for c in C_VALUES:
         val, arg = cosine_inequality_bruteforce(c, grid_n)
         rep.record_inf(f"min[c={c:g}]", val)
         if not (val >= 1.0 + c):
@@ -858,16 +850,16 @@ def run_prop31(grid_n=50, seed=42, c_values=(0.0, -0.3, -0.7, -0.99)):
     return rep
 
 
-def run_lemma52(seed=42):
+def run_lemma52(seed):
     """Angle decay thresholds: finite for every epsilon, monotone as
     epsilon shrinks."""
-    rep = SweepReport("lemma52", seed, 0)
     panels = [("zero", (0.0, 0.0, 0.0))] + [
         (f"mixed{i}", sample_star_face_weights(sample_rng(seed, 80_000 + i))) for i in range(2)]
+    rep = SweepReport("lemma52", seed, 3 * len(panels))     # two epsilons and pi per panel
     for name, weights in panels:
         last = None
         for eps in (1e-3, 1e-6):
-            thr, found = angle_decay_threshold(weights, eps, (0.1, 10.0), seed=seed)
+            thr, found = angle_decay_threshold(weights, eps, seed)
             rep.record_sup(f"threshold[{name},eps={eps:g}]", thr)
             if not found:
                 rep.violate(f"{name}:eps={eps:g}", "threshold_not_found", thr,
@@ -875,9 +867,8 @@ def run_lemma52(seed=42):
             if last is not None and thr < last * (1.0 - 1e-9):
                 rep.violate(f"{name}:eps={eps:g}", "threshold_monotonicity", thr, last)
             last = thr
-        thr_pi, _ = angle_decay_threshold(weights, math.pi, (0.1, 10.0), seed=seed)
+        thr_pi, _ = angle_decay_threshold(weights, math.pi, seed)
         rep.record_inf(f"threshold[{name},eps=pi]", thr_pi)
-    rep.samples = 3 * len(panels)       # two epsilons and pi per panel
     return rep
 
 
@@ -896,29 +887,25 @@ SUITE_NAMES = tuple(SUITES)
 MESH_SUITES = ("jacobians", "spd", "theorem1", "prop24")
 
 
-def check_suite_args(name, samples, seed):
-    """Refuse, with ValueError, an unknown suite, a samples below 1 where
-    one is given, and a negative seed. prop31 checks its own grid."""
+def check_suite_args(name, size, seed):
+    """Refuse, with ValueError, an unknown suite, a size below 1 where one
+    is given, and a negative seed. prop31 refuses a grid below 10 itself."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if samples is not None and samples < 1:
-        raise ValueError(f"samples must be positive, got {samples!r}")
+    if size is not None and size < 1:
+        raise ValueError(f"size must be positive, got {size!r}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed!r}")
 
 
-def run_suite(name, samples=None, seed=42, grid=None, mesh=None):
-    """Run a named certification suite, by default at its default size,
-    and time it.
-
-    samples sets the size, or grid for prop31, and None selects the
-    default; mesh replaces the built-in targets of the mesh-specific
-    suites, and the triangle-level suites ignore it.
-    """
-    check_suite_args(name, samples, seed)
-    run, size = SUITES[name]
-    given = grid if name == "prop31" else samples
-    args = () if size is None else (size if given is None else given,)
+def run_suite(name, size=None, seed=42, mesh=None):
+    """Run a named certification suite and time it. size is its sample
+    count, or prop31's grid, and None selects the default in SUITES;
+    lemma52 takes none. mesh replaces the built-in targets of the
+    mesh-specific suites; the triangle-level suites ignore it."""
+    check_suite_args(name, size, seed)
+    run, default = SUITES[name]
+    args = () if default is None else (default if size is None else size,)
     kwargs = {"mesh": mesh} if name in MESH_SUITES else {}
     start = time.perf_counter()
     rep = run(*args, seed=seed, **kwargs)

@@ -614,6 +614,21 @@ def sweep_floor_bounds_loop(mesh, r_floor, samples, seed, label=""):
     return rep
 
 
+def run_theorem1_loop(samples, seed, mesh=None):
+    """theorem1 as one sweep_floor_bounds_loop per floor in verify.FLOORS and
+    weighting, merged into one report."""
+    base = mesh if mesh is not None else verify.builtin_mesh("tetra")
+    mixed = verify.sample_star_mesh_weights(base, verify.sample_rng(seed, 90_000))
+    rep = verify.SweepReport("theorem1", seed, samples * len(verify.FLOORS) * 2)
+    for r_floor in verify.FLOORS:
+        for mode, m in (("zero", base), ("mixed", mixed)):
+            sub = sweep_floor_bounds_loop(m, r_floor, samples, seed, f"R={r_floor},{mode}")
+            rep.sups.update(sub.sups)
+            rep.infs.update(sub.infs)
+            rep.violations.extend(sub.violations)
+    return rep
+
+
 def run_prop24_loop(samples=1_000, seed=42, mesh=None):
     """Zero-weight bounds 0 < B < 1 and 0 < A_i < d_i cosh 1 on the
     built-in meshes over random metrics."""

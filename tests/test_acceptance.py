@@ -1,8 +1,10 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-Tolerances are pinned here, not in helper defaults, so a drive-by change
-to a default cannot silently weaken the gate. Run with `pytest -v
-tests/test_acceptance.py` (add -s to see the lines while running).
+Tolerances and sizes are pinned here, not in helper defaults, and each
+suite setting that is a module constant is asserted equal to its value,
+so a drive-by change to either cannot silently weaken the gate. Run with
+`pytest -v tests/test_acceptance.py` (add -s to see the lines while
+running).
 """
 
 import math
@@ -12,6 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from cpflow import verify
 from cpflow.flow import FlowConfig, r_lower_bound_curve, run_flow, step, velocity_bound
 from cpflow.laplacian import (
     apply_p_delta,
@@ -53,7 +56,8 @@ def _fail_lines(report, limit=3):
 
 def test_01_identity_suite():
     with criterion(1, "row identity, 1e4 admissible triangles at 1e-9"):
-        rep = run_identities(samples=10_000, seed=42, r_lo=1e-3, r_hi=1e2)
+        assert verify.IDENTITY_RADII == (1e-3, 1e2)
+        rep = run_identities(samples=10_000, seed=42)
         assert rep.passed, _fail_lines(rep)
         assert rep.sups["row_identity_residual"] <= 1e-9
         assert rep.sups["pair_symmetry"] <= 1e-12
@@ -62,7 +66,8 @@ def test_01_identity_suite():
 
 def test_02_jacobian_suite():
     with criterion(2, "analytic vs finite-difference Jacobians"):
-        rep = run_jacobians(samples=1_000, seed=42, mesh_metrics=100)
+        assert verify.MESH_METRICS == 100 and verify.FD_STEP == 1e-5
+        rep = run_jacobians(samples=1_000, seed=42)
         assert rep.passed, _fail_lines(rep)
         assert rep.sups["angle_fd_matrix_rel"] <= 1e-6
         assert rep.sups["curvature_fd_margin"] <= 0.0
@@ -72,7 +77,7 @@ def test_02_jacobian_suite():
 
 def test_03_vertex_coefficient_identity():
     with criterion(3, "A equals the weighted edge sum at every vertex"):
-        rep_j = globals().get("_JACOBIAN_REPORT") or run_jacobians(100, 42, 20)
+        rep_j = globals().get("_JACOBIAN_REPORT") or run_jacobians(20, 42)
         assert rep_j.sups["ab_identity_residual"] <= 1e-9
         rep_t1 = globals().get("_THEOREM1_REPORT")
         if rep_t1 is None:
@@ -93,7 +98,8 @@ def test_04_spd_suite():
 
 def test_05_floor_bound_suite():
     with criterion(5, "explicit floor bounds over R in {0.25, 0.5, 1.0}"):
-        rep = run_theorem1(samples=1_000, seed=42, floors=(0.25, 0.5, 1.0))
+        assert verify.FLOORS == (0.25, 0.5, 1.0)
+        rep = run_theorem1(samples=1_000, seed=42)
         assert rep.passed, _fail_lines(rep)
         globals()["_THEOREM1_REPORT"] = rep
 
@@ -110,7 +116,8 @@ def test_06_uniform_bound_suite():
 
 def test_07_cosine_inequality_bruteforce():
     with criterion(7, "constrained grid minima exceed 1 + c exactly"):
-        rep = run_prop31(grid_n=50, seed=42, c_values=(0.0, -0.3, -0.7, -0.99))
+        assert verify.C_VALUES == (0.0, -0.3, -0.7, -0.99)
+        rep = run_prop31(grid_n=50, seed=42)
         assert rep.passed, _fail_lines(rep)
         for c in (0.0, -0.3, -0.7, -0.99):
             assert rep.infs[f"min[c={c:g}]"] >= 1.0 + c

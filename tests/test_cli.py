@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from cpflow import cli
+from cpflow import cli, jsonio, verify
 from cpflow.laplacian import SPD_DENSE_MAX, assemble
 from cpflow.mesh import builtin_mesh, load_mesh, save_mesh
 
@@ -101,6 +101,15 @@ def test_verify_exit_codes(capsys):
     assert code == 5
     code, _, _ = run_cli(capsys, "verify", "--suite", "prop31", "--grid", "5")
     assert code == 5
+
+
+def test_verify_takes_grid_for_prop31_and_samples_for_the_rest(capsys):
+    assert run_cli(capsys, "verify", "--suite", "prop31", "--samples", "0")[0] == 5
+    assert run_cli(capsys, "verify", "--suite", "spd", "--grid", "9")[0] == 5
+    code, out, _ = run_cli(capsys, "verify", "--suite", "prop31", "--grid", "12")
+    assert code == 0
+    want = jsonio.dumps(verify.run_suite("prop31", 12).to_dict(), indent=1) + "\n"
+    assert _WALL.sub("", out) == _WALL.sub("", want)
 
 
 def test_verify_identities_seeded(capsys):

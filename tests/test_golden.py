@@ -50,7 +50,7 @@ def _digest(rep):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_small_reports_match_golden_digests(seed):
-    got = {f"{name}:{seed}": _digest(verify.run_suite(name, size, seed, size))
+    got = {f"{name}:{seed}": _digest(verify.run_suite(name, size, seed))
            for name, size in GOLDEN["sizes"].items()}
     assert got == {key: GOLDEN["small"][key] for key in got}
 

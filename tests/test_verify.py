@@ -12,7 +12,7 @@ from cpflow import verify
 from cpflow.errors import (
     CpflowError, DegenerateFaceError, NumericalConsistencyError, RadiusOverflowError)
 from cpflow.hypgeom import TrianglePacking, angle_jacobian, pair_derivative
-from cpflow.laplacian import assemble
+from cpflow.laplacian import assemble, u_of_r
 from cpflow.mesh import builtin_mesh, check_star_condition
 from cpflow.verify import (
     SubstitutedCoords,
@@ -38,7 +38,6 @@ from cpflow.verify import (
     sample_rng,
     sample_star_face_weights,
     sample_star_mesh_weights,
-    sweep_floor_bounds,
 )
 from oracles import COSINE_GRID_MIN_C07_N50, corner_gammas
 
@@ -49,7 +48,7 @@ TETRA = builtin_mesh("tetra")
 
 def test_fd_angle_jacobian_symmetric_configuration():
     tp = TrianglePacking((1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
-    fd = fd_angle_jacobian(tp, 1e-5)[:, :, 0]
+    fd = fd_angle_jacobian(tp)[:, :, 0]
     assert np.max(np.abs(fd - fd.T)) < 1e-9
 
 
@@ -62,23 +61,15 @@ def test_fd_angle_jacobian_matches_analytic():
 
 
 def test_fd_angle_jacobian_retries_only_the_triangle_that_leaves():
-    # u = ln tanh(r/2) is -5.0e-6 at r = 12.9, so its stencil at h = 1e-5
-    # leaves u < 0: that triangle alone is differenced again at h / 10
+    # u = ln tanh(r/2) is -5.0e-6 at r = 12.9, so its stencil at FD_STEP =
+    # 1e-5 leaves u < 0: that triangle alone is differenced again at a tenth
     radii = np.array([[1.0, 12.9], [1.5, 1.0], [0.7, 2.0]])
     tp = TrianglePacking(radii, np.zeros((3, 2)))
-    fd = fd_angle_jacobian(tp, 1e-5)
-    for i, h in ((0, 1e-5), (1, 0.1 * 1e-5)):
-        alone = TrianglePacking(radii[:, [i]], np.zeros((3, 1)))
-        assert fd[:, :, i].tolist() == fd_angle_jacobian(alone, h)[:, :, 0].tolist()
+    fd = fd_angle_jacobian(tp)
+    for i, h in ((0, verify.FD_STEP), (1, verify.FD_STEP / 10)):
+        alone = verify._fd_stencils(u_of_r(radii[:, [i]]), np.zeros((3, 1)), h)
+        assert fd[:, :, i].tolist() == alone[:, :, 0].tolist()
     assert np.all(matrix_rel_error(fd, angle_jacobian(tp)) < 1e-6)
-
-
-def test_fd_step_bounds():
-    tp = TrianglePacking((1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        fd_angle_jacobian(tp, 1e-1)
-    with pytest.raises(ValueError):
-        fd_curvature_jacobian(TETRA, np.ones(4), 1e-8)
 
 
 def test_fd_curvature_symmetry_and_match():
@@ -154,10 +145,11 @@ def test_corner_values_equal_the_scalar_loop_in_report_and_bounds(mesh):
 
 
 def test_floor_bounds_boundary_metric_included():
-    rep = sweep_floor_bounds(TETRA, 0.5, 10, 42)
+    rep = run_theorem1(10, 42)
     assert rep.passed
-    assert rep.infs["A_min"] >= floor_bound_constants(TETRA, 0.5).a1
-    assert rep.sups["B_max"] <= floor_bound_constants(TETRA, 0.5).a3
+    for r_floor in verify.FLOORS:
+        assert rep.infs[f"A_min[R={r_floor},zero]"] >= floor_bound_constants(TETRA, r_floor).a1
+        assert rep.sups[f"B_max[R={r_floor},zero]"] <= floor_bound_constants(TETRA, r_floor).a3
 
 
 # -- substituted polynomial forms ----------------------------------------------------
@@ -287,24 +279,24 @@ def test_cosine_grid_validation():
 # -- angle decay scan ----------------------------------------------------------------------
 
 def test_angle_decay_zero_weights():
-    thr, found = angle_decay_threshold((0.0, 0.0, 0.0), 1e-3, (0.1, 10.0))
+    thr, found = angle_decay_threshold((0.0, 0.0, 0.0), 1e-3)
     assert found and 0.1 < thr < 50.0
 
 
 def test_angle_decay_trivial_epsilon():
-    thr, found = angle_decay_threshold((0.0, 0.0, 0.0), math.pi, (0.1, 10.0))
+    thr, found = angle_decay_threshold((0.0, 0.0, 0.0), math.pi)
     assert found and thr == pytest.approx(1e-6)
 
 
 def test_angle_decay_monotone_in_epsilon():
-    t_loose, _ = angle_decay_threshold((0.0, 0.0, 0.0), 1e-3, (0.1, 10.0))
-    t_tight, _ = angle_decay_threshold((0.0, 0.0, 0.0), 1e-6, (0.1, 10.0))
+    t_loose, _ = angle_decay_threshold((0.0, 0.0, 0.0), 1e-3)
+    t_tight, _ = angle_decay_threshold((0.0, 0.0, 0.0), 1e-6)
     assert t_tight > t_loose
 
 
 def test_angle_decay_validation():
     with pytest.raises(ValueError):
-        angle_decay_threshold((0.0, 0.0, 0.0), 0.0, (0.1, 10.0))
+        angle_decay_threshold((0.0, 0.0, 0.0), 0.0)
 
 
 # -- suites -----------------------------------------------------------------------------------
@@ -317,21 +309,22 @@ def test_identity_suite_small():
 
 
 def test_jacobian_suite_small():
-    rep = run_jacobians(60, 7, mesh_metrics=8)
+    rep = run_jacobians(60, 7)
     assert rep.passed
     assert rep.sups["angle_fd_matrix_rel"] <= 1e-6
 
 
 def test_jacobian_mesh_metrics_follow_samples(monkeypatch):
-    """The mesh half assembles min(100, samples) metrics per built-in mesh
-    unless mesh_metrics says otherwise."""
+    """The mesh half assembles min(MESH_METRICS, samples) metrics per
+    built-in mesh."""
     sizes = []
     assemble_ = verify.laplacian.assemble
     monkeypatch.setattr(verify.laplacian, "assemble",
                         lambda mesh, r: sizes.append(mesh.vertex_count) or assemble_(mesh, r))
-    for samples, mesh_metrics, per_mesh in ((3, None, 3), (3, 5, 5), (150, None, 100)):
+    for samples, cap, per_mesh in ((3, 100, 3), (3, 2, 2), (150, 100, 100)):
+        monkeypatch.setattr(verify, "MESH_METRICS", cap)
         sizes.clear()
-        assert run_jacobians(samples, 7, mesh_metrics=mesh_metrics).passed
+        assert run_jacobians(samples, 7).passed
         assert sorted(sizes) == [2] * per_mesh + [4] * per_mesh
 
 
@@ -378,7 +371,7 @@ def test_weight_triples_all_admissible():
 
 
 def test_report_schema_and_dispatch():
-    rep = run_suite("prop31", None, 42, 50)
+    rep = run_suite("prop31", None, 42)
     doc = rep.to_dict()
     assert list(doc.keys()) == [
         "suite", "seed", "samples", "sups", "infs", "violations", "wall_time"
@@ -428,9 +421,10 @@ def test_block_sampler_leaves_near_zero_gammas_to_the_scalar_check():
     assert fast.bit_generator.state == slow.bit_generator.state
 
 
-def test_block_sampler_gives_up_with_a_package_error():
+def test_block_sampler_gives_up_with_a_package_error(monkeypatch):
+    monkeypatch.setattr(verify, "MAX_WEIGHT_TRIES", 3)
     with pytest.raises(CpflowError, match="did not terminate"):
-        sample_star_mesh_weights(builtin_mesh("genus2_min"), sample_rng(0, 0), max_tries=3)
+        sample_star_mesh_weights(builtin_mesh("genus2_min"), sample_rng(0, 0))
 
 
 def _report(rep):
@@ -445,8 +439,8 @@ def test_chunked_suites_match_per_metric_loops(monkeypatch, seed):
     monkeypatch.setattr(verify, "_CHUNK", 7)        # 23 or 24 metrics straddle chunks
     batched = [_report(run_theorem1(23, seed)), _report(run_theorem1(23, seed, mesh=octa)),
                _report(run_prop24(23, seed)), _report(run_prop24(23, seed, mesh=octa))]
-    monkeypatch.setattr(verify, "sweep_floor_bounds", oracles.sweep_floor_bounds_loop)
-    looped = [_report(run_theorem1(23, seed)), _report(run_theorem1(23, seed, mesh=octa)),
+    looped = [_report(oracles.run_theorem1_loop(23, seed)),
+              _report(oracles.run_theorem1_loop(23, seed, mesh=octa)),
               _report(oracles.run_prop24_loop(23, seed)),
               _report(oracles.run_prop24_loop(23, seed, mesh=octa))]
     assert batched == looped
@@ -456,10 +450,11 @@ def test_chunk_with_an_overflowing_metric_raises_what_the_loop_raises(monkeypatc
     # at this floor the boundary metric assembles and sample 8 (metric 9,
     # inside the second chunk of 7) is the first to overflow
     monkeypatch.setattr(verify, "_CHUNK", 7)
+    monkeypatch.setattr(verify, "FLOORS", (138.0,))
     with pytest.raises(RadiusOverflowError) as want:
-        oracles.sweep_floor_bounds_loop(TETRA, 138.0, 20, 0)
+        oracles.run_theorem1_loop(20, 0)
     with pytest.raises(RadiusOverflowError) as got:
-        sweep_floor_bounds(TETRA, 138.0, 20, 0)
+        run_theorem1(20, 0)
     assert str(got.value) == str(want.value)
 
 
@@ -469,13 +464,13 @@ def test_chunk_rows_are_the_per_metric_assemblies(monkeypatch, mesh):
     monkeypatch.setattr(verify, "_CHUNK", 7)
     radii = np.array([verify.log_uniform(sample_rng(5, i).random(mesh.vertex_count), 1e-3, 50.0)
                       for i in range(16)])
-    chunks = list(verify._chunk_assemblies(mesh, radii))
-    assert [first for first, *_ in chunks] == [0, 7, 14]
-    for first, A, B, residual in chunks:
-        single = [assemble(mesh, r) for r in radii[first:first + len(A)]]
-        assert A.tolist() == [asm.A.tolist() for asm in single]
-        assert B.tolist() == [asm.B.tolist() for asm in single]
-        assert residual == max(asm.ab_residual for asm in single)
+    chunks = list(verify._on_copies(assemble, mesh, radii))
+    assert [first for first, _ in chunks] == [0, 7, 14]
+    for first, union in chunks:
+        single = [assemble(mesh, r) for r in radii[first:first + 7]]
+        assert union.A.reshape(len(single), -1).tolist() == [asm.A.tolist() for asm in single]
+        assert union.B.reshape(len(single), -1).tolist() == [asm.B.tolist() for asm in single]
+        assert union.ab_residual == max(asm.ab_residual for asm in single)
 
 
 def test_chunked_violations_match_per_metric_loop(monkeypatch):
@@ -483,9 +478,10 @@ def test_chunked_violations_match_per_metric_loop(monkeypatch):
     tight = dataclasses.replace(floor_bound_constants(TETRA, 0.5), a1=2.7, a2=2.9, a3=0.06)
     monkeypatch.setattr(verify, "floor_bound_constants", lambda mesh, r_floor: tight)
     monkeypatch.setattr(verify, "_CHUNK", 7)
-    want = oracles.sweep_floor_bounds_loop(TETRA, 0.5, 23, 0)
+    monkeypatch.setattr(verify, "FLOORS", (0.5,))
+    want = oracles.run_theorem1_loop(23, 0)
     assert len(want.violations) > 10
-    assert _report(sweep_floor_bounds(TETRA, 0.5, 23, 0)) == _report(want)
+    assert _report(run_theorem1(23, 0)) == _report(want)
 
 
 # -- block triangle sampler and stacked stencils against the loops --------------------
@@ -553,15 +549,13 @@ def test_triangle_sampler_scripted_band_and_fallback(monkeypatch):
 
 def test_floor_sweeps_share_one_draw_per_sample(monkeypatch):
     # at 7.3 and 30.3, (r_floor + 5) - r_floor is not 5 in doubles
-    for r_floor in (0.3, 7.3, 30.3):
-        assert _report(sweep_floor_bounds(TETRA, r_floor, 23, 3)) == \
-            _report(oracles.sweep_floor_bounds_loop(TETRA, r_floor, 23, 3))
+    monkeypatch.setattr(verify, "FLOORS", (0.3, 7.3, 30.3))
+    assert _report(run_theorem1(23, 3)) == _report(oracles.run_theorem1_loop(23, 3))
     calls, drawn = [], []
     sample_rng_, uniforms_ = verify.sample_rng, verify.streams.uniforms
     monkeypatch.setattr(verify, "sample_rng", lambda seed, i: calls.append(i) or sample_rng_(seed, i))
     monkeypatch.setattr(verify.streams, "uniforms",
                         lambda seed, ids, size: drawn.extend(ids) or uniforms_(seed, ids, size))
-    verify._floor_draws.cache_clear()
     run_theorem1(23, 4)
     assert sorted(drawn) == [*range(23)]
     assert sorted(calls) == [0, 90_000]     # the block's first-row check, the mixed weights
@@ -641,19 +635,34 @@ def test_mesh_suites_keep_no_reference_to_the_mesh(suite):
 
 @pytest.mark.parametrize("error", [DegenerateFaceError, RadiusOverflowError])
 def test_stacked_curvature_stencils_fall_back_point_by_point(monkeypatch, error):
-    # the union of copies raises, so every stencil point is evaluated alone
+    # the 12 stencil points of the octahedron in chunks of 7: points 8
+    # (u + h e_4) and 11 (u - h e_5), both in the second chunk, fail, so
+    # that chunk is evaluated point by point and raises what point 8 raises;
+    # a DegenerateFaceError fails the step h / 10 too
     curvature_ = verify.laplacian.curvature
-
-    def refuse_unions(mesh, r):
-        if mesh.vertex_count > 6:
-            raise error("refused")
-        return curvature_(mesh, r)
-
     octa = verify._octahedron()
-    r = np.array([0.3, 13.0, 1.0, 2.0, 0.7, 4.0])
-    want = oracles.fd_curvature_jacobian_loop(octa, r)
-    monkeypatch.setattr(verify.laplacian, "curvature", refuse_unions)
-    assert fd_curvature_jacobian(octa, r).tolist() == want.tolist()
+    r = np.array([0.3, 1.2, 1.0, 2.0, 0.7, 4.0])
+    base = verify.laplacian.r_of_u(u_of_r(r))       # the stencil's centre
+
+    def refuse_two_points(mesh, radii):
+        rows = radii.reshape(-1, octa.vertex_count)
+        # a union holding both points names point 11's
+        for k, moved in ((5, rows[:, 5] < base[5]), (4, rows[:, 4] > base[4])):
+            if moved.any():
+                raise error(f"stencil point moving r[{k}] refused")
+        return curvature_(mesh, radii)
+
+    monkeypatch.setattr(verify, "_CHUNK", 7)
+    monkeypatch.setattr(verify.laplacian, "curvature", refuse_two_points)
+    monkeypatch.setattr(oracles, "curvature", refuse_two_points)
+    with pytest.raises(CpflowError) as want:
+        oracles.fd_curvature_jacobian_loop(octa, r)
+    with pytest.raises(CpflowError) as got:
+        fd_curvature_jacobian(octa, r)
+    assert type(got.value) is type(want.value) is error
+    assert str(got.value) == str(want.value)
+    if error is RadiusOverflowError:
+        assert str(got.value) == "stencil point moving r[4] refused"
 
 
 # ids of one and two 32-bit words, as a list, a range and numpy ints
@@ -670,7 +679,7 @@ def test_unit_draw_block_is_the_per_id_loop(seed):
     for ids in _STREAM_IDS:
         for size in (1, 3, 51):
             got = verify._unit_draws(seed, ids, size)
-            assert got.shape == (len(ids), size) and not got.flags.writeable
+            assert got.shape == (len(ids), size)
             assert got.tobytes() == oracles.unit_draws_loop(seed, ids, size).tobytes()
 
 
