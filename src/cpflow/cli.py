@@ -140,7 +140,7 @@ def cmd_flow(args):
 
 def cmd_verify(args):
     verify.check_suite_args(args.suite, args.samples, args.seed)
-    if args.grid < 10:
+    if args.suite == "prop31" and args.grid < 10:
         raise ValueError("--grid must be at least 10")
     mesh = _load_mesh_arg(args.mesh) if args.mesh else None
     size = args.grid if args.suite == "prop31" else args.samples

@@ -4,10 +4,11 @@ Faces reference edges by id rather than by vertex pair, so non-simplicial
 triangulations are first class: a face may repeat a vertex and an edge may be
 a loop (both endpoints equal), which the minimal genus-2 mesh requires.
 
-A mesh also holds the arrays `laplacian` derives from it and `copies(m)`,
-the disjoint union of m copies on which `verify` evaluates many metrics,
-each built on first read: those of the combinatorics once, shared by every
-`with_weights` copy, those of the weights once per mesh. The corner values
+A mesh also holds the arrays `laplacian` derives from it, each built on
+first read: those of the combinatorics once, shared by every
+`with_weights` copy, those of the weights once per mesh. `copies(m)`
+builds the disjoint union of m copies on which `verify` evaluates many
+metrics; the mesh keeps no union. The corner values
 gamma are `packing.gammas`, from `hypgeom.corner_values`: the first
 violation and `check_star_condition`'s report both read them.
 """
@@ -85,9 +86,8 @@ class WeightedTriangulation:
     @classmethod
     def from_arrays(cls, vertex_count, ends, phi, corners, edge_ids):
         """From the four arrays, or nested lists of their rows; copies them."""
-        mesh = cls.__new__(cls)
-        mesh._set(vertex_count, _ids(ends, 2), np.array(phi, dtype=float),
-                  _ids(corners, 3), _ids(edge_ids, 3))
+        mesh = cls.__new__(cls)._set(vertex_count, _ids(ends, 2), np.array(phi, dtype=float),
+                                     _ids(corners, 3), _ids(edge_ids, 3))
         mesh._validate()
         return mesh
 
@@ -97,7 +97,7 @@ class WeightedTriangulation:
         self.vertex_count = int(vertex_count)
         self.ends, self.phi, self.corners, self.edge_ids = ends, phi, corners, edge_ids
         self._shared = {} if shared is None else shared
-        self._copies = {}           # m -> `copies(m)`
+        return self
 
     # -- validation -------------------------------------------------------
 
@@ -197,28 +197,23 @@ class WeightedTriangulation:
         bad = _bad_weights(phi)
         if bad.any():
             raise _weight_error(phi, int(np.argmax(bad)))
-        mesh = WeightedTriangulation.__new__(WeightedTriangulation)
-        mesh._set(self.vertex_count, self.ends, phi, self.corners, self.edge_ids, self._shared)
-        return mesh
+        return WeightedTriangulation.__new__(WeightedTriangulation)._set(
+            self.vertex_count, self.ends, phi, self.corners, self.edge_ids, self._shared)
 
     def with_uniform_weight(self, phi):
         return self.with_weights([phi] * self.edge_count)
 
     def copies(self, m):
-        """Disjoint union of m copies of the mesh: copy c holds vertex v as
-        c n + v, and its edges and faces likewise. The union at zero weights
-        is built once per m and shared with `with_weights` copies; the one
-        at this mesh's weights is kept on the mesh."""
-        if m not in self._copies:
-            key = ("copies", m)
-            if key not in self._shared:
-                n, ne = self.vertex_count, self.edge_count
-                c = np.arange(m)[:, None, None]
-                self._shared[key] = WeightedTriangulation.from_arrays(
-                    n * m, (self.ends + c * n).reshape(-1, 2), np.zeros(m * ne),
-                    (self.corners + c * n).reshape(-1, 3), (self.edge_ids + c * ne).reshape(-1, 3))
-            self._copies[m] = self._shared[key].with_weights(np.tile(self.phi, m))
-        return self._copies[m]
+        """A new disjoint union of m copies of the mesh: copy c holds vertex
+        v as c n + v, and its edges and faces likewise. Copies of a valid
+        mesh are valid, so the union is not validated again."""
+        if m < 1:
+            raise ValueError(f"copy count must be positive, got {m!r}")
+        n, ne = self.vertex_count, self.edge_count
+        c = np.arange(m)[:, None, None]
+        return WeightedTriangulation.__new__(WeightedTriangulation)._set(
+            n * m, (self.ends + c * n).reshape(-1, 2), np.tile(self.phi, m),
+            (self.corners + c * n).reshape(-1, 3), (self.edge_ids + c * ne).reshape(-1, 3))
 
     # -- arrays of the combinatorics, shared with reweighted copies ---------
 

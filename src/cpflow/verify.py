@@ -120,22 +120,25 @@ def sample_star_triangles(seed, ids, r_lo, r_hi):
 # per sample at its peak, so this keeps a suite within ~2 MB of memory
 _BATCH = 2_000
 
-# copies per union (`WeightedTriangulation.copies`): the metrics of one
-# assembly in theorem1 and prop24, the stencil points of one curvature call
-# in fd_curvature_jacobian; a whole suite at once costs ~20 MB
+# copies per union (`WeightedTriangulation.copies`, built per `_on_copies`
+# call): the metrics of one assembly in theorem1 and prop24, the stencil
+# points of one curvature call in fd_curvature_jacobian (17 MB at F = 2048)
 _CHUNK = 100
 
 
 def _on_copies(f, mesh, rows):
     """(first row, f(mesh.copies(m), chunk.ravel())) for each chunk of
-    m <= _CHUNK of the (k, n) rows. If a chunk raises, its rows are
-    evaluated one at a time on the mesh, so the error raised is the first
-    failing row's: every check is per face or per vertex, so a union
-    raises exactly when one of its rows does."""
+    m <= _CHUNK of the (k, n) rows, one union per chunk size, dropped on
+    return. If a chunk raises, its rows are evaluated one at a time on the
+    mesh, so the error raised is the first failing row's: every check is
+    per face or per vertex, so a union raises exactly when one of its rows does."""
+    m = union = None
     for i in range(0, len(rows), _CHUNK):
         chunk = rows[i:i + _CHUNK]
+        if len(chunk) != m:         # the full size, then the tail
+            m, union = len(chunk), mesh.copies(len(chunk))
         try:
-            out = f(mesh.copies(len(chunk)), chunk.ravel())
+            out = f(union, chunk.ravel())
         except CpflowError:
             for row in chunk:
                 f(mesh, row)
@@ -638,7 +641,7 @@ def run_theorem1(samples, seed, mesh=None):
     n = base.vertex_count
     units = _unit_draws(seed, range(samples), n)
     ids = ["boundary", *range(samples)]
-    rep = SweepReport("theorem1", seed, samples * len(FLOORS) * 2)
+    rep = SweepReport("theorem1", seed, (samples + 1) * len(FLOORS) * 2)     # "boundary" too
     for r_floor in FLOORS:
         # Generator.uniform(r_floor, r_floor + 5.0, n) of each sample, from its unit draws
         radii = np.vstack((np.full(n, r_floor), r_floor + ((r_floor + 5.0) - r_floor) * units))

@@ -619,7 +619,7 @@ def run_theorem1_loop(samples, seed, mesh=None):
     weighting, merged into one report."""
     base = mesh if mesh is not None else verify.builtin_mesh("tetra")
     mixed = verify.sample_star_mesh_weights(base, verify.sample_rng(seed, 90_000))
-    rep = verify.SweepReport("theorem1", seed, samples * len(verify.FLOORS) * 2)
+    rep = verify.SweepReport("theorem1", seed, (samples + 1) * len(verify.FLOORS) * 2)
     for r_floor in verify.FLOORS:
         for mode, m in (("zero", base), ("mixed", mixed)):
             sub = sweep_floor_bounds_loop(m, r_floor, samples, seed, f"R={r_floor},{mode}")

@@ -105,7 +105,12 @@ def test_verify_exit_codes(capsys):
 
 def test_verify_takes_grid_for_prop31_and_samples_for_the_rest(capsys):
     assert run_cli(capsys, "verify", "--suite", "prop31", "--samples", "0")[0] == 5
-    assert run_cli(capsys, "verify", "--suite", "spd", "--grid", "9")[0] == 5
+    # --grid sizes prop31 alone, so no other suite reads or refuses it
+    code, out, _ = run_cli(capsys, "verify", "--suite", "spd", "--grid", "9", "--samples", "2")
+    assert code == 0
+    assert _WALL.sub("", out) == _WALL.sub("", run_cli(capsys, "verify", "--suite", "spd",
+                                                       "--samples", "2")[1])
+    assert run_cli(capsys, "verify", "--suite", "prop31", "--grid", "9")[0] == 5
     code, out, _ = run_cli(capsys, "verify", "--suite", "prop31", "--grid", "12")
     assert code == 0
     want = jsonio.dumps(verify.run_suite("prop31", 12).to_dict(), indent=1) + "\n"

@@ -602,25 +602,39 @@ def test_curvature_stencils_take_one_call_per_chunk_of_copies(monkeypatch):
     assert calls == [6_400, 1_792]
 
 
-def test_reweighted_meshes_share_one_union_of_copies(monkeypatch):
-    octa = verify._octahedron()
-    n, ne = octa.vertex_count, octa.edge_count
-    builds = []
-    from_arrays = verify.WeightedTriangulation.from_arrays
-    monkeypatch.setattr(verify.WeightedTriangulation, "from_arrays",
-                        lambda *args: builds.append(args) or from_arrays(*args))
-    meshes = [sample_star_mesh_weights(octa, sample_rng(1, i)) for i in range(3)]
-    unions = [mesh.copies(12) for mesh in meshes]
-    assert len(builds) == 1
-    for mesh, union in zip(meshes, unions):
-        assert mesh.copies(12) is union
-        assert union.phi.tolist() == np.tile(mesh.phi, 12).tolist()
-        assert union.vertex_count == 12 * n
-        for got, rows, step in ((union.ends, mesh.ends, n), (union.corners, mesh.corners, n),
-                                (union.edge_ids, mesh.edge_ids, ne)):
-            assert np.array_equal(got, np.concatenate([rows + c * step for c in range(12)]))
-        for name in ("ends", "corners", "edge_ids"):
-            assert getattr(union, name) is getattr(unions[0], name)
+@pytest.mark.parametrize("mesh", _FD_MESHES, ids=["tetra", "genus2_min", "octahedron", "torus8x8"])
+def test_copies_is_a_new_offset_union_that_validates(mesh):
+    mesh = mesh.with_weights(np.random.default_rng(3).uniform(0.0, 0.5 * math.pi, mesh.edge_count))
+    n, ne = mesh.vertex_count, mesh.edge_count
+    union = mesh.copies(12)
+    assert union.vertex_count == 12 * n
+    for got, rows, step in ((union.ends, mesh.ends, n), (union.corners, mesh.corners, n),
+                            (union.edge_ids, mesh.edge_ids, ne)):
+        assert np.array_equal(got, np.concatenate([rows + c * step for c in range(12)]))
+    assert union.phi.tolist() == np.tile(mesh.phi, 12).tolist()
+    # validation is the reference: it raises on any array copies got wrong
+    verify.WeightedTriangulation.from_arrays(
+        union.vertex_count, union.ends, union.phi, union.corners, union.edge_ids)
+    assert mesh.copies(12) is not union
+    with pytest.raises(ValueError):
+        mesh.copies(0)
+
+
+def test_fd_curvature_jacobian_leaves_no_union_on_the_mesh():
+    # 512 stencil points on the 256-vertex torus: unions of 100 and 12
+    # copies, which the mesh must not keep
+    mesh = oracles.torus_grid(16, 16)
+    r = np.linspace(0.5, 2.0, mesh.vertex_count)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fd_curvature_jacobian(mesh, r)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**20
 
 
 @pytest.mark.parametrize("suite", verify.MESH_SUITES)
