@@ -116,25 +116,23 @@ def sample_star_triangles(seed, ids, r_lo, r_hi):
     return TrianglePacking(radii, weights)
 
 
-# samples per kernel call of a triangle suite: a batch holds ~800 bytes
-# per sample at its peak, so this keeps a suite within ~2 MB of memory
-_BATCH = 2_000
-
-# copies per union (`WeightedTriangulation.copies`, built per `_on_copies`
-# call): the metrics of one assembly in theorem1 and prop24, the stencil
-# points of one curvature call in fd_curvature_jacobian (17 MB at F = 2048)
-_CHUNK = 100
+# faces per kernel call: the triangles of one batch of a triangle suite
+# (~800 bytes each at the peak), and the faces of one union of copies in
+# `_on_copies`, at least one copy; either keeps a call within a few MB
+_BATCH = 2**11
 
 
 def _on_copies(f, mesh, rows):
     """(first row, f(mesh.copies(m), chunk.ravel())) for each chunk of
-    m <= _CHUNK of the (k, n) rows, one union per chunk size, dropped on
-    return. If a chunk raises, its rows are evaluated one at a time on the
-    mesh, so the error raised is the first failing row's: every check is
-    per face or per vertex, so a union raises exactly when one of its rows does."""
+    m = max(1, _BATCH // F) of the (k, n) rows, one union per chunk size,
+    dropped on return. If a chunk raises, its rows are evaluated one at a
+    time on the mesh, so the error raised is the first failing row's: every
+    check is per face or per vertex, so a union raises exactly when one of
+    its rows does."""
+    step = max(1, _BATCH // mesh.face_count)
     m = union = None
-    for i in range(0, len(rows), _CHUNK):
-        chunk = rows[i:i + _CHUNK]
+    for i in range(0, len(rows), step):
+        chunk = rows[i:i + step]
         if len(chunk) != m:         # the full size, then the tail
             m, union = len(chunk), mesh.copies(len(chunk))
         try:
@@ -175,7 +173,7 @@ def _fd_stencils(u0, weights, h):
 
 def fd_curvature_jacobian(mesh, r) -> np.ndarray:
     """Central differences of the curvature vector with respect to u: the
-    2n stencil points take one curvature call per _CHUNK of them
+    2n stencil points take one curvature call per union of copies
     (_on_copies), at FD_STEP or, if a point leaves the admissible set, at
     FD_STEP / 10."""
     u0 = laplacian.u_of_r(laplacian.validate_radii(mesh, r))

@@ -436,7 +436,8 @@ def _report(rep):
 @pytest.mark.parametrize("seed", range(4))
 def test_chunked_suites_match_per_metric_loops(monkeypatch, seed):
     octa = verify._octahedron()
-    monkeypatch.setattr(verify, "_CHUNK", 7)        # 23 or 24 metrics straddle chunks
+    # unions of 7 tetrahedra or 3 octahedra: 23 or 24 metrics straddle chunks
+    monkeypatch.setattr(verify, "_BATCH", 7 * TETRA.face_count)
     batched = [_report(run_theorem1(23, seed)), _report(run_theorem1(23, seed, mesh=octa)),
                _report(run_prop24(23, seed)), _report(run_prop24(23, seed, mesh=octa))]
     looped = [_report(oracles.run_theorem1_loop(23, seed)),
@@ -449,7 +450,7 @@ def test_chunked_suites_match_per_metric_loops(monkeypatch, seed):
 def test_chunk_with_an_overflowing_metric_raises_what_the_loop_raises(monkeypatch):
     # at this floor the boundary metric assembles and sample 8 (metric 9,
     # inside the second chunk of 7) is the first to overflow
-    monkeypatch.setattr(verify, "_CHUNK", 7)
+    monkeypatch.setattr(verify, "_BATCH", 7 * TETRA.face_count)
     monkeypatch.setattr(verify, "FLOORS", (138.0,))
     with pytest.raises(RadiusOverflowError) as want:
         oracles.run_theorem1_loop(20, 0)
@@ -461,7 +462,7 @@ def test_chunk_with_an_overflowing_metric_raises_what_the_loop_raises(monkeypatc
 @pytest.mark.parametrize("mesh", [TETRA, builtin_mesh("genus2_min"), verify._octahedron()],
                          ids=["tetra", "genus2_min", "octahedron"])
 def test_chunk_rows_are_the_per_metric_assemblies(monkeypatch, mesh):
-    monkeypatch.setattr(verify, "_CHUNK", 7)
+    monkeypatch.setattr(verify, "_BATCH", 7 * mesh.face_count)
     radii = np.array([verify.log_uniform(sample_rng(5, i).random(mesh.vertex_count), 1e-3, 50.0)
                       for i in range(16)])
     chunks = list(verify._on_copies(assemble, mesh, radii))
@@ -477,7 +478,7 @@ def test_chunked_violations_match_per_metric_loop(monkeypatch):
     # bounds in the middle of the sampled A and B: most metrics break some
     tight = dataclasses.replace(floor_bound_constants(TETRA, 0.5), a1=2.7, a2=2.9, a3=0.06)
     monkeypatch.setattr(verify, "floor_bound_constants", lambda mesh, r_floor: tight)
-    monkeypatch.setattr(verify, "_CHUNK", 7)
+    monkeypatch.setattr(verify, "_BATCH", 7 * TETRA.face_count)
     monkeypatch.setattr(verify, "FLOORS", (0.5,))
     want = oracles.run_theorem1_loop(23, 0)
     assert len(want.violations) > 10
@@ -593,13 +594,14 @@ def test_stacked_curvature_stencils_are_one_call(monkeypatch):
 
 
 def test_curvature_stencils_take_one_call_per_chunk_of_copies(monkeypatch):
-    # 128 stencil points on the 64-vertex torus: 100 copies, then 28
+    # 128 stencil points on the 64-vertex torus of 128 faces: 8 unions of
+    # 2**11 // 128 = 16 copies
     calls = []
     curvature_ = verify.laplacian.curvature
     monkeypatch.setattr(verify.laplacian, "curvature",
                         lambda mesh, r: calls.append(mesh.vertex_count) or curvature_(mesh, r))
     fd_curvature_jacobian(oracles.torus_grid(8, 8), np.linspace(0.5, 2.0, 64))
-    assert calls == [6_400, 1_792]
+    assert calls == [16 * 64] * 8
 
 
 @pytest.mark.parametrize("mesh", _FD_MESHES, ids=["tetra", "genus2_min", "octahedron", "torus8x8"])
@@ -621,7 +623,7 @@ def test_copies_is_a_new_offset_union_that_validates(mesh):
 
 
 def test_fd_curvature_jacobian_leaves_no_union_on_the_mesh():
-    # 512 stencil points on the 256-vertex torus: unions of 100 and 12
+    # 512 stencil points on the 256-vertex torus of 512 faces: unions of 4
     # copies, which the mesh must not keep
     mesh = oracles.torus_grid(16, 16)
     r = np.linspace(0.5, 2.0, mesh.vertex_count)
@@ -666,7 +668,7 @@ def test_stacked_curvature_stencils_fall_back_point_by_point(monkeypatch, error)
                 raise error(f"stencil point moving r[{k}] refused")
         return curvature_(mesh, radii)
 
-    monkeypatch.setattr(verify, "_CHUNK", 7)
+    monkeypatch.setattr(verify, "_BATCH", 7 * octa.face_count)
     monkeypatch.setattr(verify.laplacian, "curvature", refuse_two_points)
     monkeypatch.setattr(oracles, "curvature", refuse_two_points)
     with pytest.raises(CpflowError) as want:
