@@ -1,13 +1,14 @@
 """Oracles and certification sweeps.
 
-Every sweep draws its randomness through a per-sample generator derived
-from (seed, sample index), so reports are reproducible bit for bit and
-independent of evaluation order. The sampled triangles and theorem1's
-metrics draw a block of samples in one numpy pass (`streams.uniforms`),
-bit-identical to numpy's SeedSequence and PCG64; each block checks its
-first row against numpy's generator and raises NumericalConsistencyError
-if they differ. Suites return a SweepReport; a run with an empty
-violation list is a pass.
+Every sweep draws from numpy's SeedSequence and PCG64 keyed by the seed,
+so reports are reproducible bit for bit and independent of evaluation
+order. The sampled triangles of identities and jacobians, and the
+metrics of theorem1 and prop24, are rows of one stream per suite target
+(`_stream`, STREAM_TAGS): sample i is row i of the (samples, width)
+block of uniforms, drawn a block at a time, and `PCG64.advance` reaches
+any row alone. Other draws take one generator per sample, `sample_rng`.
+Suites return a SweepReport; a run with an empty violation list is a
+pass.
 
 A suite takes one size (its sample count, or prop31's grid) and a seed,
 with defaults in SUITES and run_suite; its other settings are the module
@@ -21,9 +22,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import hypgeom, laplacian, streams
-from .errors import (
-    CpflowError, DegenerateFaceError, MeshValidationError, NumericalConsistencyError)
+from . import hypgeom, laplacian
+from .errors import CpflowError, DegenerateFaceError, MeshValidationError
 from .hypgeom import NEXT, PREV, ROWS, TrianglePacking, star_violations
 from .mesh import WeightedTriangulation, builtin_mesh, simplicial_from_faces
 
@@ -42,16 +42,28 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _unit_draws(seed, ids, size):
-    """(len(ids), size) uniforms on [0, 1), row k drawn from sample_rng(seed, ids[k]):
-    all rows in one numpy pass (`streams.uniforms`), checked against
-    numpy's own generator on the first row."""
-    u = streams.uniforms(seed, ids, size).T
-    if len(ids) and not np.array_equal(u[0], sample_rng(seed, ids[0]).random(size)):
-        raise NumericalConsistencyError(
-            f"the vectorised SeedSequence/PCG64 stream of sample {ids[0]!r} differs "
-            f"from numpy {np.__version__}'s; numpy's streams have changed")
-    return u
+# one block stream per suite target that draws its samples as rows
+STREAM_TAGS = {"identities": 1, "jacobians": 2, "theorem1": 3,
+               "prop24:tetra": 4, "prop24:genus2_min": 5, "prop24:mesh": 6}
+
+
+def _stream(seed, tag, *index):
+    """Generator of the block stream tag, spawn key (tag, 0), or of the
+    stream it spawns for one sample, (tag, index, 0). numpy reads a spawn
+    key as the 32-bit words of its integers, and no integer's words end in
+    a 0 after its first word, so no sample_rng key (index,) is one of
+    these, and no two of these are equal."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tag, *index, 0)))
+
+
+def _unit_draws(seed, tag, ids, size):
+    """(len(ids), size) uniforms on [0, 1): rows ids.start to ids.stop - 1
+    of the (samples, size) block of stream tag, for a range ids. Each
+    double is one PCG64 output, so advance(ids.start * size) reaches the
+    first row."""
+    rng = _stream(seed, tag)
+    rng.bit_generator.advance(ids.start * size)
+    return rng.random((len(ids), size))
 
 
 def log_uniform(u, lo, hi):
@@ -94,15 +106,16 @@ def sample_star_mesh_weights(mesh, rng):
     raise CpflowError("weight rejection sampling did not terminate")
 
 
-def sample_star_triangles(seed, ids, r_lo, r_hi):
-    """The star triangles of the sample ids in one packing; triangle i
-    draws its log-uniform radii, then its weights, from sample_rng(seed, i).
+def sample_star_triangles(seed, tag, ids, r_lo, r_hi):
+    """The star triangles of the sample ids (a range) in one packing;
+    triangle i draws its log-uniform radii, then _TRIES weight tries, from
+    row i of stream tag.
 
-    Each triangle draws its radii and _TRIES weight tries as one block of
-    uniforms U, mapped by Generator.uniform's own lo + (hi - lo) U, so the
-    values are those of one draw at a time. A triangle with no passing try
-    in its block goes on past it with `sample_star_face_weights`."""
-    u = _unit_draws(seed, ids, 3 + 3 * _TRIES)
+    The uniforms U are mapped by Generator.uniform's own lo + (hi - lo) U,
+    so the values are those of one draw at a time. A triangle with no
+    passing try in its row goes on with `sample_star_face_weights` in the
+    stream spawned for it, `_stream(seed, tag, i)`."""
+    u = _unit_draws(seed, tag, ids, 3 + 3 * _TRIES)
     radii = log_uniform(u[:, :3], r_lo, r_hi).T.copy()
     # try j is rows 3 + 3 j to 5 + 3 j of u.T; a (3, N) block at a time stays in cache
     passed = np.array([~star_violations(np.cos(math.pi * u.T[3 + 3 * j:6 + 3 * j])).any(axis=0)
@@ -110,9 +123,7 @@ def sample_star_triangles(seed, ids, r_lo, r_hi):
     first = np.argmax(passed, axis=1)[:, None]
     weights = (math.pi * np.take_along_axis(u, 3 + 3 * first + ROWS, axis=1)).T.copy()
     for k in np.flatnonzero(~passed.any(axis=1)).tolist():
-        rng = sample_rng(seed, ids[k])
-        rng.random(3 + 3 * _TRIES)          # past the block
-        weights[:, k] = sample_star_face_weights(rng)
+        weights[:, k] = sample_star_face_weights(_stream(seed, tag, ids[k]))
     return TrianglePacking(radii, weights)
 
 
@@ -527,7 +538,8 @@ def run_identities(samples, seed):
     rep = SweepReport("identities", seed, samples)
     for lo in range(0, samples, _BATCH):
         ids = range(lo, min(lo + _BATCH, samples))
-        rep.check_batch(ids, _identity_checks(sample_star_triangles(seed, ids, *IDENTITY_RADII)))
+        tp = sample_star_triangles(seed, STREAM_TAGS["identities"], ids, *IDENTITY_RADII)
+        rep.check_batch(ids, _identity_checks(tp))
     return rep
 
 
@@ -577,7 +589,7 @@ def run_jacobians(samples, seed, mesh=None):
     rep = SweepReport("jacobians", seed, samples)
     for lo in range(0, samples, _BATCH // 6):      # a triangle's stencil has 6 points
         ids = range(lo, min(lo + _BATCH // 6, samples))
-        tp = sample_star_triangles(seed, ids, 0.1, 10.0)
+        tp = sample_star_triangles(seed, STREAM_TAGS["jacobians"], ids, 0.1, 10.0)
         err = matrix_rel_error(fd_angle_jacobian(tp), hypgeom.angle_jacobian(tp))
         rep.check_batch(ids, [("angle_fd_matrix_rel", err, ANGLE_FD_RTOL, "upper")])
     for name, base in _targets(mesh):
@@ -637,7 +649,7 @@ def run_theorem1(samples, seed, mesh=None):
     base = mesh if mesh is not None else builtin_mesh("tetra")
     mixed = sample_star_mesh_weights(base, sample_rng(seed, 90_000))
     n = base.vertex_count
-    units = _unit_draws(seed, range(samples), n)
+    units = _unit_draws(seed, STREAM_TAGS["theorem1"], range(samples), n)
     ids = ["boundary", *range(samples)]
     rep = SweepReport("theorem1", seed, (samples + 1) * len(FLOORS) * 2)     # "boundary" too
     for r_floor in FLOORS:
@@ -820,9 +832,8 @@ def run_prop24(samples, seed, mesh=None):
     for name, mesh in _targets(None if mesh is None else mesh.with_uniform_weight(0.0)):
         deg = np.asarray(mesh.degrees(), dtype=float)
         ids = [f"{name}:{i}" for i in range(samples)]
-        first = 0 if name == "tetra" else 60_000
-        radii = log_uniform(_unit_draws(seed, range(first, first + samples), mesh.vertex_count),
-                            1e-3, 50.0)
+        units = _unit_draws(seed, STREAM_TAGS[f"prop24:{name}"], range(samples), mesh.vertex_count)
+        radii = log_uniform(units, 1e-3, 50.0)
         for i, asm in _on_copies(laplacian.assemble, mesh, radii):
             A = asm.A.reshape(-1, mesh.vertex_count)
             B = asm.B.reshape(len(A), -1)

@@ -7,6 +7,7 @@ that the frozen value still matches a fresh mpmath evaluation, so a stale
 constant cannot hide.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -513,15 +514,25 @@ def apply_p_delta_loop(mesh, B, A, f, p):
 # -- per-sample and per-metric suites ---------------------------------------------------
 #
 # The loops `cpflow.verify` batched: rejection sampling one try at a time,
-# one generator per triangle and per draw, one assembly per sampled metric
-# and one curvature call per stencil point. The batched samplers and suites
-# must reproduce them bit for bit.
+# each sample drawn alone from its row of the suite's stream, one assembly
+# per sampled metric and one curvature call per stencil point. The batched
+# samplers and suites must reproduce them bit for bit.
 
-def unit_draws_loop(seed, ids, size):
-    """(len(ids), size) uniforms on [0, 1), row k drawn from sample_rng(seed, ids[k])."""
+def row_rng(seed, tag, i, size):
+    """Generator at the start of row i of the (samples, size) block of
+    stream tag: numpy's PCG64 on SeedSequence(seed, spawn_key=(tag, 0)),
+    advanced by the i * size doubles of the rows before it."""
+    bit_generator = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(tag, 0)))
+    bit_generator.advance(i * size)
+    return np.random.Generator(bit_generator)
+
+
+def unit_draws_loop(seed, tag, ids, size):
+    """(len(ids), size) uniforms on [0, 1), row k drawn alone as row ids[k]
+    of stream tag."""
     u = np.empty((len(ids), size))
     for k, i in enumerate(ids):
-        verify.sample_rng(seed, i).random(out=u[k])
+        row_rng(seed, tag, i, size).random(out=u[k])
     return u
 
 
@@ -545,23 +556,28 @@ def log_uniform_draw(rng, lo, hi, size):
     return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
 
 
-def sample_star_face_weights_loop(rng):
+def sample_star_face_weights_loop(rng, tries=None):
     """Three weights uniform on [0, pi), rejected until the scalar
-    corner_gammas are all nonnegative."""
-    while True:
+    corner_gammas are all nonnegative; None after `tries` failing tries."""
+    for _ in itertools.count() if tries is None else range(tries):
         w = rng.uniform(0.0, math.pi, 3)
         if min(corner_gammas(tuple(w))) >= 0.0:
             return tuple(float(x) for x in w)
+    return None
 
 
-def sample_star_triangles_loop(seed, ids, r_lo, r_hi):
+def sample_star_triangles_loop(seed, tag, ids, r_lo, r_hi):
     """The star triangles of the sample ids in one packing; triangle i
-    draws its log-uniform radii, then its weights, from sample_rng(seed, i)."""
+    draws its log-uniform radii, then verify._TRIES weight tries, from
+    row i of stream tag alone, and with no passing try goes on in the
+    stream spawned for it."""
+    width = 3 + 3 * verify._TRIES
     radii, weights = np.empty((3, len(ids))), np.empty((3, len(ids)))
     for k, i in enumerate(ids):
-        rng = verify.sample_rng(seed, i)
+        rng = row_rng(seed, tag, i, width)
         radii[:, k] = log_uniform_draw(rng, r_lo, r_hi, 3)
-        weights[:, k] = sample_star_face_weights_loop(rng)
+        w = sample_star_face_weights_loop(rng, verify._TRIES)
+        weights[:, k] = w or sample_star_face_weights_loop(verify._stream(seed, tag, i))
     return verify.TrianglePacking(radii, weights)
 
 
@@ -600,7 +616,7 @@ def sweep_floor_bounds_loop(mesh, r_floor, samples, seed, label=""):
     n = mesh.vertex_count
     metrics = [("boundary", np.full(n, r_floor))]
     for i in range(samples):
-        rng = verify.sample_rng(seed, i)
+        rng = row_rng(seed, verify.STREAM_TAGS["theorem1"], i, n)
         metrics.append((i, rng.uniform(r_floor, r_floor + 5.0, n)))
     tag = f"[{label}]" if label else ""
     for sid, r in metrics:
@@ -638,7 +654,7 @@ def run_prop24_loop(samples=1_000, seed=42, mesh=None):
     for name, mesh in verify._targets(None if mesh is None else mesh.with_uniform_weight(0.0)):
         deg = np.asarray(mesh.degrees(), dtype=float)
         for i in range(samples):
-            rng = verify.sample_rng(seed, i if name == "tetra" else 60_000 + i)
+            rng = row_rng(seed, verify.STREAM_TAGS[f"prop24:{name}"], i, mesh.vertex_count)
             r = log_uniform_draw(rng, 1e-3, 50.0, mesh.vertex_count)
             asm = assemble(mesh, r)
             rep.check_lower(f"{name}:{i}", "B_min", float(np.min(asm.B)), 0.0)

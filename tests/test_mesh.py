@@ -232,9 +232,9 @@ def test_every_corner_route_reads_one_gamma_near_zero(pair, monkeypatch):
         (phis.tolist() if passes else [0.0] * m.edge_count)
     units = np.zeros((1, 3 + 3 * verify._TRIES))
     units[0, 3:6] = np.array(face) / math.pi
-    monkeypatch.setattr(verify, "_unit_draws", lambda seed, ids, size: units)
+    monkeypatch.setattr(verify, "_unit_draws", lambda seed, tag, ids, size: units)
     assert (math.pi * units[0, 3:6]).tolist() == list(face)
-    assert verify.sample_star_triangles(0, [0], 0.1, 10.0).weights[:, 0].tolist() == list(want)
+    assert verify.sample_star_triangles(0, 1, range(1), 0.1, 10.0).weights[:, 0].tolist() == list(want)
 
 
 @given(st.permutations([0, 1, 2]),

@@ -487,12 +487,14 @@ def test_chunked_violations_match_per_metric_loop(monkeypatch):
 
 # -- block triangle sampler and stacked stencils against the loops --------------------
 
-@pytest.mark.parametrize("r_lo, r_hi", [(1e-3, 1e2), (0.1, 10.0)], ids=["identities", "jacobians"])
-def test_triangle_sampler_matches_per_sample_loop(r_lo, r_hi):
+@pytest.mark.parametrize("suite, r_lo, r_hi", [("identities", 1e-3, 1e2), ("jacobians", 0.1, 10.0)],
+                         ids=["identities", "jacobians"])
+def test_triangle_sampler_matches_per_sample_loop(suite, r_lo, r_hi):
+    tag = verify.STREAM_TAGS[suite]
     for seed in range(5):
         ids = range(seed * 3_000, seed * 3_000 + 4_000)
-        got = verify.sample_star_triangles(seed, ids, r_lo, r_hi)
-        want = oracles.sample_star_triangles_loop(seed, ids, r_lo, r_hi)
+        got = verify.sample_star_triangles(seed, tag, ids, r_lo, r_hi)
+        want = oracles.sample_star_triangles_loop(seed, tag, ids, r_lo, r_hi)
         assert got.radii.tolist() == want.radii.tolist()
         assert got.weights.tolist() == want.weights.tolist()
 
@@ -532,15 +534,18 @@ def test_triangle_sampler_scripted_band_and_fallback(monkeypatch):
     streams = {
         0: radii + [0.0, neg, 1.0 - neg] + [0.0, pos, 1.0 - pos] + [0.1, 0.2, 0.3] * 20,
         1: radii + [0.0, neg, 1.0 - neg] + [0.0, zero, 1.0 - zero] + [0.1, 0.2, 0.3] * 20,
-        # a full block of failing tries: the sample goes on past the block,
-        # where its fallback draws a block of tries too
+        # a full row of failing tries: the sample goes on in its spawned
+        # stream, where its fallback draws a block of tries too
         2: radii + fail * verify._TRIES + [0.3, 0.1, 0.2] + [0.0] * 48,
         3: radii + fail * (verify._TRIES + 3) + [0.0, pos, 1.0 - pos] + [0.0] * 48,
     }
-    monkeypatch.setattr(verify, "sample_rng", lambda seed, i: _UnitStream(streams[i]))
-    monkeypatch.setattr(verify, "_unit_draws", oracles.unit_draws_loop)
-    got = verify.sample_star_triangles(0, range(4), 0.1, 10.0)
-    want = oracles.sample_star_triangles_loop(0, range(4), 0.1, 10.0)
+    width = 3 + 3 * verify._TRIES       # a sample's row, then its spawned stream
+    monkeypatch.setattr(verify, "_unit_draws", lambda seed, tag, ids, size: np.array(
+        [streams[i][:size] for i in ids]))
+    monkeypatch.setattr(oracles, "row_rng", lambda seed, tag, i, size: _UnitStream(streams[i]))
+    monkeypatch.setattr(verify, "_stream", lambda seed, tag, i: _UnitStream(streams[i][width:]))
+    got = verify.sample_star_triangles(0, 1, range(4), 0.1, 10.0)
+    want = oracles.sample_star_triangles_loop(0, 1, range(4), 0.1, 10.0)
     assert got.weights.tolist() == want.weights.tolist()
     assert got.radii.tolist() == want.radii.tolist()
     assert got.weights.T[:2].tolist() == [(math.pi * np.array([0.0, x, 1.0 - x])).tolist()
@@ -553,13 +558,13 @@ def test_floor_sweeps_share_one_draw_per_sample(monkeypatch):
     monkeypatch.setattr(verify, "FLOORS", (0.3, 7.3, 30.3))
     assert _report(run_theorem1(23, 3)) == _report(oracles.run_theorem1_loop(23, 3))
     calls, drawn = [], []
-    sample_rng_, uniforms_ = verify.sample_rng, verify.streams.uniforms
+    sample_rng_, unit_draws_ = verify.sample_rng, verify._unit_draws
     monkeypatch.setattr(verify, "sample_rng", lambda seed, i: calls.append(i) or sample_rng_(seed, i))
-    monkeypatch.setattr(verify.streams, "uniforms",
-                        lambda seed, ids, size: drawn.extend(ids) or uniforms_(seed, ids, size))
+    monkeypatch.setattr(verify, "_unit_draws", lambda seed, tag, ids, size: drawn.extend(ids)
+                        or unit_draws_(seed, tag, ids, size))
     run_theorem1(23, 4)
     assert sorted(drawn) == [*range(23)]
-    assert sorted(calls) == [0, 90_000]     # the block's first-row check, the mixed weights
+    assert sorted(calls) == [90_000]        # the mixed weights
 
 
 _FD_MESHES = [TETRA, builtin_mesh("genus2_min"), verify._octahedron(), oracles.torus_grid(8, 8)]
@@ -681,27 +686,49 @@ def test_stacked_curvature_stencils_fall_back_point_by_point(monkeypatch, error)
         assert str(got.value) == "stencil point moving r[4] refused"
 
 
-# ids of one and two 32-bit words, as a list, a range and numpy ints
-_STREAM_IDS = [
-    [0, 1, 2**32 - 1, 2**32, 2**32 + 7, 2**63, 2**64 - 1, 90_000],
-    range(50_000, 50_300),
-    np.random.default_rng(5).integers(0, 2**64, 200, dtype=np.uint64),
-    np.arange(2**32 - 50, 2**32 + 50, dtype=np.int64),
-]
-
-
 @pytest.mark.parametrize("seed", [0, 42, 2**32 + 5, 2**70 + 3, 2**130])
-def test_unit_draw_block_is_the_per_id_loop(seed):
-    for ids in _STREAM_IDS:
+def test_sample_drawn_alone_is_its_row_of_the_block(seed):
+    for tag in verify.STREAM_TAGS.values():
         for size in (1, 3, 51):
-            got = verify._unit_draws(seed, ids, size)
-            assert got.shape == (len(ids), size)
-            assert got.tobytes() == oracles.unit_draws_loop(seed, ids, size).tobytes()
+            bit_generator = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(tag, 0)))
+            block = np.random.Generator(bit_generator).random((1_000, size))
+            for i in (0, 1, 2, 517, 999):
+                assert oracles.unit_draws_loop(seed, tag, [i], size).tobytes() == block[i].tobytes()
+            for ids in (range(1_000), range(517, 518), range(300, 700), range(0)):
+                got = verify._unit_draws(seed, tag, ids, size)
+                assert got.shape == (len(ids), size)
+                assert got.tobytes() == block[ids.start:ids.stop].tobytes()
 
 
-def test_unit_draw_block_checks_its_first_row_against_numpy(monkeypatch):
-    sample_rng_ = verify.sample_rng
-    monkeypatch.setattr(verify, "sample_rng", lambda seed, i: sample_rng_(seed + 1, i))
-    with pytest.raises(NumericalConsistencyError, match=f"numpy {np.__version__}"):
-        verify._unit_draws(42, range(5), 3)
-    assert verify._unit_draws(42, [], 3).shape == (0, 3)     # nothing to check
+def _key_words(key):
+    """The 32-bit words SeedSequence mixes for a spawn key of integers."""
+    words = []
+    for k in key:
+        words.append(k & 0xFFFFFFFF)
+        while k > 0xFFFFFFFF:
+            k >>= 32
+            words.append(k & 0xFFFFFFFF)
+    return tuple(words)
+
+
+def test_stream_keys_are_distinct_as_seed_words(monkeypatch):
+    # the spawn keys of one small run of every suite and of prop24 on a
+    # given mesh, and spawned streams
+    # for ids of one and two words; a key equal in words to another would
+    # draw the same stream
+    keys = set()
+    seed_sequence = np.random.SeedSequence
+
+    def recording(entropy=None, *, spawn_key=(), **kwargs):
+        keys.add(tuple(spawn_key))
+        return seed_sequence(entropy, spawn_key=spawn_key, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", recording)
+    for name in verify.SUITE_NAMES:
+        run_suite(name, 12 if name == "prop31" else 8, 0)
+    run_suite("prop24", 8, 0, mesh=verify._octahedron())
+    for tag in verify.STREAM_TAGS.values():
+        for i in (0, 1, 2**32, 2**64 - 1):
+            verify._stream(0, tag, i)
+    assert {(tag, 0) for tag in verify.STREAM_TAGS.values()} <= keys
+    assert len({_key_words(key) for key in keys}) == len(keys)
