@@ -9,8 +9,7 @@ import pytest
 
 import oracles
 from cpflow import verify
-from cpflow.errors import (
-    CpflowError, DegenerateFaceError, NumericalConsistencyError, RadiusOverflowError)
+from cpflow.errors import CpflowError, DegenerateFaceError, RadiusOverflowError
 from cpflow.hypgeom import TrianglePacking, angle_jacobian, pair_derivative
 from cpflow.laplacian import assemble, u_of_r
 from cpflow.mesh import builtin_mesh, check_star_condition
@@ -713,9 +712,8 @@ def _key_words(key):
 
 def test_stream_keys_are_distinct_as_seed_words(monkeypatch):
     # the spawn keys of one small run of every suite and of prop24 on a
-    # given mesh, and spawned streams
-    # for ids of one and two words; a key equal in words to another would
-    # draw the same stream
+    # given mesh, and spawned streams for ids of one and two words; a key
+    # equal in words to another would draw the same stream
     keys = set()
     seed_sequence = np.random.SeedSequence
 
