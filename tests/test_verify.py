@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import sys
 import tracemalloc
 import weakref
 
@@ -712,13 +713,14 @@ def _key_words(key):
 
 def test_stream_keys_are_distinct_as_seed_words(monkeypatch):
     # the spawn keys of one small run of every suite and of prop24 on a
-    # given mesh, and spawned streams for ids of one and two words; a key
-    # equal in words to another would draw the same stream
-    keys = set()
+    # given mesh, and spawned streams for ids of one and two words, by the
+    # function that made them; a block or spawned key equal in words to
+    # another key would draw the same stream
+    keys = {"sample_rng": set(), "_stream": set()}
     seed_sequence = np.random.SeedSequence
 
     def recording(entropy=None, *, spawn_key=(), **kwargs):
-        keys.add(tuple(spawn_key))
+        keys[sys._getframe(1).f_code.co_name].add(tuple(spawn_key))
         return seed_sequence(entropy, spawn_key=spawn_key, **kwargs)
 
     monkeypatch.setattr(np.random, "SeedSequence", recording)
@@ -728,5 +730,10 @@ def test_stream_keys_are_distinct_as_seed_words(monkeypatch):
     for tag in verify.STREAM_TAGS.values():
         for i in (0, 1, 2**32, 2**64 - 1):
             verify._stream(0, tag, i)
-    assert {(tag, 0) for tag in verify.STREAM_TAGS.values()} <= keys
-    assert len({_key_words(key) for key in keys}) == len(keys)
+    assert {(tag, 0) for tag in verify.STREAM_TAGS.values()} <= keys["_stream"]
+    words = {_key_words(key) for key in keys["_stream"]}
+    assert len(words) == len(keys["_stream"])
+    assert not words & {_key_words(key) for key in keys["sample_rng"]}
+    # no integer's words end in a 0 after its first word, so no sample_rng
+    # index, however large, is one of these keys
+    assert all(len(w) >= 2 and w[-1] == 0 for w in words)
