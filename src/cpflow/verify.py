@@ -13,7 +13,11 @@ pass.
 A suite takes one size (its sample count, or prop31's grid) and a seed,
 with defaults in SUITES and run_suite; its other settings are the module
 constants below. Metrics and stencil points on one mesh are evaluated a
-chunk at a time on a union of copies of it (`_on_copies`).
+chunk at a time on a union of copies of it (`_on_copies`), reweighted
+copy by copy where each metric has its own weights (spd, jacobians):
+every mesh metric of theorem1, prop24, spd and jacobians takes one
+assembly per chunk, spd one stacked eigvalsh of its copies' dense L, and
+the FD curvature Jacobians one curvature call per chunk of stencil points.
 """
 
 import math
@@ -133,24 +137,28 @@ def sample_star_triangles(seed, tag, ids, r_lo, r_hi):
 _BATCH = 2**11
 
 
-def _on_copies(f, mesh, rows):
-    """(first row, f(mesh.copies(m), chunk.ravel())) for each chunk of
-    m = max(1, _BATCH // F) of the (k, n) rows, one union per chunk size,
-    dropped on return. If a chunk raises, its rows are evaluated one at a
-    time on the mesh, so the error raised is the first failing row's: every
-    check is per face or per vertex, so a union raises exactly when one of
-    its rows does."""
+def _on_copies(f, mesh, rows, phi=None):
+    """(first row, f(union, chunk.ravel())) for each chunk of m =
+    max(1, _BATCH // F) of the (k, n) rows. The union is mesh.copies(m),
+    built once per chunk size. With per-metric weights phi (j, E), the rows
+    fall in j equal runs, run i weighted by phi[i], and each chunk's union
+    is mesh.copies(m).with_weights of its rows' weights. No union outlives
+    the call. If a chunk raises, its rows are evaluated one at a time on
+    the mesh with their weights, so the error raised is the first failing
+    row's: every check is per face or per vertex, so a union raises exactly
+    when one of its rows does."""
     step = max(1, _BATCH // mesh.face_count)
-    m = union = None
+    m = copies = None
     for i in range(0, len(rows), step):
         chunk = rows[i:i + step]
         if len(chunk) != m:         # the full size, then the tail
-            m, union = len(chunk), mesh.copies(len(chunk))
+            m, copies = len(chunk), mesh.copies(len(chunk))
+        weights = None if phi is None else phi[np.arange(i, i + m) * len(phi) // len(rows)]
         try:
-            out = f(union, chunk.ravel())
+            out = f(copies if phi is None else copies.with_weights(weights.ravel()), chunk.ravel())
         except CpflowError:
-            for row in chunk:
-                f(mesh, row)
+            for k, row in enumerate(chunk):
+                f(mesh if phi is None else mesh.with_weights(weights[k]), row)
             raise
         yield i, out
 
@@ -182,26 +190,50 @@ def _fd_stencils(u0, weights, h):
     return ((angles[..., 0::2] - angles[..., 1::2]) / (2.0 * h)).transpose(0, 2, 1)
 
 
-def fd_curvature_jacobian(mesh, r) -> np.ndarray:
-    """Central differences of the curvature vector with respect to u: the
-    2n stencil points take one curvature call per union of copies
-    (_on_copies), at FD_STEP or, if a point leaves the admissible set, at
-    FD_STEP / 10."""
-    u0 = laplacian.u_of_r(laplacian.validate_radii(mesh, r))
-    n = mesh.vertex_count
-    for h in (FD_STEP, 0.1 * FD_STEP):
-        if np.any(u0 + h >= 0.0):
-            continue            # perturbed u leaves the domain
-        d = h * np.eye(n)
-        # rows u0 + h e_b, then u0 - h e_b, for b = 0, ..., n - 1
-        r_st = laplacian.r_of_u(np.stack((u0 + d, u0 - d), axis=1).reshape(2 * n, n))
+def fd_curvature_jacobian(mesh, r, phi=None) -> np.ndarray:
+    """Central differences of the curvature vector with respect to u: (n, n)
+    at one metric r (n,), or (k, n, n) at k stacked metrics r (k, n),
+    metric i weighted by phi[i] if phi (k, E) is given. The 2n stencil
+    points of every metric take one curvature call per union of copies
+    (_on_copies). A metric's step is FD_STEP, or FD_STEP / 10 if u + FD_STEP
+    leaves the domain or its stencil at FD_STEP leaves the admissible set.
+    If a batch raises, its metrics are differenced one at a time, so the
+    error raised is the first failing metric's."""
+    r = np.asarray(r, dtype=float)
+    if r.ndim == 1:
+        phi = None if phi is None else np.asarray(phi)[None]
+        return fd_curvature_jacobian(mesh, r[None], phi)[0]
+    if len(r) == 1:
+        u0 = laplacian.u_of_r(laplacian.validate_radii(mesh, r[0]))[None]
+        for h in (FD_STEP, 0.1 * FD_STEP):
+            try:
+                return _curvature_stencils(mesh, u0, np.full(1, h), phi)
+            except DegenerateFaceError:
+                continue
+        raise DegenerateFaceError("finite-difference stencil leaves the admissible set")
+    if r.shape[1] == mesh.vertex_count:     # else each metric raises validate_radii's error
         try:
-            k = np.concatenate([c for _, c in _on_copies(laplacian.curvature, mesh, r_st)])
-        except DegenerateFaceError:
-            continue
-        k = k.reshape(n, 2, n)
-        return ((k[:, 0] - k[:, 1]) / (2.0 * h)).T.copy()
-    raise DegenerateFaceError("finite-difference stencil leaves the admissible set")
+            u0 = laplacian.u_of_r(r)
+            h = np.where(np.all(u0 + FD_STEP < 0.0, axis=1), FD_STEP, 0.1 * FD_STEP)
+            return _curvature_stencils(mesh, u0, h, phi)
+        except CpflowError:
+            pass
+    return np.stack([fd_curvature_jacobian(mesh, r[i], None if phi is None else phi[i])
+                     for i in range(len(r))])
+
+
+def _curvature_stencils(mesh, u0, h, phi):
+    """(k, n, n) central differences of K at the k metrics u0 (k, n), metric
+    i at step h[i] and weighted by phi[i] if phi is given."""
+    if np.any(u0 + h[:, None] >= 0.0):
+        raise DegenerateFaceError("finite-difference stencil leaves the admissible set")
+    k, n = u0.shape
+    d = h[:, None, None] * np.eye(n)
+    # per metric, rows u0 + h e_b, then u0 - h e_b, for b = 0, ..., n - 1
+    r_st = laplacian.r_of_u(np.stack((u0[:, None] + d, u0[:, None] - d), axis=2).reshape(-1, n))
+    K = np.concatenate([c for _, c in _on_copies(laplacian.curvature, mesh, r_st, phi)])
+    K = K.reshape(k, n, 2, n)
+    return ((K[:, :, 0] - K[:, :, 1]) / (2.0 * h[:, None, None])).transpose(0, 2, 1).copy()
 
 
 def matrix_rel_error(candidate, reference):
@@ -581,11 +613,42 @@ def _octahedron():
     return simplicial_from_faces(6, faces)
 
 
+def _mesh_metrics(base, seed, ids, r_hi, keep_even=False):
+    """(phi, radii, error): the weights (k, E) and radii (k, n) of the
+    metrics ids on base. Metric i draws from sample_rng(seed, i) its
+    weights, by sample_star_mesh_weights (base's own for an even i if
+    keep_even), then its radii, log-uniform on [0.1, r_hi]. If the sampler
+    raises at a metric, the metrics before it come back with its error,
+    which the caller raises after checking them, as a loop over the metrics
+    would."""
+    n = base.vertex_count
+    phi, radii = np.empty((len(ids), base.edge_count)), np.empty((len(ids), n))
+    for k, i in enumerate(ids):
+        rng = sample_rng(seed, i)
+        try:
+            phi[k] = (base if keep_even and i % 2 == 0 else sample_star_mesh_weights(base, rng)).phi
+        except CpflowError as exc:
+            return phi[:k], radii[:k], exc
+        radii[k] = log_uniform(rng.random(n), 0.1, r_hi)
+    return phi, radii, None
+
+
+def _dense_blocks(asm, n):
+    """(m, n, n): the dense L of each copy in the assembly of a union of m
+    copies of an n-vertex mesh, from `asm.entries`."""
+    rows, cols, vals = asm.entries
+    L = np.zeros((len(asm.A) // n, n, n))
+    copy, row = np.divmod(rows, n)
+    L[copy, row, cols % n] = vals
+    return L
+
+
 def run_jacobians(samples, seed, mesh=None):
     """Analytic derivatives against central finite differences: per-triangle
     angle Jacobians, then mesh-level curvature Jacobians on
     min(MESH_METRICS, samples) metrics per mesh, their symmetry, and the
-    zero pattern across non-adjacent vertex pairs."""
+    zero pattern across non-adjacent vertex pairs. Each chunk of mesh
+    metrics is one assembly of a union of reweighted copies."""
     rep = SweepReport("jacobians", seed, samples)
     for lo in range(0, samples, _BATCH // 6):      # a triangle's stencil has 6 points
         ids = range(lo, min(lo + _BATCH // 6, samples))
@@ -593,51 +656,67 @@ def run_jacobians(samples, seed, mesh=None):
         err = matrix_rel_error(fd_angle_jacobian(tp), hypgeom.angle_jacobian(tp))
         rep.check_batch(ids, [("angle_fd_matrix_rel", err, ANGLE_FD_RTOL, "upper")])
     for name, base in _targets(mesh):
-        for i in range(min(MESH_METRICS, samples)):
-            rng = sample_rng(seed, 10_000 + i)
-            mesh = base if i % 2 == 0 else sample_star_mesh_weights(base, rng)
-            r = log_uniform(rng.random(mesh.vertex_count), 0.1, 5.0)
-            asm = laplacian.assemble(mesh, r)
-            rep.check_upper(f"{name}:{i}", "ab_identity_residual",
-                            asm.ab_residual, AB_IDENTITY_RTOL)
-            fd = fd_curvature_jacobian(mesh, r)
-            err = np.abs(fd - asm.L) - np.maximum(
-                CURVATURE_FD_RTOL * np.abs(asm.L), CURVATURE_FD_ATOL)
-            rep.check_upper(f"{name}:{i}", "curvature_fd_margin", float(np.max(err)), 0.0)
-            rep.check_upper(f"{name}:{i}", "curvature_fd_symmetry",
-                            float(np.max(np.abs(fd - fd.T))), FD_SYMMETRY_ATOL)
+        count, n = min(MESH_METRICS, samples), base.vertex_count
+        phi, radii, failed = _mesh_metrics(base, seed, range(10_000, 10_000 + count), 5.0,
+                                           keep_even=True)
+        ids = [f"{name}:{i}" for i in range(count)]
+
+        # both stages in one f: a failing chunk redoes each row's assembly
+        # and then its differences, in the order of a loop over the metrics
+        def assemble_and_fd(union, r):
+            return (laplacian.assemble(union, r), fd_curvature_jacobian(
+                base, r.reshape(-1, n), union.phi.reshape(-1, base.edge_count)))
+
+        for i, (asm, fd) in _on_copies(assemble_and_fd, base, radii, phi):
+            L = _dense_blocks(asm, n)
+            err = np.abs(fd - L) - np.maximum(CURVATURE_FD_RTOL * np.abs(L), CURVATURE_FD_ATOL)
+            rep.check_batch(ids[i:i + len(L)], [
+                ("ab_identity_residual", np.full(len(L), asm.ab_residual), AB_IDENTITY_RTOL,
+                 "upper"),
+                ("curvature_fd_margin", err.max(axis=(1, 2)), 0.0, "upper"),
+                ("curvature_fd_symmetry", np.abs(fd - fd.transpose(0, 2, 1)).max(axis=(1, 2)),
+                 FD_SYMMETRY_ATOL, "upper"),
+            ])
+        if failed is not None:
+            raise failed
     octa = _octahedron()
-    nonadjacent = [(0, 5), (1, 3), (2, 4)]
-    for i in range(20):
-        rng = sample_rng(seed, 20_000 + i)
-        mesh = octa if i % 2 == 0 else sample_star_mesh_weights(octa, rng)
-        r = log_uniform(rng.random(mesh.vertex_count), 0.1, 5.0)
-        fd = fd_curvature_jacobian(mesh, r)
-        for a, b in nonadjacent:
-            rep.check_upper(f"octa:{i}", "nonadjacent_fd_entry",
-                            abs(float(fd[a, b])), CURVATURE_FD_ATOL)
+    phi, radii, failed = _mesh_metrics(octa, seed, range(20_000, 20_020), 5.0, keep_even=True)
+    fd = fd_curvature_jacobian(octa, radii, phi)     # metric 0 keeps octa's weights: k >= 1
+    rep.check_batch([f"octa:{i}" for i in range(len(fd))], [
+        ("nonadjacent_fd_entry", np.abs(fd[:, a, b]), CURVATURE_FD_ATOL, "upper")
+        for a, b in [(0, 5), (1, 3), (2, 4)]])
+    if failed is not None:
+        raise failed
     return rep
 
 
 def run_spd(samples, seed, mesh=None):
     """Positive definiteness and exact symmetry of L on random admissible
-    metrics over the built-in meshes."""
+    metrics over the built-in meshes. Each chunk of metrics is one
+    assembly of a union of reweighted copies, and its copies' dense L one
+    stacked eigvalsh."""
     rep = SweepReport("spd", seed, samples)
     for name, base in _targets(mesh):
-        for i in range(samples):
-            rng = sample_rng(seed, i if name == "tetra" else 50_000 + i)
-            mesh = sample_star_mesh_weights(base, rng)
-            r = log_uniform(rng.random(mesh.vertex_count), 0.1, 10.0)
-            asm = laplacian.assemble(mesh, r)
-            min_eig, sym = laplacian.spd_check(asm)
-            rep.check_lower(f"{name}:{i}", "min_eigenvalue", min_eig, 0.0)
-            if min_eig <= 0.0:
-                rep.violate(f"{name}:{i}", "min_eigenvalue_nonpositive", min_eig, 0.0)
-            rep.check_upper(f"{name}:{i}", "symmetry_residual", sym, 0.0)
-            margin = np.diag(asm.L) - (np.sum(np.abs(asm.L), axis=1) - np.abs(np.diag(asm.L)))
-            rep.check_lower(f"{name}:{i}", "diag_dominance_margin", float(np.min(margin)), 0.0)
-            rel = np.max(np.abs(margin - asm.A) / (1.0 + np.abs(asm.A)))
-            rep.check_upper(f"{name}:{i}", "dominance_margin_vs_A", float(rel), 1e-9)
+        n, first = base.vertex_count, 0 if name == "tetra" else 50_000
+        phi, radii, failed = _mesh_metrics(base, seed, range(first, first + samples), 10.0)
+        ids = [f"{name}:{i}" for i in range(samples)]
+        for i, asm in _on_copies(laplacian.assemble, base, radii, phi):
+            L = _dense_blocks(asm, n)
+            min_eig = np.linalg.eigvalsh(L)[:, 0]
+            diag = np.diagonal(L, axis1=1, axis2=2)
+            margin = diag - (np.sum(np.abs(L), axis=2) - np.abs(diag))
+            A = asm.A.reshape(len(L), n)
+            rep.check_batch(ids[i:i + len(L)], [
+                ("min_eigenvalue", min_eig, 0.0, "lower"),
+                ("min_eigenvalue_nonpositive", min_eig, 0.0, "fail", min_eig <= 0.0),
+                ("symmetry_residual", np.abs(L - L.transpose(0, 2, 1)).max(axis=(1, 2)),
+                 0.0, "upper"),
+                ("diag_dominance_margin", margin.min(axis=1), 0.0, "lower"),
+                ("dominance_margin_vs_A", (np.abs(margin - A) / (1.0 + np.abs(A))).max(axis=1),
+                 1e-9, "upper"),
+            ])
+        if failed is not None:
+            raise failed
     return rep
 
 

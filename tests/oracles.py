@@ -670,3 +670,66 @@ def run_prop24_loop(samples=1_000, seed=42, mesh=None):
             if np.any(asm.A <= 0.0) or np.any(ratio >= 1.0):
                 rep.violate(f"{name}:{i}", "A_bounds", float(np.max(ratio)), 1.0)
     return rep
+
+
+def _mesh_metric_loop(base, rng, reweight, r_hi):
+    """One metric of the spd and jacobians mesh loops: the weights from
+    rejection sampling one try at a time, or base's own, then radii
+    log-uniform on [0.1, r_hi]."""
+    mesh = sample_star_mesh_weights_loop(base, rng) if reweight else base
+    return mesh, log_uniform_draw(rng, 0.1, r_hi, mesh.vertex_count)
+
+
+def run_jacobians_loop(samples, seed, mesh=None):
+    """jacobians with one assembly and one column-loop FD Jacobian per
+    mesh metric; the triangle half is the suite's own."""
+    rep = verify.SweepReport("jacobians", seed, samples)
+    step = verify._BATCH // 6
+    for lo in range(0, samples, step):
+        ids = range(lo, min(lo + step, samples))
+        tp = verify.sample_star_triangles(seed, verify.STREAM_TAGS["jacobians"], ids, 0.1, 10.0)
+        err = verify.matrix_rel_error(verify.fd_angle_jacobian(tp),
+                                      verify.hypgeom.angle_jacobian(tp))
+        rep.check_batch(ids, [("angle_fd_matrix_rel", err, verify.ANGLE_FD_RTOL, "upper")])
+    for name, base in verify._targets(mesh):
+        for i in range(min(verify.MESH_METRICS, samples)):
+            m, r = _mesh_metric_loop(base, verify.sample_rng(seed, 10_000 + i), i % 2, 5.0)
+            asm = assemble(m, r)
+            rep.check_upper(f"{name}:{i}", "ab_identity_residual",
+                            asm.ab_residual, verify.AB_IDENTITY_RTOL)
+            fd = fd_curvature_jacobian_loop(m, r, verify.FD_STEP)
+            err = np.abs(fd - asm.L) - np.maximum(
+                verify.CURVATURE_FD_RTOL * np.abs(asm.L), verify.CURVATURE_FD_ATOL)
+            rep.check_upper(f"{name}:{i}", "curvature_fd_margin", float(np.max(err)), 0.0)
+            rep.check_upper(f"{name}:{i}", "curvature_fd_symmetry",
+                            float(np.max(np.abs(fd - fd.T))), verify.FD_SYMMETRY_ATOL)
+    octa = verify._octahedron()
+    for i in range(20):
+        m, r = _mesh_metric_loop(octa, verify.sample_rng(seed, 20_000 + i), i % 2, 5.0)
+        fd = fd_curvature_jacobian_loop(m, r, verify.FD_STEP)
+        for a, b in [(0, 5), (1, 3), (2, 4)]:
+            rep.check_upper(f"octa:{i}", "nonadjacent_fd_entry",
+                            abs(float(fd[a, b])), verify.CURVATURE_FD_ATOL)
+    return rep
+
+
+def run_spd_loop(samples, seed, mesh=None):
+    """spd with one assembly, one dense eigvalsh and one COO symmetry
+    residual per metric."""
+    rep = verify.SweepReport("spd", seed, samples)
+    for name, base in verify._targets(mesh):
+        for i in range(samples):
+            rng = verify.sample_rng(seed, i if name == "tetra" else 50_000 + i)
+            m, r = _mesh_metric_loop(base, rng, True, 10.0)
+            asm = assemble(m, r)
+            min_eig = float(np.linalg.eigvalsh(asm.L)[0])
+            sym = verify.laplacian.symmetry_residual(*asm.entries, m.vertex_count)
+            rep.check_lower(f"{name}:{i}", "min_eigenvalue", min_eig, 0.0)
+            if min_eig <= 0.0:
+                rep.violate(f"{name}:{i}", "min_eigenvalue_nonpositive", min_eig, 0.0)
+            rep.check_upper(f"{name}:{i}", "symmetry_residual", sym, 0.0)
+            margin = np.diag(asm.L) - (np.sum(np.abs(asm.L), axis=1) - np.abs(np.diag(asm.L)))
+            rep.check_lower(f"{name}:{i}", "diag_dominance_margin", float(np.min(margin)), 0.0)
+            rel = np.max(np.abs(margin - asm.A) / (1.0 + np.abs(asm.A)))
+            rep.check_upper(f"{name}:{i}", "dominance_margin_vs_A", float(rel), 1e-9)
+    return rep

@@ -16,7 +16,10 @@ The set is picked from numpy's runtime CPU features. A host of another
 group fails with a message naming it, and needs a set made there from a
 known-good commit. On an X86_V4 host, `test_digests_hold_under_the_avx2_group`
 reruns the digest tests in a subprocess under X86_V3, so both sets stay
-checked. A change meant to move report bytes regenerates every set,
+checked. The decisions of the small reports (pass or fail, sample counts,
+and which sample broke which check) are the same in every group: one
+digest of them, DECISIONS, holds on any host, and the subprocess checks it
+under X86_V3 too. A change meant to move report bytes regenerates every set,
 running the digests once with the variable above and once without, and
 says which reports moved and why.
 
@@ -90,6 +93,19 @@ def _digest(rep):
     return hashlib.sha256(jsonio.dumps(doc).encode()).hexdigest()
 
 
+# SHA-256 of the decision bytes of the small reports at seeds 0-9: per
+# report its key, passed, samples and each violation's (sample, quantity)
+DECISIONS = "6d430f393b5a3af0dfd234fb588c637148d762bf44c86f05f6eaaad27ba8b48d"
+
+
+def test_small_report_decisions_hold_in_every_group():
+    doc = [[f"{name}:{seed}", rep.passed, rep.samples,
+            [[v["sample"], v["quantity"]] for v in rep.violations]]
+           for seed in range(10) for name, size in GOLDEN["sizes"].items()
+           for rep in [verify.run_suite(name, size, seed)]]
+    assert hashlib.sha256(jsonio.dumps(doc).encode()).hexdigest() == DECISIONS
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_small_reports_match_golden_digests(seed):
     want = _golden("small")
@@ -113,7 +129,8 @@ def test_digests_hold_under_the_avx2_group():
         cwd=root, env=env, capture_output=True, text=True)
     assert group.stdout.strip() == "X86_V3", group.stderr
     tests = [f"tests/test_golden.py::{name}" for name in (
-        "test_sample_streams_are_pinned", "test_small_reports_match_golden_digests",
+        "test_sample_streams_are_pinned", "test_small_report_decisions_hold_in_every_group",
+        "test_small_reports_match_golden_digests",
         "test_default_size_reports_match_golden_digests")]
     run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
                          cwd=root, env=env, capture_output=True, text=True)

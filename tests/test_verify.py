@@ -10,7 +10,9 @@ import pytest
 
 import oracles
 from cpflow import verify
-from cpflow.errors import CpflowError, DegenerateFaceError, RadiusOverflowError
+from cpflow.errors import (
+    CpflowError, DegenerateFaceError, NumericalConsistencyError, RadiusOverflowError,
+    StarConditionError)
 from cpflow.hypgeom import TrianglePacking, angle_jacobian, pair_derivative
 from cpflow.laplacian import assemble, u_of_r
 from cpflow.mesh import builtin_mesh, check_star_condition
@@ -316,7 +318,7 @@ def test_jacobian_suite_small():
 
 def test_jacobian_mesh_metrics_follow_samples(monkeypatch):
     """The mesh half assembles min(MESH_METRICS, samples) metrics per
-    built-in mesh."""
+    built-in mesh, in one union of that many copies of it."""
     sizes = []
     assemble_ = verify.laplacian.assemble
     monkeypatch.setattr(verify.laplacian, "assemble",
@@ -325,7 +327,7 @@ def test_jacobian_mesh_metrics_follow_samples(monkeypatch):
         monkeypatch.setattr(verify, "MESH_METRICS", cap)
         sizes.clear()
         assert run_jacobians(samples, 7).passed
-        assert sorted(sizes) == [2] * per_mesh + [4] * per_mesh
+        assert sorted(sizes) == [2 * per_mesh, 4 * per_mesh]
 
 
 def test_spd_suite_small():
@@ -483,6 +485,127 @@ def test_chunked_violations_match_per_metric_loop(monkeypatch):
     want = oracles.run_theorem1_loop(23, 0)
     assert len(want.violations) > 10
     assert _report(run_theorem1(23, 0)) == _report(want)
+
+
+# -- spd and jacobians on unions of reweighted copies against the loops -----------------
+
+_OCTA = verify._octahedron()
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("mesh", [None, _OCTA], ids=["builtin", "octahedron"])
+def test_union_spd_and_jacobians_match_per_metric_loops(monkeypatch, seed, mesh):
+    # unions of 14 tetrahedra or 7 genus2_min or octahedron copies: 23
+    # metrics make two or four chunks, the last a tail
+    monkeypatch.setattr(verify, "_BATCH", 56)
+    assert (_report(run_spd(23, seed, mesh=mesh))
+            == _report(oracles.run_spd_loop(23, seed, mesh=mesh)))
+    assert (_report(run_jacobians(23, seed, mesh=mesh))
+            == _report(oracles.run_jacobians_loop(23, seed, mesh=mesh)))
+
+
+def test_union_jacobian_violations_match_per_metric_loop(monkeypatch):
+    # tolerances below the FD error: margins and symmetry break for most
+    # metrics, and a negative ATOL fails every nonadjacent octahedron entry
+    monkeypatch.setattr(verify, "_BATCH", 56)
+    monkeypatch.setattr(verify, "CURVATURE_FD_RTOL", 1e-10)
+    monkeypatch.setattr(verify, "CURVATURE_FD_ATOL", -1e-12)
+    monkeypatch.setattr(verify, "FD_SYMMETRY_ATOL", 1e-10)
+    want = oracles.run_jacobians_loop(23, 0)
+    quantities = {v["quantity"] for v in want.violations}
+    assert quantities == {"curvature_fd_margin", "curvature_fd_symmetry", "nonadjacent_fd_entry"}
+    assert len(want.violations) > 100
+    assert _report(run_jacobians(23, 0)) == _report(want)
+
+
+def _refusing(f, edge_count, refused, error):
+    """f, raising error on a mesh that holds a copy weighted by one of the
+    refused weight rows; a union holding several names the last."""
+    def g(mesh, r):
+        rows = mesh.phi.reshape(-1, edge_count)
+        hit = [k for k, phi in enumerate(refused) if (rows == phi).all(axis=1).any()]
+        if hit:
+            raise error(f"metric {hit[-1]} refused")
+        return f(mesh, r)
+    return g
+
+
+def test_union_spd_chunk_raises_what_the_loop_raises(monkeypatch):
+    # tetra metrics 9 and 12 fail, both in the second chunk of 7: a union
+    # holding both names 12 ("metric 1"), the loop 9 ("metric 0")
+    monkeypatch.setattr(verify, "_BATCH", 7 * TETRA.face_count)
+    phi = verify._mesh_metrics(TETRA, 0, range(23), 10.0)[0]
+    refuse = _refusing(assemble, TETRA.edge_count, [phi[9], phi[12]], NumericalConsistencyError)
+    monkeypatch.setattr(verify.laplacian, "assemble", refuse)
+    monkeypatch.setattr(oracles, "assemble", refuse)
+    with pytest.raises(NumericalConsistencyError) as want:
+        oracles.run_spd_loop(23, 0)
+    with pytest.raises(NumericalConsistencyError) as got:
+        run_spd(23, 0)
+    assert str(got.value) == str(want.value) == "metric 0 refused"
+
+
+@pytest.mark.parametrize("error", [DegenerateFaceError, RadiusOverflowError])
+def test_union_jacobians_chunk_raises_what_the_loop_raises(monkeypatch, error):
+    # in the second chunk of 7 tetra metrics, metric 9's stencil and metric
+    # 11's assembly fail: the loop reaches metric 9's stencil first, while
+    # the union's assembly raises first
+    monkeypatch.setattr(verify, "_BATCH", 7 * TETRA.face_count)
+    phi = verify._mesh_metrics(TETRA, 0, range(10_000, 10_023), 5.0, keep_even=True)[0]
+    curvature = _refusing(verify.laplacian.curvature, TETRA.edge_count, [phi[9]], error)
+    refuse = _refusing(assemble, TETRA.edge_count, [phi[11]], NumericalConsistencyError)
+    monkeypatch.setattr(verify.laplacian, "curvature", curvature)
+    monkeypatch.setattr(oracles, "curvature", curvature)
+    monkeypatch.setattr(verify.laplacian, "assemble", refuse)
+    monkeypatch.setattr(oracles, "assemble", refuse)
+    with pytest.raises(CpflowError) as want:
+        oracles.run_jacobians_loop(23, 0)
+    with pytest.raises(CpflowError) as got:
+        run_jacobians(23, 0)
+    assert type(got.value) is type(want.value) is error
+    assert str(got.value) == str(want.value)
+    if error is RadiusOverflowError:    # a DegenerateFaceError fails the step h / 10 too
+        assert str(got.value) == "metric 0 refused"
+
+
+def test_union_jacobians_check_the_metrics_drawn_before_the_sampler_gives_up(monkeypatch):
+    # metric 0 keeps the mesh's weights, which break the corner condition,
+    # and metric 1's sampler gives up: the loop stops at metric 0
+    monkeypatch.setattr(verify, "MAX_WEIGHT_TRIES", 0)
+    bad = TETRA.with_uniform_weight(3.0)
+    with pytest.raises(StarConditionError) as want:
+        oracles.run_jacobians_loop(2, 0, mesh=bad)
+    with pytest.raises(StarConditionError) as got:
+        run_jacobians(2, 0, mesh=bad)
+    assert str(got.value) == str(want.value)
+
+
+def test_stacked_metric_at_a_radius_of_13_alone_takes_a_tenth_of_the_step():
+    rng = sample_rng(4, 0)
+    phi = np.array([sample_star_mesh_weights(_OCTA, rng).phi for _ in range(5)])
+    r = verify.log_uniform(rng.random((5, 6)), 0.1, 5.0)
+    r[2, 3] = 13.0          # u + FD_STEP leaves the domain for metric 2 alone
+    fd = fd_curvature_jacobian(_OCTA, r, phi)
+    assert fd.shape == (5, 6, 6)
+    for i in range(5):
+        h = verify.FD_STEP / 10 if i == 2 else verify.FD_STEP
+        want = oracles.fd_curvature_jacobian_loop(_OCTA.with_weights(phi[i]), r[i], h)
+        assert fd[i].tobytes() == want.tobytes()
+    loop_at_fd_step = oracles.fd_curvature_jacobian_loop(_OCTA.with_weights(phi[2]), r[2])
+    assert fd[2].tobytes() == loop_at_fd_step.tobytes()     # the loop's own rule agrees
+
+
+@pytest.mark.parametrize("suite", [run_spd, run_jacobians])
+def test_union_suites_assemble_once_per_chunk_of_metrics(monkeypatch, suite):
+    # ceil(23 F / 56) assemblies per target: unions of 14 tetrahedra (F = 4),
+    # then of 7 genus2_min copies (F = 8); the octahedron metrics assemble none
+    monkeypatch.setattr(verify, "_BATCH", 56)
+    faces = []
+    assemble_ = verify.laplacian.assemble
+    monkeypatch.setattr(verify.laplacian, "assemble",
+                        lambda mesh, r: faces.append(mesh.face_count) or assemble_(mesh, r))
+    assert suite(23, 0).passed
+    assert faces == [56, 36] + [56, 56, 56, 16]
 
 
 # -- block triangle sampler and stacked stencils against the loops --------------------
