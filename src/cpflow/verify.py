@@ -6,9 +6,10 @@ order. The sampled triangles of identities and jacobians, and the
 metrics of theorem1 and prop24, are rows of one stream per suite target
 (`_stream`, STREAM_TAGS): sample i is row i of the (samples, width)
 block of uniforms, drawn a block at a time, and `PCG64.advance` reaches
-any row alone. Other draws take one generator per sample, `sample_rng`.
-Suites return a SweepReport; a run with an empty violation list is a
-pass.
+any row alone. Other draws take one generator per sample, `sample_rng`;
+the mesh weights of a target's metrics are rejection-sampled from their
+generators in lock-step rounds (`_star_mesh_weights`). Suites return a
+SweepReport; a run with an empty violation list is a pass.
 
 A suite takes one size (its sample count, or prop31's grid) and a seed,
 with defaults in SUITES and run_suite; its other settings are the module
@@ -18,6 +19,8 @@ copy by copy where each metric has its own weights (spd, jacobians):
 every mesh metric of theorem1, prop24, spd and jacobians takes one
 assembly per chunk, spd one stacked eigvalsh of its copies' dense L, and
 the FD curvature Jacobians one curvature call per chunk of stencil points.
+theorem2 takes one kernel call and one check_batch per chunk of weight
+triples.
 """
 
 import math
@@ -37,7 +40,7 @@ FLOORS = (0.25, 0.5, 1.0)               # theorem1: the radius floors R
 C_VALUES = (0.0, -0.3, -0.7, -0.99)     # prop31: the lower ends c of the cosines
 DECAY_RADII = (0.1, 10.0)               # lemma52: the range of the opposite radii
 FD_STEP = 1e-5      # the FD oracles' step in u; a stencil that leaves is taken at a tenth
-MAX_WEIGHT_TRIES = 1_000_000            # sample_star_mesh_weights gives up after these
+MAX_WEIGHT_TRIES = 1_000_000            # a metric's weight sampler gives up after these
 
 # -- reproducible sampling ----------------------------------------------------
 
@@ -95,19 +98,72 @@ def sample_star_face_weights(rng):
 
 def sample_star_mesh_weights(mesh, rng):
     """Per-edge weights uniform on [0, pi), rejected until every face meets
-    the corner condition: tries are checked in numpy blocks, and the
-    generator ends as single tries leave it."""
-    ne, edges = mesh.edge_count, mesh.edge_rows     # np.cos(block).T[edges] is (3, F, tries)
-    rows = max(1, 2**11 // ne)      # tries per block: 2**11 weights
-    for lo in range(0, MAX_WEIGHT_TRIES, rows):
-        state = rng.bit_generator.state
-        block = rng.uniform(0.0, math.pi, (min(rows, MAX_WEIGHT_TRIES - lo), ne))
-        passed = ~star_violations(np.cos(block).T[edges]).any(axis=(0, 1))
-        if passed.any():
-            k = int(np.argmax(passed))
-            rng.bit_generator.state = state
-            return mesh.with_weights(rng.uniform(0.0, math.pi, (k + 1, ne))[k])
-    raise CpflowError("weight rejection sampling did not terminate")
+    the corner condition: `_star_mesh_weights` with one generator."""
+    phi, failed = _star_mesh_weights(mesh, [rng])
+    if failed is not None:
+        raise failed
+    return mesh.with_weights(phi[0])
+
+
+# weights drawn per round of the mesh-weight sampler: _ROUND over all its
+# generators, and from one generator at most _FIRST in its first round and
+# at most as many as it has drawn before in a later one
+_ROUND, _FIRST = 2**15, 2**11
+
+
+def _star_mesh_weights(mesh, rngs):
+    """(phi, error): for each generator, per-edge weights uniform on [0, pi)
+    from its first try that meets the corner condition on every face, the
+    generator left just past that try, as a loop of single tries leaves it.
+
+    The generators draw in lock-step rounds (`_weight_rounds`). Those still
+    pending after MAX_WEIGHT_TRIES tries in all go on one at a time, in
+    order, so a mesh where no try passes costs at most about twice one
+    generator's MAX_WEIGHT_TRIES. A generator that reaches MAX_WEIGHT_TRIES
+    tries gives up: phi holds the rows of the generators before it, and
+    error is the CpflowError a loop over the generators would raise there."""
+    phi = np.empty((len(rngs), mesh.edge_count))
+    pending, drawn = _weight_rounds(mesh, rngs, phi, np.arange(len(rngs)), 0)
+    for i in pending.tolist():
+        if len(_weight_rounds(mesh, rngs, phi, np.array([i]), drawn)[0]):
+            return phi[:i], CpflowError("weight rejection sampling did not terminate")
+    return phi, None
+
+
+def _weight_rounds(mesh, rngs, phi, pending, drawn):
+    """Rounds of tries for the pending generators, which have drawn `drawn`
+    tries each, until all have passed, each has drawn MAX_WEIGHT_TRIES
+    tries, or the rounds have drawn MAX_WEIGHT_TRIES tries in all; returns
+    the generators still pending and the tries each has drawn.
+
+    A round draws the same t tries from each pending generator, as
+    Generator.uniform(0, pi): _ROUND weights in all, less where less of the
+    budget is left, and at least one try each; a generator's tries at most
+    double from round to round, so one that passes early draws little
+    past its passing try. Every try is screened on
+    face 0 first, from the cosines of its three columns alone; the full test
+    runs on the tries that pass. The screen is one conjunct of the full
+    test, on the same doubles, so it decides nothing the full test would
+    not. A generator's first passing try, k of its t, is its row of phi,
+    and `advance` moves the generator back by its t - k - 1 later tries:
+    PCG64 advances modulo its period 2**128, so a negative count steps back."""
+    ne, edges = mesh.edge_count, mesh.edge_rows     # np.cos(tries).T[edges] is (3, F, tries)
+    budget = MAX_WEIGHT_TRIES
+    while len(pending) and drawn < MAX_WEIGHT_TRIES and budget > 0:
+        t = min(max(1, min(_ROUND // ne, budget) // len(pending)), max(1, _FIRST // ne, drawn),
+                MAX_WEIGHT_TRIES - drawn)
+        tries = np.concatenate([rngs[i].uniform(0.0, math.pi, (t, ne)) for i in pending.tolist()])
+        screened = np.flatnonzero(~star_violations(np.cos(tries[:, edges[:, 0]]).T).any(axis=0))
+        passing = screened[~star_violations(np.cos(tries[screened]).T[edges]).any(axis=(0, 1))]
+        hit, first = np.unique(passing // t, return_index=True)
+        for j, k in zip(hit.tolist(), passing[first].tolist()):
+            i = pending[j]
+            phi[i] = tries[k]
+            rngs[i].bit_generator.advance((k - j * t + 1 - t) * ne)
+        budget -= t * len(pending)
+        drawn += t
+        pending = np.delete(pending, hit)
+    return pending, drawn
 
 
 def sample_star_triangles(seed, tag, ids, r_lo, r_hi):
@@ -616,21 +672,20 @@ def _octahedron():
 def _mesh_metrics(base, seed, ids, r_hi, keep_even=False):
     """(phi, radii, error): the weights (k, E) and radii (k, n) of the
     metrics ids on base. Metric i draws from sample_rng(seed, i) its
-    weights, by sample_star_mesh_weights (base's own for an even i if
+    weights, as sample_star_mesh_weights does (base's own for an even i if
     keep_even), then its radii, log-uniform on [0.1, r_hi]. If the sampler
     raises at a metric, the metrics before it come back with its error,
     which the caller raises after checking them, as a loop over the metrics
-    would."""
-    n = base.vertex_count
-    phi, radii = np.empty((len(ids), base.edge_count)), np.empty((len(ids), n))
-    for k, i in enumerate(ids):
-        rng = sample_rng(seed, i)
-        try:
-            phi[k] = (base if keep_even and i % 2 == 0 else sample_star_mesh_weights(base, rng)).phi
-        except CpflowError as exc:
-            return phi[:k], radii[:k], exc
-        radii[k] = log_uniform(rng.random(n), 0.1, r_hi)
-    return phi, radii, None
+    would. The reweighted metrics draw their weights together
+    (`_star_mesh_weights`)."""
+    rngs = [sample_rng(seed, i) for i in ids]
+    reweighted = [k for k, i in enumerate(ids) if not (keep_even and i % 2 == 0)]
+    weights, failed = _star_mesh_weights(base, [rngs[k] for k in reweighted])
+    count = len(ids) if failed is None else reweighted[len(weights)]
+    phi = np.tile(base.phi, (count, 1))
+    phi[reweighted[:len(weights)]] = weights
+    units = np.array([rng.random(base.vertex_count) for rng in rngs[:count]])
+    return phi, log_uniform(units.reshape(count, base.vertex_count), 0.1, r_hi), failed
 
 
 def _dense_blocks(asm, n):
@@ -819,30 +874,66 @@ def default_weight_triples(count, seed):
     return triples
 
 
+def _triple_pairs(triples, first, radii):
+    """(packing, (t1, t2)): closed_form_pair at every point of radii (3, P)
+    under each weight triple, triple k on columns k P to (k + 1) P - 1, in
+    one kernel call. If a triple breaks the corner condition or the call
+    raises, the triples are taken one at a time, each checked and then
+    evaluated, so the error raised is the one a loop over them raises."""
+    def packing(ws):
+        w = np.repeat(np.array(ws, dtype=float).T, radii.shape[1], axis=1)
+        return TrianglePacking(np.tile(radii, len(ws)), w)
+
+    def admissible(k, weights):
+        if star_violations(np.cos(np.array(weights, dtype=float))).any():
+            raise ValueError(f"weight triple {first + k} violates the corner condition")
+
+    try:
+        for k, weights in enumerate(triples):
+            admissible(k, weights)
+        tp = packing(triples)
+        return tp, closed_form_pair(tp)
+    except (CpflowError, ValueError):
+        for k, weights in enumerate(triples):
+            admissible(k, weights)
+            closed_form_pair(packing([weights]))
+        raise
+
+
 def run_theorem2(samples, seed):
     """For each of default_weight_triples(samples, seed): sweep a radii log
     grid plus the boundary rays, asserting finiteness and nonnegativity of
     the edge derivative forms, cross-checking the polynomial
     representation, and requiring the running sup to stabilize on the
-    boundary decade of every shrinking ray. Each triple is one kernel call
-    over all its points."""
+    boundary decade of every shrinking ray. The P points of a triple are
+    evaluated max(1, _BATCH // P) triples at a time: one kernel call and
+    one check_batch per chunk. Violations are listed as a loop over the
+    triples and segments lists them: point by point, and a ray's
+    stabilization after the points of that ray."""
     grid = _log_space(1e-6, 1e2, _GRID_PER_AXIS)
     grid_points = [(x, y, z) for x in grid for y in grid for z in grid]
     segments = [("grid", grid_points, 0)] + _uniform_bound_rays()
     names = [f"grid({x:.1e},{y:.1e},{z:.1e})" for x, y, z in grid_points]
     names += [f"{ray}:{i}" for ray, pts, _ in segments[1:] for i in range(len(pts))]
     radii = np.array([p for _, pts, _ in segments for p in pts]).T
+    npts = radii.shape[1]
+    bounds = np.cumsum([0] + [len(pts) for _, pts, _ in segments])
+    # the points of each segment past its boundary decade, the ray points,
+    # and the rays whose sup must stabilize (not the r -> infinity ones)
+    rest = np.concatenate([np.arange(len(pts)) >= nb for _, pts, nb in segments])
+    on_ray = np.arange(npts) >= bounds[1]
+    shrinking = np.array([name != "grid" and not name.startswith("large_r")
+                          for name, _, _ in segments])
     triples = default_weight_triples(samples, seed)
-    rep = SweepReport("theorem2", seed, radii.shape[1] * len(triples))
-    for w_idx, weights in enumerate(triples):
-        if star_violations(np.cos(np.array(weights, dtype=float))).any():
-            raise ValueError(f"weight triple {w_idx} violates the corner condition")
-        w = np.repeat(np.array(weights, dtype=float)[:, None], radii.shape[1], axis=1)
-        t1, t2 = closed_form_pair(TrianglePacking(radii, w))
+    rep = SweepReport("theorem2", seed, npts * len(triples))
+    step = max(1, _BATCH // npts)
+    for lo in range(0, len(triples), step):
+        tp, (t1, t2) = _triple_pairs(triples[lo:lo + step], lo, radii)
+        count, r, w = tp.weights.shape[1] // npts, tp.radii, tp.weights
         finite = np.isfinite(t1) & np.isfinite(t2)
         # edge t joins corners i = t + 1 and j = t + 2
         p1, p2 = poly_pair_derivative(SubstitutedCoords.from_radii(
-            radii.take(NEXT, axis=0), radii.take(PREV, axis=0), radii,
+            r.take(NEXT, axis=0), r.take(PREV, axis=0), r,
             w, w.take(PREV, axis=0), w.take(NEXT, axis=0)))
         crossed = finite & np.isfinite(p1) & np.isfinite(p2)
         cross = np.maximum(_rel_gap(p1, t1), _rel_gap(p2, t2))
@@ -851,54 +942,50 @@ def run_theorem2(samples, seed):
         if finite.any():
             rep.record_sup("t1_sup", t1[finite].max())
             rep.record_sup("t2_sup", t2[finite].max())
+        checks = []
+        for t in range(3):
+            checks += [(f"finite_t1_t2[edge{t}]", t1[t], math.inf, "fail", ~finite[t]),
+                       ("t1_min", t1[t], 0.0, "lower", finite[t]),
+                       ("t2_min", t2[t], 0.0, "lower", finite[t]),
+                       ("poly_cross_check", cross[t], DENOMINATOR_EQUIV_RTOL, "upper", crossed[t])]
+        for a in face_a:
+            checks += [("face_A_contribution", a, 0.0, "lower"),
+                       ("face_A_contribution_nonpositive", a, 0.0, "fail", a <= 0.0)]
+        first = len(rep.violations)
+        rep.check_batch(range(count * npts), checks)    # samples are positions until relabelled
+        keys = [v["sample"] for v in rep.violations[first:]]
+        for v, p in zip(rep.violations[first:], keys):
+            v["sample"] = f"w{lo + p // npts}:{names[p % npts]}"
         # per point, the largest finite t1 and t2 over the edges, else 0
         has = finite.any(axis=0)
-        m1 = np.where(has, np.where(finite, t1, -math.inf).max(axis=0), 0.0)
-        m2 = np.where(has, np.where(finite, t2, -math.inf).max(axis=0), 0.0)
-        key1, key2 = f"t1_sup[w{w_idx}]", f"t2_sup[w{w_idx}]"
-        labels = [f"w{w_idx}:{name}" for name in names]
-        end = 0
-        for ray_name, pts, n_boundary in segments:
-            seg = slice(end, end + len(pts))
-            end = seg.stop
-            checks = []
-            for t in range(3):
-                ok = finite[t, seg]
-                checks += [(f"finite_t1_t2[edge{t}]", t1[t, seg], math.inf, "fail", ~ok),
-                           ("t1_min", t1[t, seg], 0.0, "lower", ok),
-                           ("t2_min", t2[t, seg], 0.0, "lower", ok),
-                           ("poly_cross_check", cross[t, seg], DENOMINATOR_EQUIV_RTOL, "upper",
-                            crossed[t, seg])]
-            for corner in range(3):
-                a = face_a[corner, seg]
-                checks += [("face_A_contribution", a, 0.0, "lower"),
-                           ("face_A_contribution_nonpositive", a, 0.0, "fail", a <= 0.0)]
-            rep.check_batch(labels[seg], checks)
-            if ray_name == "grid":
-                if has[seg].any():      # the grid records edge values, not point maxima
-                    rep.record_sup(key1, m1[seg][has[seg]].max())
-                    rep.record_sup(key2, m2[seg][has[seg]].max())
-                continue
-            rep.record_sup(key1, m1[seg].max())
-            rep.record_sup(key2, m2[seg].max())
-            if ray_name.startswith("large_r"):
-                continue    # stabilization is certified on the r -> 0 rays
-            for kind, seq in (("t1", m1[seg]), ("t2", m2[seg])):
-                # the boundary decade (indices < n_boundary) must not lift
-                # the running sup by more than 5%: that is the numerical
-                # content of "the sup stabilizes along the ray"
-                sup_rest = float(seq[n_boundary:].max()) if len(seq) > n_boundary else 0.0
-                sup_all = float(seq.max())
-                if sup_all > (1.0 + STABILIZATION_RTOL) * sup_rest + 1e-12:
-                    rep.violate(
-                        f"w{w_idx}:{ray_name}", f"{kind}_sup_stabilization",
-                        sup_all, (1.0 + STABILIZATION_RTOL) * sup_rest,
-                    )
-        rep.record_sup(f"C1_candidate[w{w_idx}]", 2.0 * _DEGREE * rep.sups.get(key2, 0.0))
-        rep.record_sup(f"C2_candidate[w{w_idx}]", 2.0 * rep.sups.get(key1, 0.0))
+        m = np.where(has, np.where(finite, np.stack((t1, t2)), -math.inf).max(axis=1), 0.0)
+        m = m.reshape(2, count, npts)
+        # the grid records edge values, not point maxima: its points with
+        # no finite edge are left out
+        sups = np.where(has.reshape(count, npts) | on_ray, m, -math.inf).max(axis=2).tolist()
+        # the boundary decade must not lift a ray's running sup by more than
+        # 5%: that is the numerical content of "the sup stabilizes along the ray"
+        seg_max = np.maximum.reduceat(m, bounds[:-1], axis=2)
+        rest_max = np.maximum.reduceat(np.where(rest, m, -math.inf), bounds[:-1], axis=2)
+        limit = (1.0 + STABILIZATION_RTOL) * np.where(rest_max == -math.inf, 0.0, rest_max)
+        lifted = (seg_max > limit + 1e-12) & shrinking
+        for k, s, kind in np.argwhere(lifted.transpose(1, 2, 0)).tolist():
+            rep.violate(f"w{lo + k}:{segments[s][0]}", f"t{kind + 1}_sup_stabilization",
+                        seg_max[kind, k, s], limit[kind, k, s])
+            keys.append(k * npts + bounds[s + 1] - 0.5)
+        checked = np.count_nonzero(crossed.reshape(3, count, npts), axis=(0, 2)).tolist()
+        for k in range(count):
+            w_idx = lo + k
+            rep.record_sup(f"t1_sup[w{w_idx}]", sups[0][k])
+            rep.record_sup(f"t2_sup[w{w_idx}]", sups[1][k])
+            rep.record_sup(f"C1_candidate[w{w_idx}]", 2.0 * _DEGREE * sups[1][k])
+            rep.record_sup(f"C2_candidate[w{w_idx}]", 2.0 * sups[0][k])
+            rep.record_sup(f"poly_cross_checked[w{w_idx}]", float(checked[k]))
         if crossed.any():
             rep.record_sup("poly_cross_check_max", cross[crossed].max())
-        rep.record_sup(f"poly_cross_checked[w{w_idx}]", float(np.count_nonzero(crossed)))
+        # a stable sort puts each ray's stabilization after its points' violations
+        listed = rep.violations[first:]
+        rep.violations[first:] = [listed[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
     return rep
 
 

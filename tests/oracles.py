@@ -17,6 +17,7 @@ import mpmath as mp
 import numpy as np
 
 from cpflow.errors import (
+    CpflowError,
     DegenerateFaceError,
     MeshFormatError,
     MeshValidationError,
@@ -538,17 +539,22 @@ def unit_draws_loop(seed, tag, ids, size):
 
 class ScriptedRng:
     """Stands in for a Generator: uniform draws hand out the given rows in
-    turn, and bit_generator.state is the index of the next row."""
+    turn, the last one again once they run out; bit_generator.state is the
+    index of the next row, and bit_generator.advance(n) moves it by n
+    doubles, whole rows, as PCG64's does (a negative n steps back)."""
 
     def __init__(self, rows):
         self.rows = np.asarray(rows, dtype=float)
-        self.bit_generator = SimpleNamespace(state=0)
+        self.bit_generator = SimpleNamespace(state=0, advance=self._advance)
+
+    def _advance(self, delta):
+        self.bit_generator.state += delta // self.rows.shape[1]
 
     def uniform(self, low, high, size):
         count = size[0] if isinstance(size, tuple) else 1
         k = self.bit_generator.state
         self.bit_generator.state = k + count
-        block = self.rows[k:k + count]
+        block = self.rows[np.minimum(np.arange(k, k + count), len(self.rows) - 1)]
         return block if isinstance(size, tuple) else block[0]
 
 
@@ -600,12 +606,13 @@ def fd_curvature_jacobian_loop(mesh, r, h: float = 1e-5) -> np.ndarray:
 
 def sample_star_mesh_weights_loop(mesh, rng, max_tries=1_000_000):
     """Per-edge weights uniform on [0, pi), rejected until every face
-    satisfies the corner condition."""
+    satisfies the corner condition; after max_tries failing tries, the
+    error verify's sampler raises."""
     for _ in range(max_tries):
         phis = rng.uniform(0.0, math.pi, mesh.edge_count)
         if all(min(corner_gammas(tuple(phis[e] for e in f.edges))) >= 0.0 for f in mesh.faces):
             return mesh.with_weights(phis)
-    raise RuntimeError("weight rejection sampling did not terminate")
+    raise CpflowError("weight rejection sampling did not terminate")
 
 
 def sweep_floor_bounds_loop(mesh, r_floor, samples, seed, label=""):
@@ -675,8 +682,9 @@ def run_prop24_loop(samples=1_000, seed=42, mesh=None):
 def _mesh_metric_loop(base, rng, reweight, r_hi):
     """One metric of the spd and jacobians mesh loops: the weights from
     rejection sampling one try at a time, or base's own, then radii
-    log-uniform on [0.1, r_hi]."""
-    mesh = sample_star_mesh_weights_loop(base, rng) if reweight else base
+    log-uniform on [0.1, r_hi]. The sampler gives up after
+    verify.MAX_WEIGHT_TRIES tries, as the suites' does."""
+    mesh = sample_star_mesh_weights_loop(base, rng, verify.MAX_WEIGHT_TRIES) if reweight else base
     return mesh, log_uniform_draw(rng, 0.1, r_hi, mesh.vertex_count)
 
 
@@ -732,4 +740,81 @@ def run_spd_loop(samples, seed, mesh=None):
             rep.check_lower(f"{name}:{i}", "diag_dominance_margin", float(np.min(margin)), 0.0)
             rel = np.max(np.abs(margin - asm.A) / (1.0 + np.abs(asm.A)))
             rep.check_upper(f"{name}:{i}", "dominance_margin_vs_A", float(rel), 1e-9)
+    return rep
+
+
+def run_theorem2_loop(samples, seed):
+    """theorem2 with one kernel call per weight triple and one check_batch
+    per triple and segment, each ray's stabilization checked after it."""
+    NEXT, PREV = verify.NEXT, verify.PREV
+    grid = verify._log_space(1e-6, 1e2, verify._GRID_PER_AXIS)
+    grid_points = [(x, y, z) for x in grid for y in grid for z in grid]
+    segments = [("grid", grid_points, 0)] + verify._uniform_bound_rays()
+    names = [f"grid({x:.1e},{y:.1e},{z:.1e})" for x, y, z in grid_points]
+    names += [f"{ray}:{i}" for ray, pts, _ in segments[1:] for i in range(len(pts))]
+    radii = np.array([p for _, pts, _ in segments for p in pts]).T
+    triples = verify.default_weight_triples(samples, seed)
+    rep = verify.SweepReport("theorem2", seed, radii.shape[1] * len(triples))
+    for w_idx, weights in enumerate(triples):
+        if verify.star_violations(np.cos(np.array(weights, dtype=float))).any():
+            raise ValueError(f"weight triple {w_idx} violates the corner condition")
+        w = np.repeat(np.array(weights, dtype=float)[:, None], radii.shape[1], axis=1)
+        t1, t2 = verify.closed_form_pair(verify.TrianglePacking(radii, w))
+        finite = np.isfinite(t1) & np.isfinite(t2)
+        # edge t joins corners i = t + 1 and j = t + 2
+        p1, p2 = verify.poly_pair_derivative(verify.SubstitutedCoords.from_radii(
+            radii.take(NEXT, axis=0), radii.take(PREV, axis=0), radii,
+            w, w.take(PREV, axis=0), w.take(NEXT, axis=0)))
+        crossed = finite & np.isfinite(p1) & np.isfinite(p2)
+        cross = np.maximum(verify._rel_gap(p1, t1), verify._rel_gap(p2, t2))
+        # per corner, the face's contribution to A: t2 of the two edges at it
+        face_a = t2.take(PREV, axis=0) + t2.take(NEXT, axis=0)
+        if finite.any():
+            rep.record_sup("t1_sup", t1[finite].max())
+            rep.record_sup("t2_sup", t2[finite].max())
+        # per point, the largest finite t1 and t2 over the edges, else 0
+        has = finite.any(axis=0)
+        m1 = np.where(has, np.where(finite, t1, -math.inf).max(axis=0), 0.0)
+        m2 = np.where(has, np.where(finite, t2, -math.inf).max(axis=0), 0.0)
+        key1, key2 = f"t1_sup[w{w_idx}]", f"t2_sup[w{w_idx}]"
+        labels = [f"w{w_idx}:{name}" for name in names]
+        end = 0
+        for ray_name, pts, n_boundary in segments:
+            seg = slice(end, end + len(pts))
+            end = seg.stop
+            checks = []
+            for t in range(3):
+                ok = finite[t, seg]
+                checks += [(f"finite_t1_t2[edge{t}]", t1[t, seg], math.inf, "fail", ~ok),
+                           ("t1_min", t1[t, seg], 0.0, "lower", ok),
+                           ("t2_min", t2[t, seg], 0.0, "lower", ok),
+                           ("poly_cross_check", cross[t, seg], verify.DENOMINATOR_EQUIV_RTOL,
+                            "upper", crossed[t, seg])]
+            for corner in range(3):
+                a = face_a[corner, seg]
+                checks += [("face_A_contribution", a, 0.0, "lower"),
+                           ("face_A_contribution_nonpositive", a, 0.0, "fail", a <= 0.0)]
+            rep.check_batch(labels[seg], checks)
+            if ray_name == "grid":
+                if has[seg].any():      # the grid records edge values, not point maxima
+                    rep.record_sup(key1, m1[seg][has[seg]].max())
+                    rep.record_sup(key2, m2[seg][has[seg]].max())
+                continue
+            rep.record_sup(key1, m1[seg].max())
+            rep.record_sup(key2, m2[seg].max())
+            if ray_name.startswith("large_r"):
+                continue    # stabilization is certified on the r -> 0 rays
+            for kind, seq in (("t1", m1[seg]), ("t2", m2[seg])):
+                sup_rest = float(seq[n_boundary:].max()) if len(seq) > n_boundary else 0.0
+                sup_all = float(seq.max())
+                if sup_all > (1.0 + verify.STABILIZATION_RTOL) * sup_rest + 1e-12:
+                    rep.violate(
+                        f"w{w_idx}:{ray_name}", f"{kind}_sup_stabilization",
+                        sup_all, (1.0 + verify.STABILIZATION_RTOL) * sup_rest,
+                    )
+        rep.record_sup(f"C1_candidate[w{w_idx}]", 2.0 * verify._DEGREE * rep.sups.get(key2, 0.0))
+        rep.record_sup(f"C2_candidate[w{w_idx}]", 2.0 * rep.sups.get(key1, 0.0))
+        if crossed.any():
+            rep.record_sup("poly_cross_check_max", cross[crossed].max())
+        rep.record_sup(f"poly_cross_checked[w{w_idx}]", float(np.count_nonzero(crossed)))
     return rep

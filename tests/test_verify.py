@@ -429,6 +429,99 @@ def test_block_sampler_gives_up_with_a_package_error(monkeypatch):
         sample_star_mesh_weights(builtin_mesh("genus2_min"), sample_rng(0, 0))
 
 
+@pytest.mark.parametrize("keep_even", [False, True], ids=["all", "keep_even"])
+@pytest.mark.parametrize("mesh, max_tries", [
+    (TETRA, 150), (builtin_mesh("genus2_min"), 5_000), (verify._octahedron(), 4_000)],
+    ids=["tetra", "genus2_min", "octahedron"])
+def test_lock_step_sampler_matches_per_try_loop(monkeypatch, mesh, max_tries, keep_even):
+    # rounds of 2**9 weights, a few tries per metric, first rounds of at
+    # most 2**6 weights per metric, and MAX_WEIGHT_TRIES about 5 times the
+    # mean tries of one metric, below what the metrics need in all: the
+    # lock-step rounds stop with metrics pending, which finish one at a
+    # time (the tail), and at some seeds a metric gives up
+    monkeypatch.setattr(verify, "_ROUND", 2**9)
+    monkeypatch.setattr(verify, "_FIRST", 2**6)
+    monkeypatch.setattr(verify, "MAX_WEIGHT_TRIES", max_tries)
+    made, calls = [], []
+    monkeypatch.setattr(verify, "sample_rng",
+                        lambda seed, i: made.append(sample_rng(seed, i)) or made[-1])
+    rounds = verify._weight_rounds
+    monkeypatch.setattr(verify, "_weight_rounds",
+                        lambda mesh, rngs, phi, pending, drawn:
+                        calls.append(len(pending)) or rounds(mesh, rngs, phi, pending, drawn))
+    for seed in range(3):
+        made.clear()
+        phi, radii, failed = verify._mesh_metrics(mesh, seed, range(23), 5.0, keep_even)
+        for i in range(23):
+            rng = sample_rng(seed, i)
+            try:
+                want = mesh if keep_even and i % 2 == 0 else \
+                    oracles.sample_star_mesh_weights_loop(mesh, rng, max_tries)
+            except CpflowError as exc:      # the loop gives up here: the metrics before come back
+                assert str(failed) == str(exc) and len(phi) == len(radii) == i
+                break
+            assert phi[i].tolist() == want.phi.tolist()
+            r = verify.log_uniform(rng.random(mesh.vertex_count), 0.1, 5.0)
+            assert radii[i].tolist() == r.tolist()
+            assert made[i].random() == rng.random()     # the generators end in the same state
+        else:
+            assert failed is None and len(phi) == len(radii) == 23
+    # per seed one lock-step call, then a tail call per metric left pending
+    assert sum(n > 1 for n in calls) == 3 and calls.count(1) >= 3
+
+
+class _CountingRng:
+    """A Generator that counts the weight tries drawn from it."""
+
+    def __init__(self, rng, count):
+        self.rng, self.count, self.bit_generator = rng, count, rng.bit_generator
+
+    def uniform(self, low, high, size):
+        if (low, high) == (0.0, math.pi):
+            self.count[0] += size[0] if isinstance(size, tuple) else 1
+        return self.rng.uniform(low, high, size)
+
+    def random(self, size=None):
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize("suite, loop", [(run_spd, oracles.run_spd_loop),
+                                         (run_jacobians, oracles.run_jacobians_loop)],
+                         ids=["spd", "jacobians"])
+@pytest.mark.parametrize("mesh", [None, oracles.torus_grid(3, 3)], ids=["builtin", "torus3x3"])
+def test_sampler_gives_up_where_the_loop_does(monkeypatch, suite, loop, mesh):
+    # with 1 500 tries, every tetra metric passes and a genus2_min one gives
+    # up after others passed; on the 3x3 torus no try passes, so spd gives
+    # up at metric 0, and jacobians after checking metric 0 (the torus's own
+    # weights). The lock-step rounds draw at most ~1 500 tries in all before
+    # the pending metrics go on one at a time, so with rounds small next to
+    # MAX_WEIGHT_TRIES, as 2**15 weights are next to 10**6 tries, they draw
+    # at most about twice what the loop draws
+    monkeypatch.setattr(verify, "MAX_WEIGHT_TRIES", 1_500)
+    monkeypatch.setattr(verify, "_ROUND", 2**9)
+    tries, reports = [0], []
+    monkeypatch.setattr(verify, "sample_rng", lambda seed, i: _CountingRng(sample_rng(seed, i), tries))
+
+    class Kept(verify.SweepReport):
+        def __init__(self, *args):
+            super().__init__(*args)
+            reports.append(self)
+
+    monkeypatch.setattr(verify, "SweepReport", Kept)
+    drawn = []
+    for run in (loop, suite):
+        tries[0] = 0
+        with pytest.raises(CpflowError, match="weight rejection sampling did not terminate"):
+            run(12, 0, mesh=mesh)
+        drawn.append(tries[0])
+    want, got = reports
+    assert _report(got) == _report(want)
+    # the mesh metrics before the one that gave up were checked: none for spd on the torus
+    checked = "min_eigenvalue" in got.infs or "curvature_fd_margin" in got.sups
+    assert checked == (mesh is None or suite is run_jacobians)
+    assert drawn[0] <= drawn[1] <= 2 * drawn[0] + 12
+
+
 def _report(rep):
     doc = rep.to_dict()
     doc.pop("wall_time")
@@ -606,6 +699,71 @@ def test_union_suites_assemble_once_per_chunk_of_metrics(monkeypatch, suite):
                         lambda mesh, r: faces.append(mesh.face_count) or assemble_(mesh, r))
     assert suite(23, 0).passed
     assert faces == [56, 36] + [56, 56, 56, 16]
+
+
+# -- theorem2 a chunk of weight triples at a time against the per-triple loop ----------
+
+@pytest.mark.parametrize("seed", range(3))
+def test_chunked_theorem2_matches_per_triple_loop(seed):
+    assert _report(run_theorem2(20, seed)) == _report(oracles.run_theorem2_loop(20, seed))
+
+
+def test_chunked_theorem2_violations_come_in_the_loop_order(monkeypatch):
+    # no stabilization margin and a cross-check tolerance below the two
+    # routes' agreement: hundreds of point violations, and stabilization
+    # violations listed after their ray's points, before the next ray's
+    monkeypatch.setattr(verify, "STABILIZATION_RTOL", 0.0)
+    monkeypatch.setattr(verify, "DENOMINATOR_EQUIV_RTOL", 1e-14)
+    want = oracles.run_theorem2_loop(20, 0)
+    quantities = [v["quantity"] for v in want.violations]
+    assert quantities.count("poly_cross_check") > 100
+    assert {"t1_sup_stabilization", "t2_sup_stabilization"} <= set(quantities)
+    assert ("t1_sup_stabilization", "poly_cross_check") in set(zip(quantities, quantities[1:]))
+    assert _report(run_theorem2(20, 0)) == _report(want)
+
+
+@pytest.mark.parametrize("refused, inadmissible, error", [
+    ([6, 7], None, DegenerateFaceError),    # a chunk's call names 7, the loop 6
+    ([2], 3, DegenerateFaceError),          # the loop evaluates triple 2 before checking 3
+    ([], 3, ValueError)], ids=["two_kernels", "kernel_then_condition", "condition"])
+def test_chunked_theorem2_raises_what_the_loop_raises(monkeypatch, refused, inadmissible, error):
+    # chunks of 2 triples: 2 and 3 share one, and 6 and 7 another
+    assert max(1, verify._BATCH // 828) == 2
+    triples = default_weight_triples(20, 0)
+    if inadmissible is not None:
+        triples[inadmissible] = (3.0, 3.0, 3.0)
+    monkeypatch.setattr(verify, "default_weight_triples", lambda count, seed: list(triples))
+    closed = verify.closed_form_pair
+
+    def refusing(tp):
+        hit = [k for k in refused if (tp.weights.T == triples[k]).all(axis=1).any()]
+        if hit:
+            raise DegenerateFaceError(f"triple {hit[-1]} refused")
+        return closed(tp)
+
+    monkeypatch.setattr(verify, "closed_form_pair", refusing)
+    with pytest.raises(error) as want:
+        oracles.run_theorem2_loop(20, 0)
+    with pytest.raises(error) as got:
+        run_theorem2(20, 0)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_theorem2_and_spd_stay_within_their_memory_and_kernel_calls(monkeypatch):
+    # theorem2 evaluates its 828 points for max(1, _BATCH // 828) triples
+    # per kernel call: 10 calls for the default 20 triples. One call over
+    # all 20 peaks at ~11 MB, and spd's weight sampler at ~6 MB with rounds
+    # of 2**18 weights; as built they peak at ~1.6 and ~1.1 MB
+    calls = []
+    closed = verify.closed_form_pair
+    monkeypatch.setattr(verify, "closed_form_pair",
+                        lambda tp: calls.append(tp.weights.shape[1]) or closed(tp))
+    run_suite("spd")        # builds what the meshes cache
+    assert _traced_peak(run_suite, "spd") < 2 * 2**20
+    calls.clear()
+    assert _traced_peak(run_suite, "theorem2") < 3 * 2**20
+    assert len(calls) == math.ceil(20 / max(1, verify._BATCH // 828))
 
 
 # -- block triangle sampler and stacked stencils against the loops --------------------
