@@ -2,13 +2,13 @@
 
 Every sweep draws from numpy's SeedSequence and PCG64 keyed by the seed,
 so reports are reproducible bit for bit and independent of evaluation
-order. The sampled triangles of identities and jacobians, and the
-metrics of theorem1 and prop24, are rows of one stream per suite target
-(`_stream`, STREAM_TAGS): sample i is row i of the (samples, width)
-block of uniforms, drawn a block at a time, and `PCG64.advance` reaches
-any row alone. Other draws take one generator per sample, `sample_rng`;
-the mesh weights of a target's metrics are rejection-sampled from their
-generators in lock-step rounds (`_star_mesh_weights`). Suites return a
+order. The sampled radii of identities, jacobians, spd, theorem1 and
+prop24 are rows of one stream per suite target (`_stream`, STREAM_TAGS):
+sample i is row i of the (samples, width) block of uniforms, which
+`PCG64.advance` reaches alone. Every weight draw that meets the corner
+condition is `star_weights`: sample i of a target takes the i-th passing
+try of its weight stream. theorem1's mixed weights, theorem2's triples
+and lemma52 take one generator per sample, `sample_rng`. Suites return a
 SweepReport; a run with an empty violation list is a pass.
 
 A suite takes one size (its sample count, or prop31's grid) and a seed,
@@ -40,7 +40,7 @@ FLOORS = (0.25, 0.5, 1.0)               # theorem1: the radius floors R
 C_VALUES = (0.0, -0.3, -0.7, -0.99)     # prop31: the lower ends c of the cosines
 DECAY_RADII = (0.1, 10.0)               # lemma52: the range of the opposite radii
 FD_STEP = 1e-5      # the FD oracles' step in u; a stencil that leaves is taken at a tenth
-MAX_WEIGHT_TRIES = 1_000_000            # a metric's weight sampler gives up after these
+MAX_WEIGHT_TRIES = 1_000_000            # the weight sampler gives up after these failing tries
 
 # -- reproducible sampling ----------------------------------------------------
 
@@ -49,18 +49,23 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-# one block stream per suite target that draws its samples as rows
-STREAM_TAGS = {"identities": 1, "jacobians": 2, "theorem1": 3,
-               "prop24:tetra": 4, "prop24:genus2_min": 5, "prop24:mesh": 6}
+# one block stream per suite target, and one, name:weights, whose i-th
+# passing try weights the target's sample i (under keep_even, its odd
+# metric 2 i + 1); a name's tag is its place in this list, new names last
+STREAM_TAGS = {name: tag for tag, name in enumerate([
+    "identities", "jacobians", "theorem1", "prop24:tetra", "prop24:genus2_min", "prop24:mesh",
+    "identities:weights", "jacobians:weights", "jacobians:tetra", "jacobians:tetra:weights",
+    "jacobians:genus2_min", "jacobians:genus2_min:weights", "jacobians:mesh",
+    "jacobians:mesh:weights", "jacobians:octa", "jacobians:octa:weights", "spd:tetra",
+    "spd:tetra:weights", "spd:genus2_min", "spd:genus2_min:weights", "spd:mesh",
+    "spd:mesh:weights"], start=1)}
 
 
-def _stream(seed, tag, *index):
-    """Generator of the block stream tag, spawn key (tag, 0), or of the
-    stream it spawns for one sample, (tag, index, 0). numpy reads a spawn
+def _stream(seed, tag):
+    """Generator of the block stream tag, spawn key (tag, 0): numpy reads a
     key as the 32-bit words of its integers, and no integer's words end in
-    a 0 after its first word, so no sample_rng key (index,) is one of
-    these, and no two of these are equal."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tag, *index, 0)))
+    a 0 after its first word, so no sample_rng key (index,) is one of these."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tag, 0)))
 
 
 def _unit_draws(seed, tag, ids, size):
@@ -80,111 +85,80 @@ def log_uniform(u, lo, hi):
     return np.exp(log_lo + (log_hi - log_lo) * u)
 
 
-# weight tries drawn at once: a try passes with probability ~0.23, so
-# ~1.5 % of the blocks hold no passing try
-_TRIES = 16
+# weights per block of tries: _FIRST in the first block, then at most
+# twice the block before, up to _ROUND
+_ROUND, _FIRST = 2**15, 2**11
+_FACE_EDGES = np.array([[0], [1], [2]])     # one triangle's edges, as a mesh's edge_rows
+
+
+def star_weights(rng, edges, count):
+    """(rows, error): the first count tries of rng, in draw order, that
+    meet the corner condition on every face of edges (3, F), as a mesh's
+    edge_rows. A try is E weights, Generator.uniform(0, pi, E), so the rows
+    are independent and uniform on the feasible set.
+
+    Tries are drawn a block at a time and screened on face 0 before the
+    full test (the screen is a conjunct of it, on the same doubles); then
+    `advance` steps rng back past the unused tries (PCG64 advances modulo
+    2**128), so it ends where a loop of single tries ends. After
+    MAX_WEIGHT_TRIES failing tries since the row before, the sampler gives
+    up: rows holds the rows found, and error is the CpflowError the loop
+    raises there (else None)."""
+    ne = int(edges.max()) + 1
+    rows, found = [], 0
+    size, last = max(1, _FIRST // ne), -1      # last: the previous passing try, in this block
+    while True:
+        tries = rng.uniform(0.0, math.pi, (size, ne))
+        screened = np.flatnonzero(~star_violations(np.cos(tries[:, edges[:, 0]]).T).any(axis=0))
+        passing = screened[~star_violations(np.cos(tries[screened]).T[edges]).any(axis=(0, 1))]
+        # a passing try more than MAX_WEIGHT_TRIES after the one before comes too late
+        late = np.flatnonzero(np.diff(passing, prepend=last) > MAX_WEIGHT_TRIES)
+        taken = passing[:min(count - found, late[0] if len(late) else len(passing))]
+        rows.append(tries[taken])
+        found += len(taken)
+        last = int(taken[-1]) if len(taken) else last
+        end = last + 1 + (0 if found == count else MAX_WEIGHT_TRIES)    # past the loop's last try
+        if found == count or end <= size:
+            rng.bit_generator.advance((end - size) * ne)
+            failed = None if found == count else CpflowError(
+                "weight rejection sampling did not terminate")
+            return np.concatenate(rows), failed
+        last -= size
+        size = min(2 * size, max(1, _ROUND // ne))
+
+
+def _star_rows(rng, edges, count):
+    """The rows of `star_weights`, or its error raised."""
+    rows, failed = star_weights(rng, edges, count)
+    if failed is not None:
+        raise failed
+    return rows
 
 
 def sample_star_face_weights(rng):
     """Three weights uniform on [0, pi), rejected until every corner value
-    gamma is nonnegative: the first passing try, drawn _TRIES tries at a
-    time, so the generator ends past the block of that try."""
-    while True:
-        tries = rng.uniform(0.0, math.pi, (_TRIES, 3))
-        passed = ~star_violations(np.cos(tries.T)).any(axis=0)
-        if passed.any():
-            return tuple(tries[np.argmax(passed)].tolist())
+    gamma is nonnegative: `star_weights` on one triangle."""
+    return tuple(_star_rows(rng, _FACE_EDGES, 1)[0].tolist())
 
 
 def sample_star_mesh_weights(mesh, rng):
     """Per-edge weights uniform on [0, pi), rejected until every face meets
-    the corner condition: `_star_mesh_weights` with one generator."""
-    phi, failed = _star_mesh_weights(mesh, [rng])
-    if failed is not None:
-        raise failed
-    return mesh.with_weights(phi[0])
+    the corner condition: `star_weights` on the mesh."""
+    return mesh.with_weights(_star_rows(rng, mesh.edge_rows, 1)[0])
 
 
-# weights drawn per round of the mesh-weight sampler: _ROUND over all its
-# generators, and from one generator at most _FIRST in its first round and
-# at most as many as it has drawn before in a later one
-_ROUND, _FIRST = 2**15, 2**11
-
-
-def _star_mesh_weights(mesh, rngs):
-    """(phi, error): for each generator, per-edge weights uniform on [0, pi)
-    from its first try that meets the corner condition on every face, the
-    generator left just past that try, as a loop of single tries leaves it.
-
-    The generators draw in lock-step rounds (`_weight_rounds`). Those still
-    pending after MAX_WEIGHT_TRIES tries in all go on one at a time, in
-    order, so a mesh where no try passes costs at most about twice one
-    generator's MAX_WEIGHT_TRIES. A generator that reaches MAX_WEIGHT_TRIES
-    tries gives up: phi holds the rows of the generators before it, and
-    error is the CpflowError a loop over the generators would raise there."""
-    phi = np.empty((len(rngs), mesh.edge_count))
-    pending, drawn = _weight_rounds(mesh, rngs, phi, np.arange(len(rngs)), 0)
-    for i in pending.tolist():
-        if len(_weight_rounds(mesh, rngs, phi, np.array([i]), drawn)[0]):
-            return phi[:i], CpflowError("weight rejection sampling did not terminate")
-    return phi, None
-
-
-def _weight_rounds(mesh, rngs, phi, pending, drawn):
-    """Rounds of tries for the pending generators, which have drawn `drawn`
-    tries each, until all have passed, each has drawn MAX_WEIGHT_TRIES
-    tries, or the rounds have drawn MAX_WEIGHT_TRIES tries in all; returns
-    the generators still pending and the tries each has drawn.
-
-    A round draws the same t tries from each pending generator, as
-    Generator.uniform(0, pi): _ROUND weights in all, less where less of the
-    budget is left, and at least one try each; a generator's tries at most
-    double from round to round, so one that passes early draws little
-    past its passing try. Every try is screened on
-    face 0 first, from the cosines of its three columns alone; the full test
-    runs on the tries that pass. The screen is one conjunct of the full
-    test, on the same doubles, so it decides nothing the full test would
-    not. A generator's first passing try, k of its t, is its row of phi,
-    and `advance` moves the generator back by its t - k - 1 later tries:
-    PCG64 advances modulo its period 2**128, so a negative count steps back."""
-    ne, edges = mesh.edge_count, mesh.edge_rows     # np.cos(tries).T[edges] is (3, F, tries)
-    budget = MAX_WEIGHT_TRIES
-    while len(pending) and drawn < MAX_WEIGHT_TRIES and budget > 0:
-        t = min(max(1, min(_ROUND // ne, budget) // len(pending)), max(1, _FIRST // ne, drawn),
-                MAX_WEIGHT_TRIES - drawn)
-        tries = np.concatenate([rngs[i].uniform(0.0, math.pi, (t, ne)) for i in pending.tolist()])
-        screened = np.flatnonzero(~star_violations(np.cos(tries[:, edges[:, 0]]).T).any(axis=0))
-        passing = screened[~star_violations(np.cos(tries[screened]).T[edges]).any(axis=(0, 1))]
-        hit, first = np.unique(passing // t, return_index=True)
-        for j, k in zip(hit.tolist(), passing[first].tolist()):
-            i = pending[j]
-            phi[i] = tries[k]
-            rngs[i].bit_generator.advance((k - j * t + 1 - t) * ne)
-        budget -= t * len(pending)
-        drawn += t
-        pending = np.delete(pending, hit)
-    return pending, drawn
-
-
-def sample_star_triangles(seed, tag, ids, r_lo, r_hi):
-    """The star triangles of the sample ids (a range) in one packing;
-    triangle i draws its log-uniform radii, then _TRIES weight tries, from
-    row i of stream tag.
-
-    The uniforms U are mapped by Generator.uniform's own lo + (hi - lo) U,
-    so the values are those of one draw at a time. A triangle with no
-    passing try in its row goes on with `sample_star_face_weights` in the
-    stream spawned for it, `_stream(seed, tag, i)`."""
-    u = _unit_draws(seed, tag, ids, 3 + 3 * _TRIES)
-    radii = log_uniform(u[:, :3], r_lo, r_hi).T.copy()
-    # try j is rows 3 + 3 j to 5 + 3 j of u.T; a (3, N) block at a time stays in cache
-    passed = np.array([~star_violations(np.cos(math.pi * u.T[3 + 3 * j:6 + 3 * j])).any(axis=0)
-                       for j in range(_TRIES)]).T
-    first = np.argmax(passed, axis=1)[:, None]
-    weights = (math.pi * np.take_along_axis(u, 3 + 3 * first + ROWS, axis=1)).T.copy()
-    for k in np.flatnonzero(~passed.any(axis=1)).tolist():
-        weights[:, k] = sample_star_face_weights(_stream(seed, tag, ids[k]))
-    return TrianglePacking(radii, weights)
+def sample_star_triangles(seed, suite, samples, step, r_lo, r_hi):
+    """Yield (ids, packing): the star triangles of the suite's samples, a
+    range ids of at most step at a time. Triangle i takes log-uniform radii
+    from row i of the (samples, 3) block of stream suite, and its weights
+    from the i-th passing try of stream suite:weights, carried from chunk
+    to chunk (`star_weights`)."""
+    weights = _stream(seed, STREAM_TAGS[f"{suite}:weights"])
+    for lo in range(0, samples, step):
+        ids = range(lo, min(lo + step, samples))
+        rows = _star_rows(weights, _FACE_EDGES, len(ids))
+        radii = log_uniform(_unit_draws(seed, STREAM_TAGS[suite], ids, 3), r_lo, r_hi)
+        yield ids, TrianglePacking(radii.T.copy(), rows.T.copy())
 
 
 # faces per kernel call: the triangles of one batch of a triangle suite
@@ -624,9 +598,7 @@ def run_identities(samples, seed):
     the off-diagonal derivatives, and equality of the two denominator
     representations, on random admissible triangles."""
     rep = SweepReport("identities", seed, samples)
-    for lo in range(0, samples, _BATCH):
-        ids = range(lo, min(lo + _BATCH, samples))
-        tp = sample_star_triangles(seed, STREAM_TAGS["identities"], ids, *IDENTITY_RADII)
+    for ids, tp in sample_star_triangles(seed, "identities", samples, _BATCH, *IDENTITY_RADII):
         rep.check_batch(ids, _identity_checks(tp))
     return rep
 
@@ -669,23 +641,22 @@ def _octahedron():
     return simplicial_from_faces(6, faces)
 
 
-def _mesh_metrics(base, seed, ids, r_hi, keep_even=False):
-    """(phi, radii, error): the weights (k, E) and radii (k, n) of the
-    metrics ids on base. Metric i draws from sample_rng(seed, i) its
-    weights, as sample_star_mesh_weights does (base's own for an even i if
-    keep_even), then its radii, log-uniform on [0.1, r_hi]. If the sampler
-    raises at a metric, the metrics before it come back with its error,
-    which the caller raises after checking them, as a loop over the metrics
-    would. The reweighted metrics draw their weights together
-    (`_star_mesh_weights`)."""
-    rngs = [sample_rng(seed, i) for i in ids]
-    reweighted = [k for k, i in enumerate(ids) if not (keep_even and i % 2 == 0)]
-    weights, failed = _star_mesh_weights(base, [rngs[k] for k in reweighted])
-    count = len(ids) if failed is None else reweighted[len(weights)]
+def _mesh_metrics(base, seed, target, count, r_hi, keep_even=False):
+    """(phi, radii, error): the weights (k, E) and radii (k, n) of count
+    metrics on base for the suite target. Metric i takes log-uniform radii
+    on [0.1, r_hi] from row i of stream target, and its weights from the
+    next passing try of stream target:weights (`star_weights`), or base's
+    own for an even i if keep_even. If the sampler gives up at a metric,
+    the metrics before it come back with its error, which the caller
+    raises after checking them, as a loop over the metrics would."""
+    every = 2 if keep_even else 1       # reweighted: metrics every - 1, 2 every - 1, ...
+    weights, failed = star_weights(_stream(seed, STREAM_TAGS[f"{target}:weights"]),
+                                   base.edge_rows, count // every)
+    count = count if failed is None else every * len(weights) + every - 1
     phi = np.tile(base.phi, (count, 1))
-    phi[reweighted[:len(weights)]] = weights
-    units = np.array([rng.random(base.vertex_count) for rng in rngs[:count]])
-    return phi, log_uniform(units.reshape(count, base.vertex_count), 0.1, r_hi), failed
+    phi[every - 1::every] = weights
+    units = _unit_draws(seed, STREAM_TAGS[target], range(count), base.vertex_count)
+    return phi, log_uniform(units, 0.1, r_hi), failed
 
 
 def _dense_blocks(asm, n):
@@ -705,14 +676,13 @@ def run_jacobians(samples, seed, mesh=None):
     zero pattern across non-adjacent vertex pairs. Each chunk of mesh
     metrics is one assembly of a union of reweighted copies."""
     rep = SweepReport("jacobians", seed, samples)
-    for lo in range(0, samples, _BATCH // 6):      # a triangle's stencil has 6 points
-        ids = range(lo, min(lo + _BATCH // 6, samples))
-        tp = sample_star_triangles(seed, STREAM_TAGS["jacobians"], ids, 0.1, 10.0)
+    # a triangle's stencil has 6 points
+    for ids, tp in sample_star_triangles(seed, "jacobians", samples, _BATCH // 6, 0.1, 10.0):
         err = matrix_rel_error(fd_angle_jacobian(tp), hypgeom.angle_jacobian(tp))
         rep.check_batch(ids, [("angle_fd_matrix_rel", err, ANGLE_FD_RTOL, "upper")])
     for name, base in _targets(mesh):
         count, n = min(MESH_METRICS, samples), base.vertex_count
-        phi, radii, failed = _mesh_metrics(base, seed, range(10_000, 10_000 + count), 5.0,
+        phi, radii, failed = _mesh_metrics(base, seed, f"jacobians:{name}", count, 5.0,
                                            keep_even=True)
         ids = [f"{name}:{i}" for i in range(count)]
 
@@ -735,7 +705,7 @@ def run_jacobians(samples, seed, mesh=None):
         if failed is not None:
             raise failed
     octa = _octahedron()
-    phi, radii, failed = _mesh_metrics(octa, seed, range(20_000, 20_020), 5.0, keep_even=True)
+    phi, radii, failed = _mesh_metrics(octa, seed, "jacobians:octa", 20, 5.0, keep_even=True)
     fd = fd_curvature_jacobian(octa, radii, phi)     # metric 0 keeps octa's weights: k >= 1
     rep.check_batch([f"octa:{i}" for i in range(len(fd))], [
         ("nonadjacent_fd_entry", np.abs(fd[:, a, b]), CURVATURE_FD_ATOL, "upper")
@@ -752,8 +722,8 @@ def run_spd(samples, seed, mesh=None):
     stacked eigvalsh."""
     rep = SweepReport("spd", seed, samples)
     for name, base in _targets(mesh):
-        n, first = base.vertex_count, 0 if name == "tetra" else 50_000
-        phi, radii, failed = _mesh_metrics(base, seed, range(first, first + samples), 10.0)
+        n = base.vertex_count
+        phi, radii, failed = _mesh_metrics(base, seed, f"spd:{name}", samples, 10.0)
         ids = [f"{name}:{i}" for i in range(samples)]
         for i, asm in _on_copies(laplacian.assemble, base, radii, phi):
             L = _dense_blocks(asm, n)

@@ -7,7 +7,6 @@ that the frozen value still matches a fresh mpmath evaluation, so a stale
 constant cannot hide.
 """
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -562,28 +561,38 @@ def log_uniform_draw(rng, lo, hi, size):
     return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
 
 
-def sample_star_face_weights_loop(rng, tries=None):
-    """Three weights uniform on [0, pi), rejected until the scalar
-    corner_gammas are all nonnegative; None after `tries` failing tries."""
-    for _ in itertools.count() if tries is None else range(tries):
-        w = rng.uniform(0.0, math.pi, 3)
-        if min(corner_gammas(tuple(w))) >= 0.0:
-            return tuple(float(x) for x in w)
-    return None
+def star_weights_loop(rng, edges, count, max_tries):
+    """(rows, error) as verify.star_weights gives them, one try at a time:
+    row k is the first try after row k - 1 of E weights uniform on [0, pi)
+    whose scalar corner_gammas are nonnegative on every face (edges (3, F)
+    holds the faces' edge ids); after max_tries failing tries in a row, the
+    rows so far and the error verify's sampler gives."""
+    edges = np.asarray(edges)
+    rows = []
+    for _ in range(count):
+        for _ in range(max_tries):
+            w = rng.uniform(0.0, math.pi, int(edges.max()) + 1)
+            if all(min(corner_gammas(tuple(w[face]))) >= 0.0 for face in edges.T):
+                rows.append(w)
+                break
+        else:
+            return rows, CpflowError("weight rejection sampling did not terminate")
+    return rows, None
 
 
-def sample_star_triangles_loop(seed, tag, ids, r_lo, r_hi):
-    """The star triangles of the sample ids in one packing; triangle i
-    draws its log-uniform radii, then verify._TRIES weight tries, from
-    row i of stream tag alone, and with no passing try goes on in the
-    stream spawned for it."""
-    width = 3 + 3 * verify._TRIES
+def sample_star_triangles_loop(seed, suite, ids, r_lo, r_hi):
+    """The star triangles of the sample ids of a triangle suite in one
+    packing: triangle i draws its log-uniform radii from row i of stream
+    suite alone, and its weights are the i-th passing try of stream
+    suite:weights, drawn one try at a time."""
     radii, weights = np.empty((3, len(ids))), np.empty((3, len(ids)))
+    rows, failed = star_weights_loop(verify._stream(seed, verify.STREAM_TAGS[f"{suite}:weights"]),
+                                     [[0], [1], [2]], ids.stop, verify.MAX_WEIGHT_TRIES)
+    if failed is not None:
+        raise failed
     for k, i in enumerate(ids):
-        rng = row_rng(seed, tag, i, width)
-        radii[:, k] = log_uniform_draw(rng, r_lo, r_hi, 3)
-        w = sample_star_face_weights_loop(rng, verify._TRIES)
-        weights[:, k] = w or sample_star_face_weights_loop(verify._stream(seed, tag, i))
+        radii[:, k] = log_uniform_draw(row_rng(seed, verify.STREAM_TAGS[suite], i, 3), r_lo, r_hi, 3)
+        weights[:, k] = rows[i]
     return verify.TrianglePacking(radii, weights)
 
 
@@ -608,11 +617,10 @@ def sample_star_mesh_weights_loop(mesh, rng, max_tries=1_000_000):
     """Per-edge weights uniform on [0, pi), rejected until every face
     satisfies the corner condition; after max_tries failing tries, the
     error verify's sampler raises."""
-    for _ in range(max_tries):
-        phis = rng.uniform(0.0, math.pi, mesh.edge_count)
-        if all(min(corner_gammas(tuple(phis[e] for e in f.edges))) >= 0.0 for f in mesh.faces):
-            return mesh.with_weights(phis)
-    raise CpflowError("weight rejection sampling did not terminate")
+    rows, failed = star_weights_loop(rng, np.array([f.edges for f in mesh.faces]).T, 1, max_tries)
+    if failed is not None:
+        raise failed
+    return mesh.with_weights(rows[0])
 
 
 def sweep_floor_bounds_loop(mesh, r_floor, samples, seed, label=""):
@@ -679,29 +687,32 @@ def run_prop24_loop(samples=1_000, seed=42, mesh=None):
     return rep
 
 
-def _mesh_metric_loop(base, rng, reweight, r_hi):
-    """One metric of the spd and jacobians mesh loops: the weights from
-    rejection sampling one try at a time, or base's own, then radii
-    log-uniform on [0.1, r_hi]. The sampler gives up after
-    verify.MAX_WEIGHT_TRIES tries, as the suites' does."""
-    mesh = sample_star_mesh_weights_loop(base, rng, verify.MAX_WEIGHT_TRIES) if reweight else base
-    return mesh, log_uniform_draw(rng, 0.1, r_hi, mesh.vertex_count)
+def _mesh_metrics_loop(base, seed, target, count, r_hi, keep_even=False):
+    """Yield (i, mesh, radii) for the metrics of the spd and jacobians mesh
+    loops: metric i draws its radii, log-uniform on [0.1, r_hi], from row i
+    of stream target alone; its weights are base's own for an even i if
+    keep_even, else the next passing try of stream target:weights, drawn
+    one try at a time. Where that sampler gives up, its error is raised."""
+    weights = verify._stream(seed, verify.STREAM_TAGS[f"{target}:weights"])
+    for i in range(count):
+        mesh = base if keep_even and i % 2 == 0 else \
+            sample_star_mesh_weights_loop(base, weights, verify.MAX_WEIGHT_TRIES)
+        rng = row_rng(seed, verify.STREAM_TAGS[target], i, base.vertex_count)
+        yield i, mesh, log_uniform_draw(rng, 0.1, r_hi, base.vertex_count)
 
 
 def run_jacobians_loop(samples, seed, mesh=None):
     """jacobians with one assembly and one column-loop FD Jacobian per
     mesh metric; the triangle half is the suite's own."""
     rep = verify.SweepReport("jacobians", seed, samples)
-    step = verify._BATCH // 6
-    for lo in range(0, samples, step):
-        ids = range(lo, min(lo + step, samples))
-        tp = verify.sample_star_triangles(seed, verify.STREAM_TAGS["jacobians"], ids, 0.1, 10.0)
+    for ids, tp in verify.sample_star_triangles(seed, "jacobians", samples, verify._BATCH // 6,
+                                                0.1, 10.0):
         err = verify.matrix_rel_error(verify.fd_angle_jacobian(tp),
                                       verify.hypgeom.angle_jacobian(tp))
         rep.check_batch(ids, [("angle_fd_matrix_rel", err, verify.ANGLE_FD_RTOL, "upper")])
     for name, base in verify._targets(mesh):
-        for i in range(min(verify.MESH_METRICS, samples)):
-            m, r = _mesh_metric_loop(base, verify.sample_rng(seed, 10_000 + i), i % 2, 5.0)
+        count = min(verify.MESH_METRICS, samples)
+        for i, m, r in _mesh_metrics_loop(base, seed, f"jacobians:{name}", count, 5.0, True):
             asm = assemble(m, r)
             rep.check_upper(f"{name}:{i}", "ab_identity_residual",
                             asm.ab_residual, verify.AB_IDENTITY_RTOL)
@@ -711,9 +722,7 @@ def run_jacobians_loop(samples, seed, mesh=None):
             rep.check_upper(f"{name}:{i}", "curvature_fd_margin", float(np.max(err)), 0.0)
             rep.check_upper(f"{name}:{i}", "curvature_fd_symmetry",
                             float(np.max(np.abs(fd - fd.T))), verify.FD_SYMMETRY_ATOL)
-    octa = verify._octahedron()
-    for i in range(20):
-        m, r = _mesh_metric_loop(octa, verify.sample_rng(seed, 20_000 + i), i % 2, 5.0)
+    for i, m, r in _mesh_metrics_loop(verify._octahedron(), seed, "jacobians:octa", 20, 5.0, True):
         fd = fd_curvature_jacobian_loop(m, r, verify.FD_STEP)
         for a, b in [(0, 5), (1, 3), (2, 4)]:
             rep.check_upper(f"octa:{i}", "nonadjacent_fd_entry",
@@ -726,9 +735,7 @@ def run_spd_loop(samples, seed, mesh=None):
     residual per metric."""
     rep = verify.SweepReport("spd", seed, samples)
     for name, base in verify._targets(mesh):
-        for i in range(samples):
-            rng = verify.sample_rng(seed, i if name == "tetra" else 50_000 + i)
-            m, r = _mesh_metric_loop(base, rng, True, 10.0)
+        for i, m, r in _mesh_metrics_loop(base, seed, f"spd:{name}", samples, 10.0):
             asm = assemble(m, r)
             min_eig = float(np.linalg.eigvalsh(asm.L)[0])
             sym = verify.laplacian.symmetry_residual(*asm.entries, m.vertex_count)

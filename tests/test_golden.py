@@ -24,9 +24,11 @@ running the digests once with the variable above and once without, and
 says which reports moved and why.
 
 Every report draws from numpy's SeedSequence and PCG64: `verify.sample_rng`
-streams and the suites' block streams. `test_sample_streams_are_pinned`
-pins their first values, so a numpy whose streams moved fails there with
-one message that says so, not only through the digests failing in bulk.
+streams and the suites' block streams, one per `verify.STREAM_TAGS`
+entry, the weight streams that `verify.star_weights` takes its tries from
+among them. `test_sample_streams_are_pinned` pins their first values, so
+a numpy whose streams moved fails there with one message that says so,
+not only through the digests failing in bulk.
 """
 
 import hashlib
@@ -67,7 +69,8 @@ STREAMS = {
     (0, 90_000): [0.2787848117830025, 0.71707656508897, 0.7074478606358755],
     (2**32 + 5, 7): [0.392579685801287, 0.24120481565260887, 0.5772458064848832],
 }
-# the first uniforms of each block stream at seed 42
+# the first uniforms of each block stream at seed 42, the weight streams
+# too (their tries are drawn as uniform(0, pi), pi times these)
 BLOCK_STREAMS = {
     "identities": [0.5700286821875662, 0.9724905038557506, 0.5037701096476371],
     "jacobians": [0.8059432479837372, 0.7181028085979072, 0.2183327375921551],
@@ -75,6 +78,22 @@ BLOCK_STREAMS = {
     "prop24:tetra": [0.07843523229372151, 0.9778194044200826, 0.4393667611404122],
     "prop24:genus2_min": [0.8645094758908987, 0.7693584927257228, 0.48008774742313043],
     "prop24:mesh": [0.39955821965158755, 0.5622437196805687, 0.6758477482422114],
+    "identities:weights": [0.4904171431618536, 0.896238141889008, 0.9559663811435659],
+    "jacobians:weights": [0.32509722361925797, 0.9685247427438841, 0.3628598987288505],
+    "jacobians:tetra": [0.7871135801997575, 0.5251425678538185, 0.8193182782534133],
+    "jacobians:tetra:weights": [0.6023698900461449, 0.16007401381391695, 0.5121692693908062],
+    "jacobians:genus2_min": [0.9422043826840363, 0.00839654280594293, 0.6030366127358253],
+    "jacobians:genus2_min:weights": [0.3469437209533456, 0.882604873842138, 0.46717788047313913],
+    "jacobians:mesh": [0.48930995943374955, 0.8499193646000166, 0.7813498437751321],
+    "jacobians:mesh:weights": [0.7579078778770819, 0.9087819551827434, 0.6727333061675841],
+    "jacobians:octa": [0.016229493094093383, 0.865735681263168, 0.8267790749205751],
+    "jacobians:octa:weights": [0.432198171749703, 0.0596076877787407, 0.6218745254782031],
+    "spd:tetra": [0.15834915640894864, 0.6521386641856498, 0.6174431125069368],
+    "spd:tetra:weights": [0.8667723621075958, 0.598091360129311, 0.7729212558815723],
+    "spd:genus2_min": [0.47359382515962967, 0.7756920769302615, 0.41165377621173715],
+    "spd:genus2_min:weights": [0.4719579648890141, 0.9158611414510813, 0.4328152194070023],
+    "spd:mesh": [0.3248255398454635, 0.9242266741252043, 0.004671240036704272],
+    "spd:mesh:weights": [0.5071099275449892, 0.3108906263615696, 0.7831663484509777],
 }
 
 

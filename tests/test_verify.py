@@ -330,6 +330,21 @@ def test_jacobian_mesh_metrics_follow_samples(monkeypatch):
         assert sorted(sizes) == [2 * per_mesh, 4 * per_mesh]
 
 
+def test_jacobian_targets_draw_independent_radii(monkeypatch):
+    # each built-in mesh draws its metrics from streams of its own: no
+    # radius of a tetra metric is one of a genus2_min metric's
+    radii = []
+    assemble_ = verify.laplacian.assemble
+    monkeypatch.setattr(verify.laplacian, "assemble",
+                        lambda mesh, r: radii.append(r.tolist()) or assemble_(mesh, r))
+    for seed in (0, 42):
+        radii.clear()
+        assert run_jacobians(20, seed).passed
+        tetra, genus2 = radii       # one union of 20 copies per mesh
+        assert len(tetra) == 80 and len(genus2) == 40
+        assert not set(tetra) & set(genus2)
+
+
 def test_spd_suite_small():
     rep = run_spd(10, 7)
     assert rep.passed
@@ -429,45 +444,93 @@ def test_block_sampler_gives_up_with_a_package_error(monkeypatch):
         sample_star_mesh_weights(builtin_mesh("genus2_min"), sample_rng(0, 0))
 
 
+_FACE = np.array([[0], [1], [2]])     # one triangle's edges, as a mesh's edge_rows
+
+
+@pytest.mark.parametrize("edges, max_tries", [
+    (_FACE, 12), (TETRA.edge_rows, 90), (builtin_mesh("genus2_min").edge_rows, 2_500),
+    (verify._octahedron().edge_rows, 1_500)], ids=["triangle", "tetra", "genus2_min", "octahedron"])
+def test_star_weights_matches_one_try_loop(monkeypatch, edges, max_tries):
+    # blocks of 2**5 weights at first and at most 2**9, so a call draws many
+    # blocks; MAX_WEIGHT_TRIES two to three times the mean tries of one row,
+    # so that at some seeds a row among the 12 gives up and at others none
+    monkeypatch.setattr(verify, "_ROUND", 2**9)
+    monkeypatch.setattr(verify, "_FIRST", 2**5)
+    monkeypatch.setattr(verify, "MAX_WEIGHT_TRIES", max_tries)
+    gave_up = []
+    for seed in range(8):
+        fast, slow = sample_rng(seed, 0), sample_rng(seed, 0)
+        rows, failed = verify.star_weights(fast, edges, 12)
+        want, error = oracles.star_weights_loop(slow, edges, 12, max_tries)
+        assert rows.shape == (len(want), edges.max() + 1)
+        assert rows.tolist() == [w.tolist() for w in want]     # up to the loop's give-up point
+        assert type(failed) is type(error) and str(failed) == str(error)
+        assert fast.random() == slow.random()       # the generators end in the same state
+        gave_up.append(error is not None)
+    assert any(gave_up) and not all(gave_up)
+    fast, slow = sample_rng(0, 0), sample_rng(0, 0)
+    rows, failed = verify.star_weights(fast, edges, 0)
+    assert rows.shape == (0, edges.max() + 1) and failed is None
+    assert fast.random() == slow.random()
+
+
+def test_star_weights_decide_band_tries_as_the_scalar_check():
+    # tries (0, x, 1 - x) pi have two corner gammas of -1.1e-16, 1.1e-16 or 0,
+    # where a last-digit difference in a cosine flips the decision;
+    # (0.9, 0.9, 0.9) pi fails by 0.047
+    neg, pos, zero = 0.038442336495257114, 0.008986520219670495, 0.0004992511233150275
+    band = {x: math.pi * np.array([0.0, x, 1.0 - x]) for x in (neg, pos, zero)}
+    for x, want_min in ((neg, -1.1102230246251565e-16), (pos, 1.1102230246251565e-16),
+                        (zero, 0.0)):
+        assert min(corner_gammas(tuple(band[x]))) == want_min
+    fail = math.pi * np.array([0.9, 0.9, 0.9])
+    rows = [band[neg], band[pos], fail, band[neg], band[zero], fail]
+    fast, slow = oracles.ScriptedRng(rows), oracles.ScriptedRng(rows)
+    got, failed = verify.star_weights(fast, _FACE, 2)
+    want, error = oracles.star_weights_loop(slow, _FACE, 2, verify.MAX_WEIGHT_TRIES)
+    assert got.tolist() == [w.tolist() for w in want] == [band[pos].tolist(), band[zero].tolist()]
+    assert failed is error is None
+    assert fast.bit_generator.state == slow.bit_generator.state == 5
+
+
+def test_star_weights_take_a_pass_on_the_last_allowed_try(monkeypatch):
+    # with 3 tries allowed, a pass on the 3rd try after the row before is a
+    # row, and one on the 4th comes after the give-up
+    monkeypatch.setattr(verify, "MAX_WEIGHT_TRIES", 3)
+    fail, ok = [math.pi * 0.9] * 3, [0.0] * 3
+    script = [fail, fail, ok, fail, fail, fail, ok]
+    fast, slow = oracles.ScriptedRng(script), oracles.ScriptedRng(script)
+    rows, failed = verify.star_weights(fast, _FACE, 2)
+    want, error = oracles.star_weights_loop(slow, _FACE, 2, 3)
+    assert rows.tolist() == [w.tolist() for w in want] == [ok]
+    assert str(failed) == str(error) == "weight rejection sampling did not terminate"
+    assert fast.bit_generator.state == slow.bit_generator.state == 6
+
+
 @pytest.mark.parametrize("keep_even", [False, True], ids=["all", "keep_even"])
 @pytest.mark.parametrize("mesh, max_tries", [
-    (TETRA, 150), (builtin_mesh("genus2_min"), 5_000), (verify._octahedron(), 4_000)],
+    (TETRA, 60), (builtin_mesh("genus2_min"), 2_000), (verify._octahedron(), 1_500)],
     ids=["tetra", "genus2_min", "octahedron"])
-def test_lock_step_sampler_matches_per_try_loop(monkeypatch, mesh, max_tries, keep_even):
-    # rounds of 2**9 weights, a few tries per metric, first rounds of at
-    # most 2**6 weights per metric, and MAX_WEIGHT_TRIES about 5 times the
-    # mean tries of one metric, below what the metrics need in all: the
-    # lock-step rounds stop with metrics pending, which finish one at a
-    # time (the tail), and at some seeds a metric gives up
+def test_mesh_metrics_match_per_metric_loop(monkeypatch, mesh, max_tries, keep_even):
+    # blocks of at most 2**9 weights, and MAX_WEIGHT_TRIES about twice the
+    # mean tries of one metric: at some seeds a metric gives up, and the
+    # metrics before it come back with the error the loop raises there
     monkeypatch.setattr(verify, "_ROUND", 2**9)
     monkeypatch.setattr(verify, "_FIRST", 2**6)
     monkeypatch.setattr(verify, "MAX_WEIGHT_TRIES", max_tries)
-    made, calls = [], []
-    monkeypatch.setattr(verify, "sample_rng",
-                        lambda seed, i: made.append(sample_rng(seed, i)) or made[-1])
-    rounds = verify._weight_rounds
-    monkeypatch.setattr(verify, "_weight_rounds",
-                        lambda mesh, rngs, phi, pending, drawn:
-                        calls.append(len(pending)) or rounds(mesh, rngs, phi, pending, drawn))
+    gave_up = []
     for seed in range(3):
-        made.clear()
-        phi, radii, failed = verify._mesh_metrics(mesh, seed, range(23), 5.0, keep_even)
-        for i in range(23):
-            rng = sample_rng(seed, i)
-            try:
-                want = mesh if keep_even and i % 2 == 0 else \
-                    oracles.sample_star_mesh_weights_loop(mesh, rng, max_tries)
-            except CpflowError as exc:      # the loop gives up here: the metrics before come back
-                assert str(failed) == str(exc) and len(phi) == len(radii) == i
-                break
-            assert phi[i].tolist() == want.phi.tolist()
-            r = verify.log_uniform(rng.random(mesh.vertex_count), 0.1, 5.0)
-            assert radii[i].tolist() == r.tolist()
-            assert made[i].random() == rng.random()     # the generators end in the same state
-        else:
-            assert failed is None and len(phi) == len(radii) == 23
-    # per seed one lock-step call, then a tail call per metric left pending
-    assert sum(n > 1 for n in calls) == 3 and calls.count(1) >= 3
+        phi, radii, failed = verify._mesh_metrics(mesh, seed, "spd:mesh", 23, 5.0, keep_even)
+        want, error = [], None
+        try:
+            for _, m, r in oracles._mesh_metrics_loop(mesh, seed, "spd:mesh", 23, 5.0, keep_even):
+                want.append([m.phi.tolist(), r.tolist()])
+        except CpflowError as exc:
+            error = exc
+        assert [[p.tolist(), r.tolist()] for p, r in zip(phi, radii)] == want
+        assert len(phi) == len(radii) and str(failed) == str(error)
+        gave_up.append(error is not None)
+    assert any(gave_up)
 
 
 class _CountingRng:
@@ -493,14 +556,15 @@ def test_sampler_gives_up_where_the_loop_does(monkeypatch, suite, loop, mesh):
     # with 1 500 tries, every tetra metric passes and a genus2_min one gives
     # up after others passed; on the 3x3 torus no try passes, so spd gives
     # up at metric 0, and jacobians after checking metric 0 (the torus's own
-    # weights). The lock-step rounds draw at most ~1 500 tries in all before
-    # the pending metrics go on one at a time, so with rounds small next to
-    # MAX_WEIGHT_TRIES, as 2**15 weights are next to 10**6 tries, they draw
-    # at most about twice what the loop draws
+    # weights). Each sampler call draws at most one block past the loop's
+    # last try, here at most 2**9 weights, 2**9 // 3 tries, and the runs
+    # make at most three calls (the triangles of jacobians and two meshes)
     monkeypatch.setattr(verify, "MAX_WEIGHT_TRIES", 1_500)
     monkeypatch.setattr(verify, "_ROUND", 2**9)
+    monkeypatch.setattr(verify, "_FIRST", 2**9)
     tries, reports = [0], []
-    monkeypatch.setattr(verify, "sample_rng", lambda seed, i: _CountingRng(sample_rng(seed, i), tries))
+    stream = verify._stream
+    monkeypatch.setattr(verify, "_stream", lambda seed, tag: _CountingRng(stream(seed, tag), tries))
 
     class Kept(verify.SweepReport):
         def __init__(self, *args):
@@ -519,7 +583,7 @@ def test_sampler_gives_up_where_the_loop_does(monkeypatch, suite, loop, mesh):
     # the mesh metrics before the one that gave up were checked: none for spd on the torus
     checked = "min_eigenvalue" in got.infs or "curvature_fd_margin" in got.sups
     assert checked == (mesh is None or suite is run_jacobians)
-    assert drawn[0] <= drawn[1] <= 2 * drawn[0] + 12
+    assert drawn[0] <= drawn[1] < drawn[0] + 3 * (2**9 // 3)
 
 
 def _report(rep):
@@ -627,7 +691,7 @@ def test_union_spd_chunk_raises_what_the_loop_raises(monkeypatch):
     # tetra metrics 9 and 12 fail, both in the second chunk of 7: a union
     # holding both names 12 ("metric 1"), the loop 9 ("metric 0")
     monkeypatch.setattr(verify, "_BATCH", 7 * TETRA.face_count)
-    phi = verify._mesh_metrics(TETRA, 0, range(23), 10.0)[0]
+    phi = verify._mesh_metrics(TETRA, 0, "spd:tetra", 23, 10.0)[0]
     refuse = _refusing(assemble, TETRA.edge_count, [phi[9], phi[12]], NumericalConsistencyError)
     monkeypatch.setattr(verify.laplacian, "assemble", refuse)
     monkeypatch.setattr(oracles, "assemble", refuse)
@@ -644,7 +708,7 @@ def test_union_jacobians_chunk_raises_what_the_loop_raises(monkeypatch, error):
     # 11's assembly fail: the loop reaches metric 9's stencil first, while
     # the union's assembly raises first
     monkeypatch.setattr(verify, "_BATCH", 7 * TETRA.face_count)
-    phi = verify._mesh_metrics(TETRA, 0, range(10_000, 10_023), 5.0, keep_even=True)[0]
+    phi = verify._mesh_metrics(TETRA, 0, "jacobians:tetra", 23, 5.0, keep_even=True)[0]
     curvature = _refusing(verify.laplacian.curvature, TETRA.edge_count, [phi[9]], error)
     refuse = _refusing(assemble, TETRA.edge_count, [phi[11]], NumericalConsistencyError)
     monkeypatch.setattr(verify.laplacian, "curvature", curvature)
@@ -663,9 +727,12 @@ def test_union_jacobians_chunk_raises_what_the_loop_raises(monkeypatch, error):
 
 def test_union_jacobians_check_the_metrics_drawn_before_the_sampler_gives_up(monkeypatch):
     # metric 0 keeps the mesh's weights, which break the corner condition,
-    # and metric 1's sampler gives up: the loop stops at metric 0
-    monkeypatch.setattr(verify, "MAX_WEIGHT_TRIES", 0)
+    # and metric 1's sampler gives up: the loop stops at metric 0. The
+    # triangles' weights pass within 20 tries at seed 0 (6 and 16), and
+    # metric 1's first passing try is its 85th
+    monkeypatch.setattr(verify, "MAX_WEIGHT_TRIES", 20)
     bad = TETRA.with_uniform_weight(3.0)
+    assert verify._mesh_metrics(bad, 0, "jacobians:mesh", 2, 5.0, keep_even=True)[2] is not None
     with pytest.raises(StarConditionError) as want:
         oracles.run_jacobians_loop(2, 0, mesh=bad)
     with pytest.raises(StarConditionError) as got:
@@ -771,67 +838,16 @@ def test_theorem2_and_spd_stay_within_their_memory_and_kernel_calls(monkeypatch)
 @pytest.mark.parametrize("suite, r_lo, r_hi", [("identities", 1e-3, 1e2), ("jacobians", 0.1, 10.0)],
                          ids=["identities", "jacobians"])
 def test_triangle_sampler_matches_per_sample_loop(suite, r_lo, r_hi):
-    tag = verify.STREAM_TAGS[suite]
+    # chunks of 4 000, or of 700 with a tail: each chunk's weights go on
+    # from the passing tries of the chunk before
     for seed in range(5):
-        ids = range(seed * 3_000, seed * 3_000 + 4_000)
-        got = verify.sample_star_triangles(seed, tag, ids, r_lo, r_hi)
-        want = oracles.sample_star_triangles_loop(seed, tag, ids, r_lo, r_hi)
-        assert got.radii.tolist() == want.radii.tolist()
-        assert got.weights.tolist() == want.weights.tolist()
-
-
-class _UnitStream:
-    """Stands in for a Generator: hands out the given uniforms on [0, 1)
-    in turn, through random and through uniform's lo + (hi - lo) U."""
-
-    def __init__(self, units):
-        self.units, self.next = np.asarray(units, dtype=float), 0
-
-    def random(self, size=None, out=None):
-        shape = np.shape(out) if out is not None else size
-        count = int(np.prod(shape))
-        block = self.units[self.next:self.next + count].reshape(shape)
-        self.next += count
-        if out is None:
-            return block
-        out[...] = block
-        return out
-
-    def uniform(self, low, high, size):
-        return low + (high - low) * self.random(size)
-
-
-def test_triangle_sampler_scripted_band_and_fallback(monkeypatch):
-    # tries (0, x, 1 - x) have two corner gammas of -1.1e-16, 1.1e-16 or 0,
-    # where a last-digit difference in a cosine flips the decision;
-    # (0.9, 0.9, 0.9) fails by 0.047, and the radii units, read as a try,
-    # would pass
-    neg, pos, zero = 0.038442336495257114, 0.008986520219670495, 0.0004992511233150275
-    for x, want_min in ((neg, -1.1102230246251565e-16), (pos, 1.1102230246251565e-16),
-                        (zero, 0.0)):
-        assert min(corner_gammas(tuple(math.pi * np.array([0.0, x, 1.0 - x])))) == want_min
-    radii = [0.1, 0.2, 0.3]
-    fail = [0.9, 0.9, 0.9]
-    streams = {
-        0: radii + [0.0, neg, 1.0 - neg] + [0.0, pos, 1.0 - pos] + [0.1, 0.2, 0.3] * 20,
-        1: radii + [0.0, neg, 1.0 - neg] + [0.0, zero, 1.0 - zero] + [0.1, 0.2, 0.3] * 20,
-        # a full row of failing tries: the sample goes on in its spawned
-        # stream, where its fallback draws a block of tries too
-        2: radii + fail * verify._TRIES + [0.3, 0.1, 0.2] + [0.0] * 48,
-        3: radii + fail * (verify._TRIES + 3) + [0.0, pos, 1.0 - pos] + [0.0] * 48,
-    }
-    width = 3 + 3 * verify._TRIES       # a sample's row, then its spawned stream
-    monkeypatch.setattr(verify, "_unit_draws", lambda seed, tag, ids, size: np.array(
-        [streams[i][:size] for i in ids]))
-    monkeypatch.setattr(oracles, "row_rng", lambda seed, tag, i, size: _UnitStream(streams[i]))
-    monkeypatch.setattr(verify, "_stream", lambda seed, tag, i: _UnitStream(streams[i][width:]))
-    got = verify.sample_star_triangles(0, 1, range(4), 0.1, 10.0)
-    want = oracles.sample_star_triangles_loop(0, 1, range(4), 0.1, 10.0)
-    assert got.weights.tolist() == want.weights.tolist()
-    assert got.radii.tolist() == want.radii.tolist()
-    assert got.weights.T[:2].tolist() == [(math.pi * np.array([0.0, x, 1.0 - x])).tolist()
-                                          for x in (pos, zero)]
-    assert got.weights[:, 2].tolist() == (math.pi * np.array([0.3, 0.1, 0.2])).tolist()
+        want = oracles.sample_star_triangles_loop(seed, suite, range(4_000), r_lo, r_hi)
+        for step in (700, 4_000):
+            chunks = list(verify.sample_star_triangles(seed, suite, 4_000, step, r_lo, r_hi))
+            assert [ids for ids, _ in chunks] == [range(lo, min(lo + step, 4_000))
+                                                  for lo in range(0, 4_000, step)]
+            assert np.hstack([tp.radii for _, tp in chunks]).tolist() == want.radii.tolist()
+            assert np.hstack([tp.weights for _, tp in chunks]).tolist() == want.weights.tolist()
 
 
 def test_floor_sweeps_share_one_draw_per_sample(monkeypatch):
@@ -993,10 +1009,10 @@ def _key_words(key):
 
 
 def test_stream_keys_are_distinct_as_seed_words(monkeypatch):
-    # the spawn keys of one small run of every suite and of prop24 on a
-    # given mesh, and spawned streams for ids of one and two words, by the
-    # function that made them; a block or spawned key equal in words to
-    # another key would draw the same stream
+    # the spawn keys of one small run of every suite, and of the mesh
+    # suites on a given mesh, by the function that made them: every tag's
+    # block stream and nothing else; a block key equal in words to another
+    # key would draw the same stream
     keys = {"sample_rng": set(), "_stream": set()}
     seed_sequence = np.random.SeedSequence
 
@@ -1007,11 +1023,9 @@ def test_stream_keys_are_distinct_as_seed_words(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", recording)
     for name in verify.SUITE_NAMES:
         run_suite(name, 12 if name == "prop31" else 8, 0)
-    run_suite("prop24", 8, 0, mesh=verify._octahedron())
-    for tag in verify.STREAM_TAGS.values():
-        for i in (0, 1, 2**32, 2**64 - 1):
-            verify._stream(0, tag, i)
-    assert {(tag, 0) for tag in verify.STREAM_TAGS.values()} <= keys["_stream"]
+    for name in verify.MESH_SUITES:
+        run_suite(name, 8, 0, mesh=verify._octahedron())
+    assert keys["_stream"] == {(tag, 0) for tag in verify.STREAM_TAGS.values()}
     words = {_key_words(key) for key in keys["_stream"]}
     assert len(words) == len(keys["_stream"])
     assert not words & {_key_words(key) for key in keys["sample_rng"]}
