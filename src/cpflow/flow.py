@@ -11,6 +11,7 @@ an accepted step costs four assemblies.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,8 +53,9 @@ class FlowConfig:
             raise ValueError(f"t_max / dt = {self.t_max / self.dt:g} exceeds {MAX_STEPS} steps")
         if not (self.k_tol > 0.0):
             raise ValueError(f"k_tol must be positive, got {self.k_tol!r}")
-        if self.trace_stride < 1:
-            raise ValueError(f"trace_stride must be at least 1, got {self.trace_stride!r}")
+        stride = self.trace_stride      # a bool is no stride; a numpy integer is
+        if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
+            raise ValueError(f"trace_stride must be an integer of at least 1, got {stride!r}")
 
 
 @dataclass(frozen=True)

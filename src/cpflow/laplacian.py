@@ -136,11 +136,17 @@ class LaplacianAssembly:
     @cached_property
     def L(self) -> np.ndarray:
         """Dense symmetric dK/du, built from `entries` on first access."""
+        return self.dense_blocks(self.mesh.vertex_count)[0]
+
+    def dense_blocks(self, n) -> np.ndarray:
+        """(m, n, n): the diagonal n x n blocks of L, from `entries`, for n
+        dividing the vertex count m n: each copy's L in the assembly of a
+        union of m copies of an n-vertex mesh, or L itself (1, n, n)."""
         rows, cols, vals = self.entries
-        n = self.mesh.vertex_count
-        L = np.zeros((n, n))
-        L[rows, cols] = vals
-        return L
+        blocks = np.zeros((self.mesh.vertex_count // n, n, n))
+        copy, row = np.divmod(rows, n)
+        blocks[copy, row, cols % n] = vals
+        return blocks
 
 
 def assemble(mesh: WeightedTriangulation, r) -> LaplacianAssembly:

@@ -18,12 +18,13 @@ chunk at a time on a union of copies of it (`_on_copies`), reweighted
 copy by copy where each metric has its own weights (spd, jacobians):
 every mesh metric of theorem1, prop24, spd and jacobians takes one
 assembly per chunk, spd one stacked eigvalsh of its copies' dense L, and
-the FD curvature Jacobians one curvature call per chunk of stencil points.
-theorem2 takes one kernel call and one check_batch per chunk of weight
-triples.
+theorem2 one kernel call and one check_batch per chunk of weight triples.
+One routine, `_central_differences`, builds every difference stencil, for
+one call per batch of triangles or per chunk of curvature stencil points.
 """
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -196,74 +197,63 @@ def _on_copies(f, mesh, rows, phi=None):
 # -- finite-difference oracles -------------------------------------------------
 
 def fd_angle_jacobian(tp: TrianglePacking) -> np.ndarray:
-    """(3, 3, N) central differences of the corner angles with respect to
-    u in one kernel call; if a stencil leaves the admissible set, each
-    triangle is differenced alone and, if it still leaves, at FD_STEP / 10."""
-    u0, w = laplacian.u_of_r(tp.radii), tp.weights
-    try:
-        return _fd_stencils(u0, w, FD_STEP)
-    except DegenerateFaceError:
-        if u0.shape[1] == 1:
-            return _fd_stencils(u0, w, 0.1 * FD_STEP)
-    return np.concatenate([fd_angle_jacobian(TrianglePacking(tp.radii[:, [i]], w[:, [i]]))
-                           for i in range(u0.shape[1])], axis=2)
+    """(3, 3, N) central differences of the corner angles in u, [a, b, i] =
+    d theta_a / d u_b: `_central_differences`, all N in one kernel call."""
+    def angles(r, ids):
+        return hypgeom.triangle_geometry(
+            TrianglePacking(r.T.copy(), np.repeat(tp.weights[:, ids], 6, axis=1))).angles.T
 
-
-def _fd_stencils(u0, weights, h):
-    """(3, 3, N) central differences at step h of the (3, N) triangles."""
-    if np.any(u0 + h >= 0.0):
-        raise DegenerateFaceError("finite-difference stencil leaves the admissible set")
-    # per triangle, columns u0 + h e_b, then u0 - h e_b, for b = 0, 1, 2
-    u = (u0[:, :, None] + h * np.kron(np.eye(3), [1.0, -1.0])[:, None, :]).reshape(3, -1)
-    tp = TrianglePacking(laplacian.r_of_u(u), np.repeat(weights, 6, axis=1))
-    angles = hypgeom.triangle_geometry(tp).angles.reshape(3, -1, 6)
-    return ((angles[..., 0::2] - angles[..., 1::2]) / (2.0 * h)).transpose(0, 2, 1)
+    u0 = laplacian.u_of_r(tp.radii).T
+    return _central_differences(angles, u0, np.arange(len(u0))).transpose(1, 2, 0)
 
 
 def fd_curvature_jacobian(mesh, r, phi=None) -> np.ndarray:
     """Central differences of the curvature vector with respect to u: (n, n)
-    at one metric r (n,), or (k, n, n) at k stacked metrics r (k, n),
-    metric i weighted by phi[i] if phi (k, E) is given. The 2n stencil
-    points of every metric take one curvature call per union of copies
-    (_on_copies). A metric's step is FD_STEP, or FD_STEP / 10 if u + FD_STEP
-    leaves the domain or its stencil at FD_STEP leaves the admissible set.
-    If a batch raises, its metrics are differenced one at a time, so the
-    error raised is the first failing metric's."""
+    at one metric r (n,), or (k, n, n) at k metrics r (k, n), metric i
+    weighted by phi[i] if phi (k, E) is given (`_central_differences`). If
+    radii fail validate_radii, metrics go one at a time, and that one raises."""
     r = np.asarray(r, dtype=float)
     if r.ndim == 1:
         phi = None if phi is None else np.asarray(phi)[None]
-        return fd_curvature_jacobian(mesh, r[None], phi)[0]
-    if len(r) == 1:
-        u0 = laplacian.u_of_r(laplacian.validate_radii(mesh, r[0]))[None]
-        for h in (FD_STEP, 0.1 * FD_STEP):
-            try:
-                return _curvature_stencils(mesh, u0, np.full(1, h), phi)
-            except DegenerateFaceError:
-                continue
-        raise DegenerateFaceError("finite-difference stencil leaves the admissible set")
-    if r.shape[1] == mesh.vertex_count:     # else each metric raises validate_radii's error
-        try:
-            u0 = laplacian.u_of_r(r)
-            h = np.where(np.all(u0 + FD_STEP < 0.0, axis=1), FD_STEP, 0.1 * FD_STEP)
-            return _curvature_stencils(mesh, u0, h, phi)
-        except CpflowError:
-            pass
-    return np.stack([fd_curvature_jacobian(mesh, r[i], None if phi is None else phi[i])
-                     for i in range(len(r))])
+        return fd_curvature_jacobian(mesh, laplacian.validate_radii(mesh, r)[None], phi)[0]
+    if r.shape[1:] != (mesh.vertex_count,) or not np.all((r > 0.0) & (r <= hypgeom.RADIUS_CAP)):
+        return np.stack([fd_curvature_jacobian(mesh, r[i], None if phi is None else phi[i])
+                         for i in range(len(r))])
+
+    def curvatures(r_st, ids):
+        w = None if phi is None else phi[ids]
+        return np.concatenate([K for _, K in _on_copies(laplacian.curvature, mesh, r_st, w)])
+
+    return _central_differences(curvatures, laplacian.u_of_r(r), np.arange(len(r)))
 
 
-def _curvature_stencils(mesh, u0, h, phi):
-    """(k, n, n) central differences of K at the k metrics u0 (k, n), metric
-    i at step h[i] and weighted by phi[i] if phi is given."""
-    if np.any(u0 + h[:, None] >= 0.0):
-        raise DegenerateFaceError("finite-difference stencil leaves the admissible set")
+def _central_differences(f, u0, ids, h=None):
+    """(k, m, n) central differences of f at the k points u0 (k, n), [i, a, b]
+    = d f_a / d u_b at point i, from one call f(r_of_u(u), ids) -> (2 n k, m)
+    on point i's rows u0[i] + h e_b, then u0[i] - h e_b, for b < n. The step
+    h is FD_STEP, or FD_STEP / 10 where u0[i] + FD_STEP leaves u < 0 or the
+    FD_STEP stencil raises DegenerateFaceError. If f raises a CpflowError,
+    the points are taken one at a time: the first failing point's error is raised."""
     k, n = u0.shape
-    d = h[:, None, None] * np.eye(n)
-    # per metric, rows u0 + h e_b, then u0 - h e_b, for b = 0, ..., n - 1
-    r_st = laplacian.r_of_u(np.stack((u0[:, None] + d, u0[:, None] - d), axis=2).reshape(-1, n))
-    K = np.concatenate([c for _, c in _on_copies(laplacian.curvature, mesh, r_st, phi)])
-    K = K.reshape(k, n, 2, n)
-    return ((K[:, :, 0] - K[:, :, 1]) / (2.0 * h[:, None, None])).transpose(0, 2, 1).copy()
+    if h is None:
+        h = np.where(np.all(u0 + FD_STEP < 0.0, axis=1), FD_STEP, 0.1 * FD_STEP)
+    try:
+        if np.any(u0 + h[:, None] >= 0.0):
+            raise DegenerateFaceError("finite-difference stencil leaves the admissible set")
+        u = np.repeat(u0, 2 * n, axis=0).reshape(k, -1)     # each point's 2 n rows, flat
+        u[:, ::2 * n + 1] += h[:, None]         # entry b of row 2 b
+        u[:, n::2 * n + 1] -= h[:, None]        # entry b of row 2 b + 1
+        y = f(laplacian.r_of_u(u.reshape(-1, n)), ids).reshape(k, n, 2, -1)
+        return ((y[:, :, 0] - y[:, :, 1]) / (2.0 * h[:, None, None])).transpose(0, 2, 1).copy()
+    except DegenerateFaceError:
+        if k == 1 and h[0] == FD_STEP:
+            return _central_differences(f, u0, ids, 0.1 * h)
+        if k == 1:
+            raise DegenerateFaceError("finite-difference stencil leaves the admissible set") from None
+    except CpflowError:
+        if k == 1:
+            raise
+    return np.concatenate([_central_differences(f, u0[[i]], ids[[i]]) for i in range(k)])
 
 
 def matrix_rel_error(candidate, reference):
@@ -659,16 +649,6 @@ def _mesh_metrics(base, seed, target, count, r_hi, keep_even=False):
     return phi, log_uniform(units, 0.1, r_hi), failed
 
 
-def _dense_blocks(asm, n):
-    """(m, n, n): the dense L of each copy in the assembly of a union of m
-    copies of an n-vertex mesh, from `asm.entries`."""
-    rows, cols, vals = asm.entries
-    L = np.zeros((len(asm.A) // n, n, n))
-    copy, row = np.divmod(rows, n)
-    L[copy, row, cols % n] = vals
-    return L
-
-
 def run_jacobians(samples, seed, mesh=None):
     """Analytic derivatives against central finite differences: per-triangle
     angle Jacobians, then mesh-level curvature Jacobians on
@@ -693,7 +673,7 @@ def run_jacobians(samples, seed, mesh=None):
                 base, r.reshape(-1, n), union.phi.reshape(-1, base.edge_count)))
 
         for i, (asm, fd) in _on_copies(assemble_and_fd, base, radii, phi):
-            L = _dense_blocks(asm, n)
+            L = asm.dense_blocks(n)
             err = np.abs(fd - L) - np.maximum(CURVATURE_FD_RTOL * np.abs(L), CURVATURE_FD_ATOL)
             rep.check_batch(ids[i:i + len(L)], [
                 ("ab_identity_residual", np.full(len(L), asm.ab_residual), AB_IDENTITY_RTOL,
@@ -726,7 +706,7 @@ def run_spd(samples, seed, mesh=None):
         phi, radii, failed = _mesh_metrics(base, seed, f"spd:{name}", samples, 10.0)
         ids = [f"{name}:{i}" for i in range(samples)]
         for i, asm in _on_copies(laplacian.assemble, base, radii, phi):
-            L = _dense_blocks(asm, n)
+            L = asm.dense_blocks(n)
             min_eig = np.linalg.eigvalsh(L)[:, 0]
             diag = np.diagonal(L, axis1=1, axis2=2)
             margin = diag - (np.sum(np.abs(L), axis=2) - np.abs(diag))
@@ -1036,14 +1016,16 @@ MESH_SUITES = ("jacobians", "spd", "theorem1", "prop24")
 
 
 def check_suite_args(name, size, seed):
-    """Refuse, with ValueError, an unknown suite, a size below 1 where one
-    is given, and a negative seed. prop31 refuses a grid below 10 itself."""
+    """Refuse, with ValueError, an unknown suite, a size that is not an
+    integer of at least 1 where one is given, and a seed that is not a
+    nonnegative integer. A bool is no integer here; a numpy integer is.
+    prop31 refuses a grid below 10 itself."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if size is not None and size < 1:
-        raise ValueError(f"size must be positive, got {size!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed!r}")
+    for what, value, low in (("size", size, 1), ("seed", seed, 0)):
+        integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        if (value is not None or what == "seed") and not (integer and value >= low):
+            raise ValueError(f"{what} must be an integer of at least {low}, got {value!r}")
 
 
 def run_suite(name, size=None, seed=42, mesh=None):

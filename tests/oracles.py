@@ -596,6 +596,33 @@ def sample_star_triangles_loop(seed, suite, ids, r_lo, r_hi):
     return verify.TrianglePacking(radii, weights)
 
 
+def fd_angle_jacobian_loop(tp, h: float = 1e-5) -> np.ndarray:
+    """(3, 3, N) central differences of the corner angles with respect to
+    u, one triangle and one column at a time, each stencil point a kernel
+    call of its own: at step h, else at h / 10 where u + h leaves u < 0 or
+    a point raises DegenerateFaceError."""
+    out = np.empty((3, 3, tp.radii.shape[1]))
+    for i in range(tp.radii.shape[1]):
+        u0, w = u_of_r(tp.radii[:, i]), tp.weights[:, [i]]
+
+        def angles(u):
+            tri = verify.TrianglePacking(r_of_u(u)[:, None], w)
+            return verify.hypgeom.triangle_geometry(tri).angles[:, 0]
+
+        for attempt_h in (h, 0.1 * h):
+            if np.any(u0 + attempt_h >= 0.0):
+                continue            # perturbed u leaves the domain
+            try:
+                columns = [angles(u0 + d) - angles(u0 - d) for d in attempt_h * np.eye(3)]
+            except DegenerateFaceError:
+                continue
+            out[:, :, i] = np.stack(columns, axis=1) / (2.0 * attempt_h)
+            break
+        else:
+            raise DegenerateFaceError("finite-difference stencil leaves the admissible set")
+    return out
+
+
 def fd_curvature_jacobian_loop(mesh, r, h: float = 1e-5) -> np.ndarray:
     """Central differences of the curvature vector with respect to u."""
     if not (1e-7 <= h <= 1e-3):

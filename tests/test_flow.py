@@ -253,6 +253,19 @@ def test_step_failure_termination_recorded(monkeypatch):
     assert trace.failure["t"] == 0.0
 
 
+@pytest.mark.parametrize("stride", [2.5, math.nan, True, 0, -3], ids=repr)
+def test_flow_config_refuses_a_stride_that_is_no_positive_integer(stride):
+    # 2.5 once recorded every 5th step, and nan only the two ends
+    with pytest.raises(ValueError, match="trace_stride"):
+        FlowConfig(trace_stride=stride)
+
+
+def test_flow_config_takes_a_numpy_integer_stride():
+    cfg = FlowConfig(t_max=0.2, k_tol=1e-12, trace_stride=np.int64(5))
+    plain = run_flow(GENUS2, np.ones(2), FlowConfig(t_max=0.2, k_tol=1e-12, trace_stride=5))
+    assert [s.t for s in run_flow(GENUS2, np.ones(2), cfg).samples] == [s.t for s in plain.samples]
+
+
 def test_trace_csv_format_and_determinism():
     cfg = FlowConfig(p=2.0, dt=1e-2, t_max=0.5, k_tol=1e-9, trace_stride=2)
     t1 = run_flow(GENUS2, np.ones(2), cfg)

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import pathlib
 import sys
 import tracemalloc
 import weakref
@@ -64,14 +65,53 @@ def test_fd_angle_jacobian_matches_analytic():
 
 def test_fd_angle_jacobian_retries_only_the_triangle_that_leaves():
     # u = ln tanh(r/2) is -5.0e-6 at r = 12.9, so its stencil at FD_STEP =
-    # 1e-5 leaves u < 0: that triangle alone is differenced again at a tenth
+    # 1e-5 leaves u < 0: that triangle alone is differenced at a tenth
     radii = np.array([[1.0, 12.9], [1.5, 1.0], [0.7, 2.0]])
     tp = TrianglePacking(radii, np.zeros((3, 2)))
     fd = fd_angle_jacobian(tp)
     for i, h in ((0, verify.FD_STEP), (1, verify.FD_STEP / 10)):
-        alone = verify._fd_stencils(u_of_r(radii[:, [i]]), np.zeros((3, 1)), h)
+        alone = oracles.fd_angle_jacobian_loop(TrianglePacking(radii[:, [i]], np.zeros((3, 1))), h)
         assert fd[:, :, i].tolist() == alone[:, :, 0].tolist()
     assert np.all(matrix_rel_error(fd, angle_jacobian(tp)) < 1e-6)
+
+
+def test_fd_angle_jacobian_matches_triangle_loop():
+    # 1 000 drawn star triangles, two of them moved to a radius of 12.9 and
+    # 13, where u + FD_STEP leaves u < 0 and the step is a tenth
+    (_, tp), = verify.sample_star_triangles(7, "jacobians", 1_000, 1_000, 0.1, 10.0)
+    radii = tp.radii.copy()
+    radii[0, 500], radii[2, 501] = 12.9, 13.0
+    assert np.sum(np.any(u_of_r(radii) + verify.FD_STEP >= 0.0, axis=0)) == 2
+    tp = TrianglePacking(radii, tp.weights)
+    got = fd_angle_jacobian(tp)
+    assert got.shape == (3, 3, 1_000)
+    assert got.tobytes() == oracles.fd_angle_jacobian_loop(tp, verify.FD_STEP).tobytes()
+
+
+@pytest.mark.parametrize("error", [DegenerateFaceError, RadiusOverflowError])
+def test_fd_angle_jacobian_raises_the_first_failing_triangle_error(monkeypatch, error):
+    # triangles 1 and 2 of 4 are refused, and the batch names 2; then the
+    # triangles are taken one at a time and 1 raises, a DegenerateFaceError
+    # only after the step FD_STEP / 10 fails too
+    weights = np.array([[0.1, 0.2, 0.3, 0.4]] * 3)
+    geometry, refused = verify.hypgeom.triangle_geometry, []
+
+    def refusing(tri):
+        for k in (2, 1):
+            if np.any(tri.weights[0] == weights[0, k]):
+                refused.append(k)
+                raise error(f"triangle {k} refused")
+        return geometry(tri)
+
+    monkeypatch.setattr(verify.hypgeom, "triangle_geometry", refusing)
+    with pytest.raises(error) as got:
+        fd_angle_jacobian(TrianglePacking(np.ones((3, 4)), weights))
+    if error is DegenerateFaceError:
+        assert refused == [2, 1, 1]
+        assert str(got.value) == "finite-difference stencil leaves the admissible set"
+    else:
+        assert refused == [2, 1]
+        assert str(got.value) == "triangle 1 refused"
 
 
 def test_fd_curvature_symmetry_and_match():
@@ -400,6 +440,21 @@ def test_report_schema_and_dispatch():
         for samples, seed in ((0, 42), (-5, 42), (None, -1)):
             with pytest.raises(ValueError):
                 run_suite(name, samples, seed)
+
+
+@pytest.mark.parametrize("name, size, seed, what", [
+    ("spd", 2.5, 42, "size"), ("prop31", 12.5, 42, "size"), ("theorem2", True, 42, "size"),
+    ("spd", np.float64(3.0), 42, "size"), ("identities", 3, 1.5, "seed"),
+    ("identities", 3, True, "seed"), ("identities", 3, None, "seed")], ids=repr)
+def test_suite_args_refuse_what_is_no_integer(name, size, seed, what):
+    # before, these ended in numpy TypeErrors, and theorem2 ran 5 triples at True
+    with pytest.raises(ValueError, match=f"^{what} must be an integer"):
+        run_suite(name, size, seed)
+
+
+def test_suite_args_take_numpy_integers():
+    rep = run_suite("identities", np.int64(3), np.uint32(42))
+    assert _report(rep) == _report(run_suite("identities", 3, 42))
 
 
 def test_suite_reports_reproducible():
@@ -995,6 +1050,18 @@ def test_sample_drawn_alone_is_its_row_of_the_block(seed):
                 got = verify._unit_draws(seed, tag, ids, size)
                 assert got.shape == (len(ids), size)
                 assert got.tobytes() == block[ids.start:ids.stop].tobytes()
+
+
+def test_readme_stream_snippet_draws_sample_517_of_identities():
+    # the README's example of the stream layout, run as written
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    snippet, = [block.split("```")[0] for block in readme.split("```python\n")[1:]
+                if "seed, i = 42, 517" in block]
+    scope = {}
+    exec(snippet, scope)
+    (_, tp), = verify.sample_star_triangles(42, "identities", 518, 518, *verify.IDENTITY_RADII)
+    assert scope["radii"].tobytes() == tp.radii[:, 517].tobytes()
+    assert scope["weights"].tobytes() == tp.weights[:, 517].tobytes()
 
 
 def _key_words(key):
