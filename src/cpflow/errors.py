@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types, and the check of numeric arguments, shared across the package."""
+
+import numbers
+
+
+def check_number(name, value, low=None):
+    """Refuse, with ValueError naming name, a value that is no real number,
+    or, if low is given, no integer of at least low. A bool is neither; a
+    numpy scalar may be either."""
+    kind = numbers.Real if low is None else numbers.Integral
+    if isinstance(value, bool) or not isinstance(value, kind) or (low is not None and value < low):
+        what = "a real number" if low is None else f"an integer of at least {low}"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 class CpflowError(Exception):

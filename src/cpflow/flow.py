@@ -11,7 +11,6 @@ an accepted step costs four assemblies.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,7 @@ from .errors import (
     RadiusOverflowError,
     StarConditionError,
     StepFailureError,
+    check_number,
 )
 from .mesh import WeightedTriangulation
 
@@ -43,6 +43,8 @@ class FlowConfig:
     trace_stride: int = 1
 
     def __post_init__(self):
+        for name in ("p", "dt", "t_max", "k_tol"):
+            check_number(name, getattr(self, name))
         if not (self.p > 1.0):
             raise ValueError(f"p must exceed 1, got {self.p!r}")
         if not (self.dt > 0.0):
@@ -53,9 +55,7 @@ class FlowConfig:
             raise ValueError(f"t_max / dt = {self.t_max / self.dt:g} exceeds {MAX_STEPS} steps")
         if not (self.k_tol > 0.0):
             raise ValueError(f"k_tol must be positive, got {self.k_tol!r}")
-        stride = self.trace_stride      # a bool is no stride; a numpy integer is
-        if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
-            raise ValueError(f"trace_stride must be an integer of at least 1, got {stride!r}")
+        check_number("trace_stride", self.trace_stride, 1)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import jsonio
-from .errors import MeshFormatError, MeshValidationError
+from .errors import MeshFormatError, MeshValidationError, check_number
 from .hypgeom import NEXT, PREV, TrianglePacking, half_angles
 
 
@@ -207,8 +207,7 @@ class WeightedTriangulation:
         """A new disjoint union of m copies of the mesh: copy c holds vertex
         v as c n + v, and its edges and faces likewise. Copies of a valid
         mesh are valid, so the union is not validated again."""
-        if m < 1:
-            raise ValueError(f"copy count must be positive, got {m!r}")
+        check_number("copy count", m, 1)
         n, ne = self.vertex_count, self.edge_count
         c = np.arange(m)[:, None, None]
         return WeightedTriangulation.__new__(WeightedTriangulation)._set(

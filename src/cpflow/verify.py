@@ -1,15 +1,16 @@
 """Oracles and certification sweeps.
 
-Every sweep draws from numpy's SeedSequence and PCG64 keyed by the seed,
-so reports are reproducible bit for bit and independent of evaluation
-order. The sampled radii of identities, jacobians, spd, theorem1 and
-prop24 are rows of one stream per suite target (`_stream`, STREAM_TAGS):
-sample i is row i of the (samples, width) block of uniforms, which
-`PCG64.advance` reaches alone. Every weight draw that meets the corner
-condition is `star_weights`: sample i of a target takes the i-th passing
-try of its weight stream. theorem1's mixed weights, theorem2's triples
-and lemma52 take one generator per sample, `sample_rng`. Suites return a
-SweepReport; a run with an empty violation list is a pass.
+Every sweep draws from numpy's PCG64 streams keyed by the seed, so
+reports are reproducible bit for bit and independent of evaluation
+order. Every draw is a row or a passing try of one suite target's
+stream (`_stream`, STREAM_TAGS). Sampled radii, and lemma52's radius
+pairs, are rows: sample i is row i of the (samples, width) block of
+uniforms, which `PCG64.advance` reaches alone. Every weight draw that
+meets the corner condition is `star_weights`: sample i of a target takes
+the i-th passing try of its weight stream, and theorem1's mixed weights,
+theorem2's random triples and lemma52's mixed panels the first passing
+tries of theorem1:weights, theorem2:weights and lemma52:weights. Suites
+return a SweepReport; a run with an empty violation list is a pass.
 
 A suite takes one size (its sample count, or prop31's grid) and a seed,
 with defaults in SUITES and run_suite; its other settings are the module
@@ -24,14 +25,13 @@ one call per batch of triangles or per chunk of curvature stencil points.
 """
 
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import hypgeom, laplacian
-from .errors import CpflowError, DegenerateFaceError, MeshValidationError
+from .errors import CpflowError, DegenerateFaceError, MeshValidationError, check_number
 from .hypgeom import NEXT, PREV, ROWS, TrianglePacking, star_violations
 from .mesh import WeightedTriangulation, builtin_mesh, simplicial_from_faces
 
@@ -45,27 +45,21 @@ MAX_WEIGHT_TRIES = 1_000_000            # the weight sampler gives up after thes
 
 # -- reproducible sampling ----------------------------------------------------
 
-def sample_rng(seed: int, index: int) -> np.random.Generator:
-    """Generator for one sample, independent of evaluation order."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-
-
-# one block stream per suite target, and one, name:weights, whose i-th
-# passing try weights the target's sample i (under keep_even, its odd
-# metric 2 i + 1); a name's tag is its place in this list, new names last
+# one block stream per suite target, and one, name:weights, whose passing
+# tries, in order, are the target's sampled weights (under keep_even, those
+# of its odd metrics); a name's tag is its place in this list, new names last
 STREAM_TAGS = {name: tag for tag, name in enumerate([
     "identities", "jacobians", "theorem1", "prop24:tetra", "prop24:genus2_min", "prop24:mesh",
     "identities:weights", "jacobians:weights", "jacobians:tetra", "jacobians:tetra:weights",
     "jacobians:genus2_min", "jacobians:genus2_min:weights", "jacobians:mesh",
     "jacobians:mesh:weights", "jacobians:octa", "jacobians:octa:weights", "spd:tetra",
     "spd:tetra:weights", "spd:genus2_min", "spd:genus2_min:weights", "spd:mesh",
-    "spd:mesh:weights"], start=1)}
+    "spd:mesh:weights", "theorem1:weights", "theorem2:weights", "lemma52:weights",
+    "lemma52"], start=1)}
 
 
 def _stream(seed, tag):
-    """Generator of the block stream tag, spawn key (tag, 0): numpy reads a
-    key as the 32-bit words of its integers, and no integer's words end in
-    a 0 after its first word, so no sample_rng key (index,) is one of these."""
+    """Generator of the block stream tag, spawn key (tag, 0)."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tag, 0)))
 
 
@@ -134,18 +128,6 @@ def _star_rows(rng, edges, count):
     if failed is not None:
         raise failed
     return rows
-
-
-def sample_star_face_weights(rng):
-    """Three weights uniform on [0, pi), rejected until every corner value
-    gamma is nonnegative: `star_weights` on one triangle."""
-    return tuple(_star_rows(rng, _FACE_EDGES, 1)[0].tolist())
-
-
-def sample_star_mesh_weights(mesh, rng):
-    """Per-edge weights uniform on [0, pi), rejected until every face meets
-    the corner condition: `star_weights` on the mesh."""
-    return mesh.with_weights(_star_rows(rng, mesh.edge_rows, 1)[0])
 
 
 def sample_star_triangles(seed, suite, samples, step, r_lo, r_hi):
@@ -450,7 +432,8 @@ def cosine_inequality_bruteforce(c: float, grid_n: int):
 def angle_decay_threshold(weights, epsilon, seed=0):
     """Smallest tested radius l such that the corner angle stays below
     epsilon for r_i in {l, 2l, 4l} against opposite radii r_j, r_k at the
-    corners of DECAY_RADII and sampled log-uniformly from it.
+    corners of DECAY_RADII and sampled log-uniformly from it, pair k from
+    row k of the (_DECAY_SAMPLES, 2) block of stream lemma52.
 
     Returns (threshold, found). found is False when even the radius cap
     fails, which would falsify the decay claim numerically.
@@ -458,9 +441,9 @@ def angle_decay_threshold(weights, epsilon, seed=0):
     if not (epsilon > 0.0):
         raise ValueError("epsilon must be positive")
     lo_r, hi_r = DECAY_RADII
-    rng = sample_rng(seed, 0)
     pairs = [(lo_r, lo_r), (lo_r, hi_r), (hi_r, hi_r)]
-    pairs += [tuple(log_uniform(rng.random(2), lo_r, hi_r)) for _ in range(_DECAY_SAMPLES)]
+    pairs += log_uniform(_unit_draws(seed, STREAM_TAGS["lemma52"], range(_DECAY_SAMPLES), 2),
+                         lo_r, hi_r).tolist()
     cap = min(hypgeom.RADIUS_CAP, 708.0 - hi_r)
 
     # one triangle per pair (r_j, r_k) and multiple of l for r_i
@@ -519,18 +502,8 @@ class SweepReport:
             "value": float(value), "bound": float(bound),
         })
 
-    def check_upper(self, sample, quantity, value, bound):
-        self.record_sup(quantity, value)
-        if not (value <= bound):
-            self.violate(sample, quantity, value, bound)
-
-    def check_lower(self, sample, quantity, value, bound):
-        self.record_inf(quantity, value)
-        if not (value >= bound):
-            self.violate(sample, quantity, value, bound)
-
     def check_batch(self, samples, checks):
-        """check_upper and check_lower over a batch of samples.
+        """Bound checks over a batch of samples.
 
         checks lists (quantity, values, bound, kind[, mask]) in the order
         they apply to one sample, values and mask one entry per sample.
@@ -731,7 +704,8 @@ def run_theorem1(samples, seed, mesh=None):
     tetrahedron with zero and with mixed admissible weights. Each metric
     is drawn once and mapped to every floor."""
     base = mesh if mesh is not None else builtin_mesh("tetra")
-    mixed = sample_star_mesh_weights(base, sample_rng(seed, 90_000))
+    weights = _star_rows(_stream(seed, STREAM_TAGS["theorem1:weights"]), base.edge_rows, 1)
+    mixed = base.with_weights(weights[0])
     n = base.vertex_count
     units = _unit_draws(seed, STREAM_TAGS["theorem1"], range(samples), n)
     ids = ["boundary", *range(samples)]
@@ -809,7 +783,8 @@ def _rel_gap(p, t):
 
 
 def default_weight_triples(count, seed):
-    """Named corner cases plus seeded random admissible triples."""
+    """Named corner cases plus the first count - 5 passing tries of stream
+    theorem2:weights, as count triples in all (the 5 named ones at least)."""
     triples = [
         (0.0, 0.0, 0.0),
         (0.0, math.pi / 2, math.pi / 2),       # derivative vanishes on one edge
@@ -819,9 +794,9 @@ def default_weight_triples(count, seed):
         (0.5, 0.5, 0.5),
         (math.pi / 2, math.pi / 2, math.pi / 2),
     ]
-    triples += [sample_star_face_weights(sample_rng(seed, 70_000 + i))
-                for i in range(count - len(triples))]
-    return triples
+    rows = _star_rows(_stream(seed, STREAM_TAGS["theorem2:weights"]), _FACE_EDGES,
+                      max(0, count - len(triples)))
+    return triples + list(map(tuple, rows.tolist()))
 
 
 def _triple_pairs(triples, first, radii):
@@ -981,8 +956,8 @@ def run_prop31(grid_n, seed):
 def run_lemma52(seed):
     """Angle decay thresholds: finite for every epsilon, monotone as
     epsilon shrinks."""
-    panels = [("zero", (0.0, 0.0, 0.0))] + [
-        (f"mixed{i}", sample_star_face_weights(sample_rng(seed, 80_000 + i))) for i in range(2)]
+    mixed = _star_rows(_stream(seed, STREAM_TAGS["lemma52:weights"]), _FACE_EDGES, 2).tolist()
+    panels = [("zero", (0.0, 0.0, 0.0))] + [(f"mixed{i}", tuple(w)) for i, w in enumerate(mixed)]
     rep = SweepReport("lemma52", seed, 3 * len(panels))     # two epsilons and pi per panel
     for name, weights in panels:
         last = None
@@ -1015,17 +990,18 @@ SUITE_NAMES = tuple(SUITES)
 MESH_SUITES = ("jacobians", "spd", "theorem1", "prop24")
 
 
-def check_suite_args(name, size, seed):
+def check_suite_args(name, size, seed, mesh=None):
     """Refuse, with ValueError, an unknown suite, a size that is not an
-    integer of at least 1 where one is given, and a seed that is not a
-    nonnegative integer. A bool is no integer here; a numpy integer is.
-    prop31 refuses a grid below 10 itself."""
+    integer of at least 1 where one is given, a seed that is not a
+    nonnegative integer (`check_number`), and a mesh, where one is given,
+    that is no WeightedTriangulation. prop31 refuses a grid below 10 itself."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    for what, value, low in (("size", size, 1), ("seed", seed, 0)):
-        integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-        if (value is not None or what == "seed") and not (integer and value >= low):
-            raise ValueError(f"{what} must be an integer of at least {low}, got {value!r}")
+    if size is not None:
+        check_number("size", size, 1)
+    check_number("seed", seed, 0)
+    if mesh is not None and not isinstance(mesh, WeightedTriangulation):
+        raise ValueError(f"mesh must be a WeightedTriangulation, got {type(mesh).__name__}")
 
 
 def run_suite(name, size=None, seed=42, mesh=None):
@@ -1033,7 +1009,7 @@ def run_suite(name, size=None, seed=42, mesh=None):
     count, or prop31's grid, and None selects the default in SUITES;
     lemma52 takes none. mesh replaces the built-in targets of the
     mesh-specific suites; the triangle-level suites ignore it."""
-    check_suite_args(name, size, seed)
+    check_suite_args(name, size, seed, mesh)
     run, default = SUITES[name]
     args = () if default is None else (default if size is None else size,)
     kwargs = {"mesh": mesh} if name in MESH_SUITES else {}

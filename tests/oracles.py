@@ -511,6 +511,29 @@ def apply_p_delta_loop(mesh, B, A, f, p):
     return out
 
 
+# -- seeded test inputs -----------------------------------------------------------------
+#
+# The generators and single-row weight draws the tests build their inputs
+# with. The suites draw from verify's streams instead; these keep the test
+# inputs what they were when the suites drew them too.
+
+def sample_rng(seed, index):
+    """Generator for one sample, independent of evaluation order."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+def sample_star_face_weights(rng):
+    """Three weights uniform on [0, pi), rejected until every corner value
+    gamma is nonnegative: `verify.star_weights` on one triangle."""
+    return tuple(verify._star_rows(rng, verify._FACE_EDGES, 1)[0].tolist())
+
+
+def sample_star_mesh_weights(mesh, rng):
+    """Per-edge weights uniform on [0, pi), rejected until every face meets
+    the corner condition: `verify.star_weights` on the mesh."""
+    return mesh.with_weights(verify._star_rows(rng, mesh.edge_rows, 1)[0])
+
+
 # -- per-sample and per-metric suites ---------------------------------------------------
 #
 # The loops `cpflow.verify` batched: rejection sampling one try at a time,
@@ -650,6 +673,20 @@ def sample_star_mesh_weights_loop(mesh, rng, max_tries=1_000_000):
     return mesh.with_weights(rows[0])
 
 
+def check_upper(rep, sample, quantity, value, bound):
+    """Record value as a sup of quantity, and a violation unless value <= bound."""
+    rep.record_sup(quantity, value)
+    if not (value <= bound):
+        rep.violate(sample, quantity, value, bound)
+
+
+def check_lower(rep, sample, quantity, value, bound):
+    """Record value as an inf of quantity, and a violation unless value >= bound."""
+    rep.record_inf(quantity, value)
+    if not (value >= bound):
+        rep.violate(sample, quantity, value, bound)
+
+
 def sweep_floor_bounds_loop(mesh, r_floor, samples, seed, label=""):
     """Certify a1 <= A_i <= a2 and 0 <= B_e <= a3 for radii in
     [r_floor, r_floor + 5], including the floor itself."""
@@ -663,12 +700,12 @@ def sweep_floor_bounds_loop(mesh, r_floor, samples, seed, label=""):
     tag = f"[{label}]" if label else ""
     for sid, r in metrics:
         asm = assemble(mesh, r)
-        rep.check_lower(sid, f"A_min{tag}", float(np.min(asm.A)), consts.a1)
-        rep.check_upper(sid, f"A_max{tag}", float(np.max(asm.A)), consts.a2)
-        rep.check_lower(sid, f"B_min{tag}", float(np.min(asm.B)), 0.0)
-        rep.check_upper(sid, f"B_max{tag}", float(np.max(asm.B)), consts.a3)
-        rep.check_upper(sid, f"ab_identity_residual{tag}",
-                        asm.ab_residual, verify.AB_IDENTITY_RTOL)
+        check_lower(rep, sid, f"A_min{tag}", float(np.min(asm.A)), consts.a1)
+        check_upper(rep, sid, f"A_max{tag}", float(np.max(asm.A)), consts.a2)
+        check_lower(rep, sid, f"B_min{tag}", float(np.min(asm.B)), 0.0)
+        check_upper(rep, sid, f"B_max{tag}", float(np.max(asm.B)), consts.a3)
+        check_upper(rep, sid, f"ab_identity_residual{tag}",
+                    asm.ab_residual, verify.AB_IDENTITY_RTOL)
     return rep
 
 
@@ -676,7 +713,8 @@ def run_theorem1_loop(samples, seed, mesh=None):
     """theorem1 as one sweep_floor_bounds_loop per floor in verify.FLOORS and
     weighting, merged into one report."""
     base = mesh if mesh is not None else verify.builtin_mesh("tetra")
-    mixed = verify.sample_star_mesh_weights(base, verify.sample_rng(seed, 90_000))
+    weights = verify._stream(seed, verify.STREAM_TAGS["theorem1:weights"])
+    mixed = sample_star_mesh_weights_loop(base, weights, verify.MAX_WEIGHT_TRIES)
     rep = verify.SweepReport("theorem1", seed, (samples + 1) * len(verify.FLOORS) * 2)
     for r_floor in verify.FLOORS:
         for mode, m in (("zero", base), ("mixed", mixed)):
@@ -699,16 +737,16 @@ def run_prop24_loop(samples=1_000, seed=42, mesh=None):
             rng = row_rng(seed, verify.STREAM_TAGS[f"prop24:{name}"], i, mesh.vertex_count)
             r = log_uniform_draw(rng, 1e-3, 50.0, mesh.vertex_count)
             asm = assemble(mesh, r)
-            rep.check_lower(f"{name}:{i}", "B_min", float(np.min(asm.B)), 0.0)
+            check_lower(rep, f"{name}:{i}", "B_min", float(np.min(asm.B)), 0.0)
             if np.any(asm.B <= 0.0):
                 rep.violate(f"{name}:{i}", "B_not_strictly_positive",
                             float(np.min(asm.B)), 0.0)
-            rep.check_upper(f"{name}:{i}", "B_max", float(np.max(asm.B)), 1.0)
+            check_upper(rep, f"{name}:{i}", "B_max", float(np.max(asm.B)), 1.0)
             if np.any(asm.B >= 1.0):
                 rep.violate(f"{name}:{i}", "B_not_below_one", float(np.max(asm.B)), 1.0)
             ratio = asm.A / (deg * cosh1)
-            rep.check_upper(f"{name}:{i}", "A_over_degree_cosh1",
-                            float(np.max(ratio)), 1.0)
+            check_upper(rep, f"{name}:{i}", "A_over_degree_cosh1",
+                        float(np.max(ratio)), 1.0)
             if np.any(asm.A <= 0.0) or np.any(ratio >= 1.0):
                 rep.violate(f"{name}:{i}", "A_bounds", float(np.max(ratio)), 1.0)
     return rep
@@ -741,19 +779,19 @@ def run_jacobians_loop(samples, seed, mesh=None):
         count = min(verify.MESH_METRICS, samples)
         for i, m, r in _mesh_metrics_loop(base, seed, f"jacobians:{name}", count, 5.0, True):
             asm = assemble(m, r)
-            rep.check_upper(f"{name}:{i}", "ab_identity_residual",
-                            asm.ab_residual, verify.AB_IDENTITY_RTOL)
+            check_upper(rep, f"{name}:{i}", "ab_identity_residual",
+                        asm.ab_residual, verify.AB_IDENTITY_RTOL)
             fd = fd_curvature_jacobian_loop(m, r, verify.FD_STEP)
             err = np.abs(fd - asm.L) - np.maximum(
                 verify.CURVATURE_FD_RTOL * np.abs(asm.L), verify.CURVATURE_FD_ATOL)
-            rep.check_upper(f"{name}:{i}", "curvature_fd_margin", float(np.max(err)), 0.0)
-            rep.check_upper(f"{name}:{i}", "curvature_fd_symmetry",
-                            float(np.max(np.abs(fd - fd.T))), verify.FD_SYMMETRY_ATOL)
+            check_upper(rep, f"{name}:{i}", "curvature_fd_margin", float(np.max(err)), 0.0)
+            check_upper(rep, f"{name}:{i}", "curvature_fd_symmetry",
+                        float(np.max(np.abs(fd - fd.T))), verify.FD_SYMMETRY_ATOL)
     for i, m, r in _mesh_metrics_loop(verify._octahedron(), seed, "jacobians:octa", 20, 5.0, True):
         fd = fd_curvature_jacobian_loop(m, r, verify.FD_STEP)
         for a, b in [(0, 5), (1, 3), (2, 4)]:
-            rep.check_upper(f"octa:{i}", "nonadjacent_fd_entry",
-                            abs(float(fd[a, b])), verify.CURVATURE_FD_ATOL)
+            check_upper(rep, f"octa:{i}", "nonadjacent_fd_entry",
+                        abs(float(fd[a, b])), verify.CURVATURE_FD_ATOL)
     return rep
 
 
@@ -766,14 +804,14 @@ def run_spd_loop(samples, seed, mesh=None):
             asm = assemble(m, r)
             min_eig = float(np.linalg.eigvalsh(asm.L)[0])
             sym = verify.laplacian.symmetry_residual(*asm.entries, m.vertex_count)
-            rep.check_lower(f"{name}:{i}", "min_eigenvalue", min_eig, 0.0)
+            check_lower(rep, f"{name}:{i}", "min_eigenvalue", min_eig, 0.0)
             if min_eig <= 0.0:
                 rep.violate(f"{name}:{i}", "min_eigenvalue_nonpositive", min_eig, 0.0)
-            rep.check_upper(f"{name}:{i}", "symmetry_residual", sym, 0.0)
+            check_upper(rep, f"{name}:{i}", "symmetry_residual", sym, 0.0)
             margin = np.diag(asm.L) - (np.sum(np.abs(asm.L), axis=1) - np.abs(np.diag(asm.L)))
-            rep.check_lower(f"{name}:{i}", "diag_dominance_margin", float(np.min(margin)), 0.0)
+            check_lower(rep, f"{name}:{i}", "diag_dominance_margin", float(np.min(margin)), 0.0)
             rel = np.max(np.abs(margin - asm.A) / (1.0 + np.abs(asm.A)))
-            rep.check_upper(f"{name}:{i}", "dominance_margin_vs_A", float(rel), 1e-9)
+            check_upper(rep, f"{name}:{i}", "dominance_margin_vs_A", float(rel), 1e-9)
     return rep
 
 

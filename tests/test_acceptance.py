@@ -31,10 +31,8 @@ from cpflow.verify import (
     run_spd,
     run_theorem1,
     run_theorem2,
-    sample_rng,
-    sample_star_mesh_weights,
 )
-from oracles import GENUS2_FLAT_RC, GENUS2_FLAT_RV
+from oracles import GENUS2_FLAT_RC, GENUS2_FLAT_RV, sample_rng, sample_star_mesh_weights
 
 TETRA = builtin_mesh("tetra")
 GENUS2 = builtin_mesh("genus2_min")

@@ -19,16 +19,19 @@ reruns the digest tests in a subprocess under X86_V3, so both sets stay
 checked. The decisions of the small reports (pass or fail, sample counts,
 and which sample broke which check) are the same in every group: one
 digest of them, DECISIONS, holds on any host, and the subprocess checks it
-under X86_V3 too. A change meant to move report bytes regenerates every set,
-running the digests once with the variable above and once without, and
-says which reports moved and why.
+under X86_V3 too. A change meant to move report bytes regenerates every set
+on an X86_V4 host, and says which reports moved and why:
 
-Every report draws from numpy's SeedSequence and PCG64: `verify.sample_rng`
-streams and the suites' block streams, one per `verify.STREAM_TAGS`
-entry, the weight streams that `verify.star_weights` takes its tries from
-among them. `test_sample_streams_are_pinned` pins their first values, so
-a numpy whose streams moved fails there with one message that says so,
-not only through the digests failing in bulk.
+    PYTHONPATH=src python tests/test_golden.py --regenerate
+
+rewrites golden_reports.json with this host's set and the X86_V3 set,
+which it makes in a subprocess under the variable above.
+
+Every report draws from numpy's SeedSequence and PCG64, one stream per
+`verify.STREAM_TAGS` entry, the weight streams that `verify.star_weights`
+takes its tries from among them. `test_sample_streams_are_pinned` pins
+their first values, so a numpy whose streams moved fails there with one
+message that says so, not only through the digests failing in bulk.
 """
 
 import hashlib
@@ -43,7 +46,8 @@ from numpy._core._multiarray_umath import __cpu_features__
 
 from cpflow import jsonio, verify
 
-with open(os.path.join(os.path.dirname(__file__), "golden_reports.json")) as fh:
+GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_reports.json")
+with open(GOLDEN_PATH) as fh:
     GOLDEN = json.load(fh)
 
 AVX2_GROUP_ENV = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
@@ -63,12 +67,6 @@ def _golden(part):
     return GOLDEN["groups"][group][part]
 
 
-# the first uniforms of sample_rng(seed, index); fixed since numpy 1.17
-STREAMS = {
-    (42, 0): [0.9167441575549085, 0.9109866676343232, 0.8765925046098457],
-    (0, 90_000): [0.2787848117830025, 0.71707656508897, 0.7074478606358755],
-    (2**32 + 5, 7): [0.392579685801287, 0.24120481565260887, 0.5772458064848832],
-}
 # the first uniforms of each block stream at seed 42, the weight streams
 # too (their tries are drawn as uniform(0, pi), pi times these)
 BLOCK_STREAMS = {
@@ -94,14 +92,17 @@ BLOCK_STREAMS = {
     "spd:genus2_min:weights": [0.4719579648890141, 0.9158611414510813, 0.4328152194070023],
     "spd:mesh": [0.3248255398454635, 0.9242266741252043, 0.004671240036704272],
     "spd:mesh:weights": [0.5071099275449892, 0.3108906263615696, 0.7831663484509777],
+    "theorem1:weights": [0.4492925743953696, 0.5960110832892087, 0.3087431590165134],
+    "theorem2:weights": [0.4355762295114808, 0.9898707565597155, 0.5962159125810466],
+    "lemma52:weights": [0.14994644115645472, 0.10975419135836484, 0.4173332221750715],
+    "lemma52": [0.4070659579960394, 0.7138347251093595, 0.9504999271811276],
 }
 
 
 def test_sample_streams_are_pinned():
-    got = {key: verify.sample_rng(*key).random(3).tolist() for key in STREAMS}
-    got_blocks = {name: verify._unit_draws(42, tag, range(1), 3)[0].tolist()
-                  for name, tag in verify.STREAM_TAGS.items()}
-    assert (got, got_blocks) == (STREAMS, BLOCK_STREAMS), (
+    got = {name: verify._unit_draws(42, tag, range(1), 3)[0].tolist()
+           for name, tag in verify.STREAM_TAGS.items()}
+    assert got == BLOCK_STREAMS, (
         f"numpy {np.__version__} draws other SeedSequence/PCG64 streams than the "
         "golden digests were made with; every digest below will fail")
 
@@ -110,6 +111,15 @@ def _digest(rep):
     doc = rep.to_dict()
     doc.pop("wall_time")
     return hashlib.sha256(jsonio.dumps(doc).encode()).hexdigest()
+
+
+def _small_digests(seed):
+    return {f"{name}:{seed}": _digest(verify.run_suite(name, size, seed))
+            for name, size in GOLDEN["sizes"].items()}
+
+
+def _default_digests():
+    return {f"{name}:42": _digest(verify.run_suite(name, None, 42)) for name in verify.SUITE_NAMES}
 
 
 # SHA-256 of the decision bytes of the small reports at seeds 0-9: per
@@ -128,15 +138,12 @@ def test_small_report_decisions_hold_in_every_group():
 @pytest.mark.parametrize("seed", range(10))
 def test_small_reports_match_golden_digests(seed):
     want = _golden("small")
-    got = {f"{name}:{seed}": _digest(verify.run_suite(name, size, seed))
-           for name, size in GOLDEN["sizes"].items()}
+    got = _small_digests(seed)
     assert got == {key: want[key] for key in got}
 
 
 def test_default_size_reports_match_golden_digests():
-    want = _golden("default")
-    got = {f"{name}:42": _digest(verify.run_suite(name, None, 42)) for name in verify.SUITE_NAMES}
-    assert got == want
+    assert _default_digests() == _golden("default")
 
 
 def test_digests_hold_under_the_avx2_group():
@@ -154,3 +161,37 @@ def test_digests_hold_under_the_avx2_group():
     run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
                          cwd=root, env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
+
+
+def _print_digest_set():
+    """Print this process's digest set, keyed by its dispatch group, as JSON."""
+    small = {key: value for seed in range(10) for key, value in _small_digests(seed).items()}
+    print(json.dumps({dispatch_group(): {"small": small, "default": _default_digests()}}))
+
+
+def _regenerate():
+    """Rewrite golden_reports.json with the digest sets of X86_V4 and X86_V3,
+    each made in a subprocess with BLAS on one thread (as conftest.py pins
+    it), the X86_V3 set under AVX2_GROUP_ENV."""
+    assert dispatch_group() == "X86_V4", f"regenerate on an X86_V4 host, not {dispatch_group()}"
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    one_thread = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    groups = {}
+    for extra in ({}, AVX2_GROUP_ENV):
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; sys.path[:0] = ['src', 'tests']; "
+             "import test_golden; test_golden._print_digest_set()"],
+            cwd=root, env={**one_thread, **os.environ, **extra}, capture_output=True, text=True,
+            check=True)
+        groups.update(json.loads(run.stdout))
+    assert sorted(groups) == ["X86_V3", "X86_V4"], sorted(groups)
+    GOLDEN["groups"] = groups
+    with open(GOLDEN_PATH, "w") as fh:
+        json.dump(GOLDEN, fh, indent=1)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --regenerate")
+    _regenerate()

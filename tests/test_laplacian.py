@@ -27,8 +27,9 @@ from cpflow.mesh import (
     builtin_mesh,
     simplicial_from_faces,
 )
-from cpflow.verify import fd_curvature_jacobian, sample_star_mesh_weights, sample_rng
-from oracles import GENUS2_FLAT_RC, GENUS2_FLAT_RV, U_OF_R1
+from cpflow.verify import fd_curvature_jacobian
+from oracles import (
+    GENUS2_FLAT_RC, GENUS2_FLAT_RV, U_OF_R1, sample_rng, sample_star_mesh_weights)
 
 TETRA = builtin_mesh("tetra")
 GENUS2 = builtin_mesh("genus2_min")

@@ -14,6 +14,7 @@ from cpflow import verify
 from cpflow.errors import (
     CpflowError, DegenerateFaceError, NumericalConsistencyError, RadiusOverflowError,
     StarConditionError)
+from cpflow.flow import FlowConfig
 from cpflow.hypgeom import TrianglePacking, angle_jacobian, pair_derivative
 from cpflow.laplacian import assemble, u_of_r
 from cpflow.mesh import builtin_mesh, check_star_condition
@@ -38,11 +39,10 @@ from cpflow.verify import (
     run_suite,
     run_theorem1,
     run_theorem2,
-    sample_rng,
-    sample_star_face_weights,
-    sample_star_mesh_weights,
 )
-from oracles import COSINE_GRID_MIN_C07_N50, corner_gammas
+from oracles import (
+    COSINE_GRID_MIN_C07_N50, corner_gammas, sample_rng, sample_star_face_weights,
+    sample_star_mesh_weights)
 
 TETRA = builtin_mesh("tetra")
 
@@ -450,6 +450,19 @@ def test_suite_args_refuse_what_is_no_integer(name, size, seed, what):
     # before, these ended in numpy TypeErrors, and theorem2 ran 5 triples at True
     with pytest.raises(ValueError, match=f"^{what} must be an integer"):
         run_suite(name, size, seed)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: FlowConfig(p="3"), "p"), (lambda: FlowConfig(k_tol=None), "k_tol"),
+    (lambda: FlowConfig(dt=True, t_max=2.0), "dt"), (lambda: run_suite("spd", 2, mesh="x"), "mesh"),
+    (lambda: TETRA.copies(2.5), "copy count"), (lambda: TETRA.copies(True), "copy count")],
+    ids=["p_str", "k_tol_none", "dt_bool", "mesh_str", "copies_float", "copies_bool"])
+def test_library_refuses_an_argument_of_the_wrong_type(call, name):
+    # before, the first two raised TypeError from a comparison, dt = True ran
+    # as 1, the mesh raised AttributeError, 2.5 copies TypeError, and True
+    # copies gave a mesh
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()
 
 
 def test_suite_args_take_numpy_integers():
@@ -909,14 +922,20 @@ def test_floor_sweeps_share_one_draw_per_sample(monkeypatch):
     # at 7.3 and 30.3, (r_floor + 5) - r_floor is not 5 in doubles
     monkeypatch.setattr(verify, "FLOORS", (0.3, 7.3, 30.3))
     assert _report(run_theorem1(23, 3)) == _report(oracles.run_theorem1_loop(23, 3))
-    calls, drawn = [], []
-    sample_rng_, unit_draws_ = verify.sample_rng, verify._unit_draws
-    monkeypatch.setattr(verify, "sample_rng", lambda seed, i: calls.append(i) or sample_rng_(seed, i))
+    streams, rows, drawn = [], [], []
+    stream_, star_weights_, unit_draws_ = verify._stream, verify.star_weights, verify._unit_draws
+    monkeypatch.setattr(verify, "_stream",
+                        lambda seed, tag: streams.append(tag) or stream_(seed, tag))
+    monkeypatch.setattr(verify, "star_weights", lambda rng, edges, count: rows.append(count)
+                        or star_weights_(rng, edges, count))
     monkeypatch.setattr(verify, "_unit_draws", lambda seed, tag, ids, size: drawn.extend(ids)
                         or unit_draws_(seed, tag, ids, size))
     run_theorem1(23, 4)
     assert sorted(drawn) == [*range(23)]
-    assert sorted(calls) == [90_000]        # the mixed weights
+    # one row of the theorem1:weights stream, the mixed weights, and one block of radii
+    assert rows == [1]
+    tags = verify.STREAM_TAGS
+    assert sorted(streams) == [tags["theorem1"], tags["theorem1:weights"]]
 
 
 _FD_MESHES = [TETRA, builtin_mesh("genus2_min"), verify._octahedron(), oracles.torus_grid(8, 8)]
@@ -1077,14 +1096,14 @@ def _key_words(key):
 
 def test_stream_keys_are_distinct_as_seed_words(monkeypatch):
     # the spawn keys of one small run of every suite, and of the mesh
-    # suites on a given mesh, by the function that made them: every tag's
-    # block stream and nothing else; a block key equal in words to another
-    # key would draw the same stream
-    keys = {"sample_rng": set(), "_stream": set()}
+    # suites on a given mesh, by the function that made them: _stream
+    # builds every SeedSequence, one per tag and nothing else; a key equal
+    # in words to another would draw the same stream
+    keys = {}
     seed_sequence = np.random.SeedSequence
 
     def recording(entropy=None, *, spawn_key=(), **kwargs):
-        keys[sys._getframe(1).f_code.co_name].add(tuple(spawn_key))
+        keys.setdefault(sys._getframe(1).f_code.co_name, set()).add(tuple(spawn_key))
         return seed_sequence(entropy, spawn_key=spawn_key, **kwargs)
 
     monkeypatch.setattr(np.random, "SeedSequence", recording)
@@ -1092,10 +1111,5 @@ def test_stream_keys_are_distinct_as_seed_words(monkeypatch):
         run_suite(name, 12 if name == "prop31" else 8, 0)
     for name in verify.MESH_SUITES:
         run_suite(name, 8, 0, mesh=verify._octahedron())
-    assert keys["_stream"] == {(tag, 0) for tag in verify.STREAM_TAGS.values()}
-    words = {_key_words(key) for key in keys["_stream"]}
-    assert len(words) == len(keys["_stream"])
-    assert not words & {_key_words(key) for key in keys["sample_rng"]}
-    # no integer's words end in a 0 after its first word, so no sample_rng
-    # index, however large, is one of these keys
-    assert all(len(w) >= 2 and w[-1] == 0 for w in words)
+    assert keys == {"_stream": {(tag, 0) for tag in verify.STREAM_TAGS.values()}}
+    assert len({_key_words(key) for key in keys["_stream"]}) == len(verify.STREAM_TAGS)
