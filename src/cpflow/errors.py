@@ -1,15 +1,18 @@
 """Exception types, and the check of numeric arguments, shared across the package."""
 
+import math
 import numbers
+import sys
 
 
 def check_number(name, value, low=None):
-    """Refuse, with ValueError naming name, a value that is no real number,
-    or, if low is given, no integer of at least low. A bool is neither; a
-    numpy scalar may be either."""
+    """Refuse, with ValueError naming name, a value that is no real number
+    in float range (inf and nan are in it), or, if low is given, no integer
+    of at least low. A bool is neither; a numpy scalar may be either."""
     kind = numbers.Real if low is None else numbers.Integral
-    if isinstance(value, bool) or not isinstance(value, kind) or (low is not None and value < low):
-        what = "a real number" if low is None else f"an integer of at least {low}"
+    if isinstance(value, bool) or not isinstance(value, kind) or (
+            value < low if low is not None else math.inf != abs(value) > sys.float_info.max):
+        what = "a real number in float range" if low is None else f"an integer of at least {low}"
         raise ValueError(f"{name} must be {what}, got {value!r}")
 
 

@@ -23,18 +23,18 @@ laplacian` allocates an n x n array.
 
 `spd_check` takes the smallest eigenvalue of L from `np.linalg.eigvalsh`
 on the dense L up to SPD_DENSE_MAX = 254 vertices, and above that from
-Lanczos on the entry list, one `np.bincount` matvec per step. (The
-`verify` suite `spd` calls eigvalsh on every metric's dense L, at any n.)
+Lanczos on the entry list: one `np.bincount` matvec per step, and a dense
+`eigh` of the tridiagonal T only at Ritz checks, placed where the Ritz
+residual should pass. (The `verify` suite `spd` runs eigvalsh at any n.)
 Theorem 1 gives A_i > 0 and B_e >= 0, so L is a weighted graph Laplacian
 plus a positive diagonal: a symmetric Z-matrix, whose lowest eigenvector
-can be taken nonnegative (Perron-Frobenius) and so always overlaps the
-ones vector that Lanczos starts from. The Lanczos value must lie in
-[min A, sum A / n] (Weyl below, the Rayleigh quotient of 1 above).
-Lanczos runs the three-term recurrence alone, on two vectors, in O(n)
-memory: in floating point no Ritz value falls below lambda_min(L) by more
-than O(eps ||L||) (Paige, Linear Algebra Appl. 34, 1980), the smallest one
-only falls as T grows, and a small Ritz residual |beta_k s_k1| puts it
-within that residual of an eigenvalue of L.
+can be taken nonnegative (Perron-Frobenius) and so overlaps the ones
+vector Lanczos starts from; its value must lie in [min A, sum A / n]
+(Weyl below, the Rayleigh quotient of 1 above). The recurrence runs on
+two vectors, in O(n) memory: in floating point no Ritz value falls below
+lambda_min(L) by more than O(eps ||L||) (Paige, Linear Algebra Appl. 34,
+1980), the smallest one only falls as T grows, and a small Ritz residual
+|beta_k s_k1| puts it within that residual of an eigenvalue of L.
 """
 
 import math
@@ -230,37 +230,24 @@ def spd_check(asm: LaplacianAssembly):
     """(smallest eigenvalue of L, max |L - L^T| entry).
 
     Both are read off `asm.entries`, so above SPD_DENSE_MAX vertices the
-    check takes O(E) memory and builds no n x n array. The residual is
-    `symmetry_residual` of the entry list. The eigenvalue comes from
-    `np.linalg.eigvalsh(L)` on the dense L up to SPD_DENSE_MAX vertices,
-    where dense is faster, and from `lanczos_min_eigenvalue` above:
-    the Lanczos three-term recurrence from the ones vector (the Perron
-    guess), in O(n) memory, and a check against [min A, sum A / n]; it
-    agrees with eigvalsh to ~5e-15 lambda_max(L).
+    check takes O(E) memory and builds no n x n array. The residual pairs
+    each entry with its transpose by `mesh.entry_transpose`, built once per
+    combinatorics. The eigenvalue is `np.linalg.eigvalsh(L)`'s on the dense
+    L up to SPD_DENSE_MAX vertices, where dense is faster, and above that
+    `lanczos_min_eigenvalue`'s: from the ones vector, in O(n) memory, with
+    Ritz checks where the residual should pass, checked against [min A,
+    sum A / n]; it agrees with eigvalsh to ~5e-15 lambda_max(L).
     """
     n = asm.mesh.vertex_count
-    sym_residual = symmetry_residual(*asm.entries, n)
+    sym_residual = _symmetry_residual(asm.mesh, asm.entries[2])
     if n <= SPD_DENSE_MAX:
         return float(np.linalg.eigvalsh(asm.L)[0]), sym_residual
     return lanczos_min_eigenvalue(asm), sym_residual
 
 
-def symmetry_residual(rows, cols, vals, n) -> float:
-    """max |L - L^T| over the n x n matrix L whose nonzero entries are the
-    COO triples (rows, cols, vals), no (row, col) given twice.
-
-    Each (r, c) is matched with (c, r) by sorting the entry keys and
-    `searchsorted`; a missing transpose counts as 0. Entries absent in
-    both orientations give 0, so the result equals the dense max |L - L^T|
-    for any such L, in O(E log E) time and O(E) memory.
-    """
-    keys = rows * n + cols
-    order = np.argsort(keys)
-    ranked = keys.take(order)
-    wanted = cols * n + rows
-    at = np.minimum(np.searchsorted(ranked, wanted), len(ranked) - 1)
-    transposed = np.where(ranked.take(at) == wanted, vals.take(order.take(at)), 0.0)
-    return float(np.max(np.abs(vals - transposed)))
+def _symmetry_residual(mesh, vals) -> float:
+    """max |L - L^T| of the L whose entries at `mesh.entry_pattern` are vals."""
+    return float(np.max(np.abs(vals - vals.take(mesh.entry_transpose))))
 
 
 def _matvec(asm, x):
@@ -269,16 +256,26 @@ def _matvec(asm, x):
     return np.bincount(rows, vals * x.take(cols), minlength=asm.mesh.vertex_count)
 
 
+def _next_check(k, res, last, tol):
+    """Step of the Ritz check after one at step k with residual res > tol:
+    where a log-linear fit through the last two residuals reaches tol, in
+    [k + 4, k + 64]; k + LANCZOS_CHECK_EVERY where there is no such fit."""
+    if last is None or not 0.0 < res < last[1] or not tol > 0.0:
+        return k + LANCZOS_CHECK_EVERY
+    steps = (k - last[0]) * math.log(res / tol) / math.log(last[1] / res)
+    return k + min(max(math.ceil(steps), 4), 64)
+
+
 def lanczos_min_eigenvalue(asm: LaplacianAssembly) -> float:
     """Smallest eigenvalue of L by Lanczos on the entry list of L.
 
     Each step is one matvec on `asm.entries`; the dense L is not used.
     The recurrence starts at the normalised ones vector and keeps only the
     last two vectors, with no reorthogonalisation (see the module docstring).
-    Every LANCZOS_CHECK_EVERY steps the tridiagonal T is diagonalised, and
-    the iteration stops once the Ritz residual |beta_k s_k1| is at most
-    LANCZOS_RTOL times the largest Ritz value, or when beta_k itself is
-    that small (the Krylov space is invariant).
+    A Ritz check diagonalises the tridiagonal T at steps 16, 32, then where
+    `_next_check` expects the Ritz residual |beta_k s_k1| to be at most
+    LANCZOS_RTOL times the largest Ritz value, and at step n. The iteration
+    stops there, or when beta_k itself is that small (invariant Krylov space).
 
     Raises NumericalConsistencyError if neither stop is met in n steps (in
     floating point the recurrence need not end at step n), or if the result
@@ -289,25 +286,29 @@ def lanczos_min_eigenvalue(asm: LaplacianAssembly) -> float:
     q, q_prev, b = np.full(n, 1.0 / math.sqrt(n)), np.zeros(n), 0.0
     alpha, beta = [], []
     alpha_max, k = 0.0, 0       # the largest alpha so far, or 0 if larger
+    check, last = LANCZOS_CHECK_EVERY, None     # next check; (k, residual) of the last
     while True:
-        w = _matvec(asm, q) - b * q_prev
+        w = _matvec(asm, q)
+        w -= np.multiply(q_prev, b, out=q_prev)
         alpha.append(float(q @ w))
         alpha_max = max(alpha_max, alpha[-1])
         w -= alpha[-1] * q
-        b = float(np.linalg.norm(w))
+        b = math.sqrt(w @ w)
         k += 1
         # max(alpha) <= theta_max, so a beta this small (0 included) meets
         # the residual bound for every Ritz value: an invariant subspace
         invariant = b <= LANCZOS_RTOL * alpha_max
-        if invariant or k == n or k % LANCZOS_CHECK_EVERY == 0:
-            T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-            theta, s = np.linalg.eigh(T)
-            if invariant or abs(b * s[-1, 0]) <= LANCZOS_RTOL * theta[-1]:
+        if invariant or k == n or k == check:
+            # eigh reads the lower triangle of T only
+            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1))
+            res, tol = abs(b * s[-1, 0]), LANCZOS_RTOL * theta[-1]
+            if invariant or res <= tol:
                 break
             if k == n:
                 raise NumericalConsistencyError(f"Lanczos did not converge in {n} steps")
+            check, last = _next_check(k, res, last, tol), (k, res)
         beta.append(b)
-        q_prev, q = q, w / b
+        q_prev, q = q, np.divide(w, b, out=w)
     lam = float(theta[0])
     lo, hi = float(np.min(asm.A)), float(np.sum(asm.A)) / n
     slack = LANCZOS_BRACKET_RTOL * abs(float(theta[-1]))

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -17,7 +19,6 @@ from cpflow.laplacian import (
     lanczos_min_eigenvalue,
     r_of_u,
     spd_check,
-    symmetry_residual,
     u_of_r,
 )
 from cpflow.mesh import (
@@ -29,7 +30,8 @@ from cpflow.mesh import (
 )
 from cpflow.verify import fd_curvature_jacobian
 from oracles import (
-    GENUS2_FLAT_RC, GENUS2_FLAT_RV, U_OF_R1, sample_rng, sample_star_mesh_weights)
+    GENUS2_FLAT_RC, GENUS2_FLAT_RV, U_OF_R1, sample_rng, sample_star_mesh_weights,
+    symmetry_residual)
 
 TETRA = builtin_mesh("tetra")
 GENUS2 = builtin_mesh("genus2_min")
@@ -533,6 +535,35 @@ def test_lanczos_recurrence_matches_eigvalsh(base):
             assert abs(lanczos_min_eigenvalue(asm) - eig[0]) <= 1e-12 * eig[-1]
 
 
+def _bench_genus2(level):
+    """genus2_min subdivided level times by the benchmark's generator,
+    bench/meshgen.py: level 4 is the mesh of its spd_check calls."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "meshgen.py"
+    spec = importlib.util.spec_from_file_location("meshgen", path)
+    meshgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(meshgen)
+    return meshgen.genus2(level)
+
+
+@pytest.mark.parametrize("base", [oracles.torus_grid(32, 32), _bench_genus2(4)],
+                         ids=["torus32x32", "genus2_level4"])
+def test_lanczos_ritz_checks(monkeypatch, base):
+    """A call diagonalises T at steps 16 and 32, then where the residual is
+    expected to pass: at most 4 times in all at the benchmark's radii,
+    log-uniform in [0.1, 5] (every 16 steps, 6 to 8 times here). Radii
+    in [1e-3, 50] need 140 to 420 steps, so, at most 64 steps apart, 5 to 8
+    checks."""
+    eigh, sizes = np.linalg.eigh, []
+    monkeypatch.setattr(laplacian.np.linalg, "eigh", lambda T: sizes.append(len(T)) or eigh(T))
+    for seed in range(3):
+        asm = assemble(*_draw(base, np.random.default_rng([seed, 47]), 0.1, 5.0))
+        sizes.clear()
+        lam = lanczos_min_eigenvalue(asm)
+        assert sizes[:2] == [16, 32] and len(sizes) <= 4
+        eig = np.linalg.eigvalsh(asm.L)
+        assert abs(lam - eig[0]) <= 1e-12 * eig[-1]
+
+
 def test_lanczos_memory_at_n_4096():
     """The recurrence keeps two vectors of n, not a basis of k x n (17 MB
     traced at n = 4096 with the stored basis)."""
@@ -605,6 +636,24 @@ def test_entry_residual_equals_dense(base):
             assert got == _dense_residual(rows[keep], cols[keep], vals[keep], n)
 
 
+@ENTRY_BASES
+def test_indexed_residual_equals_sorted(base):
+    """spd_check reads max |L - L^T| through the transpose index of the
+    entry pattern, built once per combinatorics; it equals the sorted
+    reference on L and on L with every entry scaled by its own noise."""
+    n = base.vertex_count
+    rng = np.random.default_rng(19)
+    for seed in range(2):
+        for asm in _spd_draws(base, seed):
+            assert asm.mesh.entry_transpose is base.entry_transpose
+            rows, cols, vals = asm.entries
+            assert spd_check(asm)[1] == symmetry_residual(rows, cols, vals, n) == 0.0
+            for _ in range(3):
+                noisy = vals * (1.0 + 1e-3 * rng.standard_normal(len(vals)))
+                got = laplacian._symmetry_residual(asm.mesh, noisy)
+                assert got > 0.0 and got == symmetry_residual(rows, cols, noisy, n)
+
+
 def test_entry_residual_of_one_perturbed_entry():
     """delta added to one off-diagonal entry gives a residual of exactly
     delta: a power of two at most |v| / 8 added to v <= 0 is exact. On the
@@ -619,6 +668,7 @@ def test_entry_residual_of_one_perturbed_entry():
             bad[k] += delta
             want = 0.0 if rows[k] == cols[k] else delta
             assert symmetry_residual(rows, cols, bad, n) == want
+            assert laplacian._symmetry_residual(asm.mesh, bad) == want
             assert _dense_residual(rows, cols, bad, n) == want
 
 

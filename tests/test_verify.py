@@ -455,12 +455,14 @@ def test_suite_args_refuse_what_is_no_integer(name, size, seed, what):
 @pytest.mark.parametrize("call, name", [
     (lambda: FlowConfig(p="3"), "p"), (lambda: FlowConfig(k_tol=None), "k_tol"),
     (lambda: FlowConfig(dt=True, t_max=2.0), "dt"), (lambda: run_suite("spd", 2, mesh="x"), "mesh"),
-    (lambda: TETRA.copies(2.5), "copy count"), (lambda: TETRA.copies(True), "copy count")],
-    ids=["p_str", "k_tol_none", "dt_bool", "mesh_str", "copies_float", "copies_bool"])
+    (lambda: TETRA.copies(2.5), "copy count"), (lambda: TETRA.copies(True), "copy count"),
+    (lambda: FlowConfig(t_max=10**400), "t_max"), (lambda: FlowConfig(dt=10**400, t_max=1.0), "dt")],
+    ids=["p_str", "k_tol_none", "dt_bool", "mesh_str", "copies_float", "copies_bool",
+         "t_max_beyond_float", "dt_beyond_float"])
 def test_library_refuses_an_argument_of_the_wrong_type(call, name):
     # before, the first two raised TypeError from a comparison, dt = True ran
-    # as 1, the mesh raised AttributeError, 2.5 copies TypeError, and True
-    # copies gave a mesh
+    # as 1, the mesh raised AttributeError, 2.5 copies TypeError, True copies
+    # gave a mesh, and an int beyond float range OverflowError from t_max / dt
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call()
 
