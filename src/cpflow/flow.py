@@ -24,6 +24,7 @@ from .errors import (
     StepFailureError,
     check_number,
 )
+from .jsonio import format_float
 from .mesh import WeightedTriangulation
 
 
@@ -105,12 +106,11 @@ class FlowTrace:
         )
 
     def to_csv(self) -> str:
-        from .jsonio import format_float as ff
         lines = ["t,energy,max_abs_K,min_r,max_abs_u_vel,dt"]
         for s in self.samples:
             values = (s.t, s.calabi_energy, float(np.max(np.abs(s.K))),
                       s.min_r, s.max_abs_u_velocity, s.dt_used)
-            lines.append(",".join(ff(v).strip('"') for v in values))
+            lines.append(",".join(format_float(v).strip('"') for v in values))
         return "\n".join(lines) + "\n"
 
     def to_dict(self):
@@ -190,6 +190,7 @@ def step(mesh, r, dt, p, asm=None):
     rejects the attempt, as at the stages. Raises StepFailureError once
     MAX_HALVINGS halvings are spent.
     """
+    check_number("dt", dt)
     r = laplacian.validate_radii(mesh, r)
     if asm is None:
         asm = laplacian.assemble(mesh, r)
@@ -239,15 +240,9 @@ def run_flow(mesh: WeightedTriangulation, r0, cfg: FlowConfig) -> FlowTrace:
 
     samples = [sample(c_emp, 0.0)]
     steps = 0
-    termination = None
     failure = None
-    while True:
-        if float(np.max(np.abs(K))) <= cfg.k_tol:
-            termination = "converged"
-            break
-        if t >= cfg.t_max:
-            termination = "horizon"
-            break
+    termination = _termination(K, t, cfg)
+    while termination is None:
         dt_eff = min(cfg.dt, cfg.t_max - t)
         try:
             r_next, diag = step(mesh, r, dt_eff, cfg.p, asm)
@@ -265,7 +260,8 @@ def run_flow(mesh: WeightedTriangulation, r0, cfg: FlowConfig) -> FlowTrace:
         c_emp = max(c_emp, diag.max_abs_u_velocity)
         sup_a = max(sup_a, float(np.max(asm.A)))
         sup_b = max(sup_b, float(np.max(asm.B)))
-        if steps % cfg.trace_stride == 0 or _terminal_next(K, t, cfg):
+        termination = _termination(K, t, cfg)
+        if steps % cfg.trace_stride == 0 or termination is not None:
             samples.append(sample(diag.max_abs_u_velocity, diag.dt_used))
     velocity = float(np.max(np.abs(laplacian.apply_p_delta(asm, K, cfg.p))))    # at the last r
     c_emp = max(c_emp, velocity)
@@ -283,5 +279,8 @@ def run_flow(mesh: WeightedTriangulation, r0, cfg: FlowConfig) -> FlowTrace:
     return trace
 
 
-def _terminal_next(K, t, cfg):
-    return float(np.max(np.abs(K))) <= cfg.k_tol or t >= cfg.t_max
+def _termination(K, t, cfg):
+    """The run's end at (K, t): "converged", "horizon", or None to go on."""
+    if float(np.max(np.abs(K))) <= cfg.k_tol:
+        return "converged"
+    return "horizon" if t >= cfg.t_max else None

@@ -19,18 +19,12 @@ def format_float(x: float) -> str:
     return s
 
 
+# a quote and a backslash take a backslash, a control below 0x20 becomes \u00XX
+_ESCAPES = {**{c: "\\u%04x" % c for c in range(0x20)}, ord('"'): '\\"', ord("\\"): "\\\\"}
+
+
 def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    return "".join(out)
+    return s.translate(_ESCAPES)
 
 
 def dumps(obj, indent: int = 0, _level: int = 0) -> str:

@@ -44,7 +44,8 @@ from functools import cached_property
 import numpy as np
 
 from . import hypgeom
-from .errors import NumericalConsistencyError, RadiusOverflowError, StarConditionError
+from .errors import (
+    NumericalConsistencyError, RadiusOverflowError, StarConditionError, check_number)
 from .hypgeom import RADIUS_CAP
 from .mesh import WeightedTriangulation
 
@@ -193,6 +194,7 @@ def apply_p_delta(asm: LaplacianAssembly, f, p: float) -> np.ndarray:
     """p-th discrete Laplacian, (delta_p f)_i = sum_e B_e |f_j - f_i|^(p-2)
     (f_j - f_i) - A_i f_i; |0|^(p-2) * 0 is taken as 0 for every p > 1.
     At p = 2 it equals -L f to rounding."""
+    check_number("p", p)
     if not (p > 1.0):
         raise ValueError(f"p must exceed 1, got {p!r}")
     f = np.asarray(f, dtype=float)
@@ -230,13 +232,14 @@ def spd_check(asm: LaplacianAssembly):
     """(smallest eigenvalue of L, max |L - L^T| entry).
 
     Both are read off `asm.entries`, so above SPD_DENSE_MAX vertices the
-    check takes O(E) memory and builds no n x n array. The residual pairs
-    each entry with its transpose by `mesh.entry_transpose`, built once per
-    combinatorics. The eigenvalue is `np.linalg.eigvalsh(L)`'s on the dense
-    L up to SPD_DENSE_MAX vertices, where dense is faster, and above that
-    `lanczos_min_eigenvalue`'s: from the ones vector, in O(n) memory, with
-    Ritz checks where the residual should pass, checked against [min A,
-    sum A / n]; it agrees with eigvalsh to ~5e-15 lambda_max(L).
+    check takes O(E) memory and builds no n x n array. The residual
+    compares each off-diagonal entry with its transpose, which `entries`
+    lists one block of vertex pairs later. The eigenvalue is
+    `np.linalg.eigvalsh(L)`'s on the dense L up to SPD_DENSE_MAX vertices,
+    where dense is faster and a direct Lanczos call can refuse, and above
+    that `lanczos_min_eigenvalue`'s: from the ones vector, in O(n) memory,
+    with Ritz checks where the residual should pass, checked against
+    [min A, sum A / n]; it agrees with eigvalsh to ~5e-15 lambda_max(L).
     """
     n = asm.mesh.vertex_count
     sym_residual = _symmetry_residual(asm.mesh, asm.entries[2])
@@ -246,8 +249,11 @@ def spd_check(asm: LaplacianAssembly):
 
 
 def _symmetry_residual(mesh, vals) -> float:
-    """max |L - L^T| of the L whose entries at `mesh.entry_pattern` are vals."""
-    return float(np.max(np.abs(vals - vals.take(mesh.entry_transpose))))
+    """max |L - L^T| of the L whose entries at `mesh.entry_pattern` are vals:
+    the P entries (i, j), i < j, then their P transposes, then the diagonal;
+    0.0 where P = 0 (only loop edges)."""
+    P = (len(vals) - mesh.vertex_count) // 2
+    return float(np.max(np.abs(vals[:P] - vals[P:2 * P]), initial=0.0))
 
 
 def _matvec(asm, x):
@@ -280,7 +286,9 @@ def lanczos_min_eigenvalue(asm: LaplacianAssembly) -> float:
     Raises NumericalConsistencyError if neither stop is met in n steps (in
     floating point the recurrence need not end at step n), or if the result
     lies outside [min A, sum A / n], widened by LANCZOS_BRACKET_RTOL times
-    the largest Ritz value for rounding.
+    the largest Ritz value for rounding. A direct call at n <= SPD_DENSE_MAX
+    can refuse so where a check lands in a rise of the residual (9 of 192
+    `torus_grid` draws at n = 100 to 240); `spd_check` sends no such n here.
     """
     n = asm.mesh.vertex_count
     q, q_prev, b = np.full(n, 1.0 / math.sqrt(n)), np.zeros(n), 0.0

@@ -260,12 +260,6 @@ class WeightedTriangulation:
         diag = np.arange(n)
         return pair_of, np.concatenate((i, j, diag)), np.concatenate((j, i, diag))
 
-    @_combinatorial
-    def entry_transpose(self):
-        """Position in `entry_pattern` of the transpose of each entry."""
-        m, n = len(self.entry_pattern[1]) - self.vertex_count, self.vertex_count
-        return np.concatenate((np.roll(np.arange(m), m // 2), np.arange(m, m + n)))
-
     # -- arrays of the weights, once per mesh -------------------------------
 
     @cached_property

@@ -514,7 +514,7 @@ def apply_p_delta_loop(mesh, B, A, f, p):
 def symmetry_residual(rows, cols, vals, n) -> float:
     """max |L - L^T| over the n x n matrix L whose nonzero entries are the
     COO triples (rows, cols, vals), no (row, col) given twice: the generic
-    reference for the transpose index of `spd_check`.
+    reference for the residual of `spd_check`.
 
     Each (r, c) is matched with (c, r) by sorting the entry keys and
     `searchsorted`; a missing transpose counts as 0. Entries absent in

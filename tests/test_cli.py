@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +48,12 @@ def test_check_missing_file(capsys):
     code, _, err = run_cli(capsys, "check", "--mesh", "/no/such/file.json")
     assert code == 3
     assert "not found" in err
+
+
+def test_missing_radius_file(capsys):
+    code, _, err = run_cli(capsys, "laplacian", "--mesh", "tetra", "--r0", "/no/such/r0.json")
+    assert code == 3
+    assert "radius file not found" in err
 
 
 def test_check_invalid_mesh(capsys, tmp_path):
@@ -227,6 +234,37 @@ def test_flow_trace_stride_below_one_is_usage_error(capsys):
         code, _, err = run_cli(capsys, "flow", "--mesh", "genus2_min", "--trace-stride", stride)
         assert code == 5
         assert "Traceback" not in err
+
+
+def test_star_violating_mesh_file_exits_2_from_flow_and_laplacian(capsys, tmp_path):
+    path = tmp_path / "tetra3.json"
+    path.write_text(save_mesh(builtin_mesh("tetra", 3.0)))     # every gamma < 0
+    for cmd in ("flow", "laplacian"):
+        code, out, err = run_cli(capsys, cmd, "--mesh", str(path))
+        assert (code, out) == (2, "")
+        assert "corner condition fails" in err
+
+
+# -- JSON emission -------------------------------------------------------------------------
+
+def test_dumps_nonfinite_floats_none_escapes_and_refusal():
+    assert jsonio.dumps([math.nan, np.inf, -math.inf, None]) == '["nan", "inf", "-inf", null]'
+    assert jsonio.dumps({'a"b\\c\n': "\x1f\x7f\u00e9"}) == \
+        '{"a\\"b\\\\c\\u000a": "\\u001f\x7f\u00e9"}'
+    with pytest.raises(TypeError, match="cannot serialize"):
+        jsonio.dumps({"x": {1, 2}})
+
+
+def _escape_loop(s):
+    """A quote and a backslash escaped by a backslash, a character below
+    0x20 as \\u00XX, every other one kept: the escape, one character at a time."""
+    return "".join('\\"' if ch == '"' else "\\\\" if ch == "\\" else
+                   "\\u%04x" % ord(ch) if ord(ch) < 0x20 else ch for ch in s)
+
+
+def test_escape_equals_the_per_character_loop_on_every_code_point():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))      # lone surrogates included
+    assert jsonio._escape(every) == _escape_loop(every)
 
 
 @pytest.mark.parametrize("content", [

@@ -103,6 +103,22 @@ def test_step_energy_never_increases_at_p2():
         e = diag.energy_next
 
 
+def test_step_halves_on_an_energy_rise_at_p2(monkeypatch):
+    # from r = 0.3 on genus2_min, dt = 5 takes 8 halvings: one of them for
+    # an energy rise, the other 7 for points that leave the admissible set
+    rises = []
+
+    class Counted(flow._EnergyIncrease):
+        def __init__(self):
+            rises.append(1)
+
+    monkeypatch.setattr(flow, "_EnergyIncrease", Counted)
+    r0 = np.full(2, 0.3)
+    _, diag = step(GENUS2, r0, 5.0, 2.0)
+    assert (diag.halvings, len(rises)) == (8, 1)
+    assert diag.energy_next <= calabi_energy(curvature(GENUS2, r0))
+
+
 def test_tiny_step_matches_explicit_euler():
     from cpflow.laplacian import r_of_u
     dt = 1e-12
@@ -251,6 +267,28 @@ def test_step_failure_termination_recorded(monkeypatch):
     assert trace.termination == "step_failure"
     assert trace.failure is not None
     assert trace.failure["t"] == 0.0
+
+
+def test_step_failure_off_the_stride_closes_the_trace_with_a_sample(monkeypatch):
+    # steps 1 and 2 are accepted and step 3 fails; at stride 5 neither was
+    # sampled, so a sample at the last accepted metric closes the trace
+    step_, calls = flow.step, []
+
+    def failing_third(mesh, r, dt, p, asm=None):
+        calls.append(dt)
+        if len(calls) == 3:
+            raise StepFailureError("no admissible step", r=r, dt=dt)
+        return step_(mesh, r, dt, p, asm)
+
+    monkeypatch.setattr(flow, "step", failing_third)
+    trace = run_flow(GENUS2, np.ones(2), FlowConfig(k_tol=1e-12, trace_stride=5))
+    assert (trace.termination, trace.steps, len(trace.samples)) == ("step_failure", 2, 2)
+    last = trace.samples[-1]
+    assert last.t == trace.failure["t"] == 0.01 + 0.01
+    assert last.r.tolist() == trace.failure["r"].tolist() and last.dt_used == 0.0
+    asm = assemble(GENUS2, last.r)
+    assert last.K.tolist() == asm.K.tolist()
+    assert last.max_abs_u_velocity == float(np.max(np.abs(apply_p_delta(asm, asm.K, 2.0))))
 
 
 @pytest.mark.parametrize("stride", [2.5, math.nan, True, 0, -3], ids=repr)

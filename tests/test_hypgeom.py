@@ -88,6 +88,14 @@ def test_edge_length_symmetry():
     assert edge_length(0.3, 2.0, 1.0) == edge_length(2.0, 0.3, 1.0)
 
 
+@pytest.mark.parametrize("radii, weights", [
+    ((1.0, 1.0), (0.0, 0.0)), (np.ones((3, 2, 1)), np.zeros((3, 2, 1))),
+    ((1.0, 1.0, 1.0), (0.0, 0.0))], ids=["two", "three_dims", "unpaired"])
+def test_packing_refuses_other_than_three_radii_and_weights_per_triangle(radii, weights):
+    with pytest.raises(ValueError, match="three radii and three weights per triangle"):
+        TrianglePacking(radii, weights)
+
+
 def test_radius_cap_and_overflow():
     with pytest.raises(RadiusOverflowError):
         edge_length(701.0, 1.0, 0.0)
@@ -227,6 +235,7 @@ def test_chain_rule_diagonal_matches_row_identity_route():
         assert chain_rule_diagonal(tp, a, geom) == pytest.approx(
             J[a, a], rel=1e-11, abs=1e-14
         )
+        assert chain_rule_diagonal(tp, a) == chain_rule_diagonal(tp, a, geom)
 
 
 # -- the array kernel against the scalar reference ---------------------------------

@@ -497,6 +497,19 @@ def test_min_eigenvalue_matches_eigvalsh(base):
                 assert min_eig == lam
 
 
+def test_spd_check_takes_no_lanczos_at_the_dense_threshold(monkeypatch):
+    """A direct Lanczos call can refuse at n <= SPD_DENSE_MAX; spd_check
+    takes eigvalsh there, up to n = SPD_DENSE_MAX itself."""
+    def refuse(asm):
+        raise AssertionError("spd_check called lanczos_min_eigenvalue")
+
+    monkeypatch.setattr(laplacian, "lanczos_min_eigenvalue", refuse)
+    base = GENUS2.copies(SPD_DENSE_MAX // 2)
+    assert base.vertex_count == SPD_DENSE_MAX
+    asm = assemble(*_draw(base, np.random.default_rng(53), 0.1, 10.0))
+    assert spd_check(asm) == (np.linalg.eigvalsh(asm.L)[0], 0.0)
+
+
 def test_lanczos_starts_from_ones(monkeypatch):
     """Where 1 is an eigenvector of L (uniform weights and radii on the
     vertex-transitive torus grid, so A is constant), the Perron start
@@ -638,14 +651,13 @@ def test_entry_residual_equals_dense(base):
 
 @ENTRY_BASES
 def test_indexed_residual_equals_sorted(base):
-    """spd_check reads max |L - L^T| through the transpose index of the
-    entry pattern, built once per combinatorics; it equals the sorted
+    """spd_check reads max |L - L^T| by pairing each off-diagonal entry
+    with the one a block of vertex pairs later; it equals the sorted
     reference on L and on L with every entry scaled by its own noise."""
     n = base.vertex_count
     rng = np.random.default_rng(19)
     for seed in range(2):
         for asm in _spd_draws(base, seed):
-            assert asm.mesh.entry_transpose is base.entry_transpose
             rows, cols, vals = asm.entries
             assert spd_check(asm)[1] == symmetry_residual(rows, cols, vals, n) == 0.0
             for _ in range(3):

@@ -260,6 +260,8 @@ def test_meshes_share_their_arrays_read_only():
             a[0] = 1
     with pytest.raises(MeshValidationError, match="edge 3 weight 3.2 outside"):
         m.with_weights(np.array([0.0] * 3 + [3.2] + [0.0] * 8))
+    with pytest.raises(MeshValidationError, match="weight vector length != edge count"):
+        m.with_weights([0.5] * 11)
 
 
 def test_object_and_array_constructors_agree():
@@ -359,6 +361,9 @@ def _malformed_inputs():
         _tetra_with(("vertices",), 2**62), "[" * 100_000, '{"vertices": ' + "1" * 5000 + "}",
         _tetra_with(("faces", 0, 0), 2**70), _tetra_with(("edges", 5, 1), -2**70),
         b'{"vertices": \xff}', save_mesh(near_pi),
+        '{"vertices": 2, "edges": {}, "faces": []}', '{"vertices": 2, "edges": [], "faces": {}}',
+        '{"vertices": 2, "edges": [[0, 0, 1]], "faces": []}',
+        '{"vertices": 2, "edges": [], "faces": [[0]]}',
     ]
 
 

@@ -14,9 +14,9 @@ from cpflow import verify
 from cpflow.errors import (
     CpflowError, DegenerateFaceError, NumericalConsistencyError, RadiusOverflowError,
     StarConditionError)
-from cpflow.flow import FlowConfig
-from cpflow.hypgeom import TrianglePacking, angle_jacobian, pair_derivative
-from cpflow.laplacian import assemble, u_of_r
+from cpflow.flow import FlowConfig, step
+from cpflow.hypgeom import RADIUS_CAP, TrianglePacking, angle_jacobian, pair_derivative
+from cpflow.laplacian import apply_p_delta, assemble, u_of_r
 from cpflow.mesh import builtin_mesh, check_star_condition
 from cpflow.verify import (
     SubstitutedCoords,
@@ -153,6 +153,12 @@ def test_floor_constants_fixed_members():
 def test_floor_constants_large_floor_limit():
     consts = floor_bound_constants(TETRA, 50.0)
     assert consts.a == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("r_floor", [0.0, -1.0, math.nan], ids=repr)
+def test_floor_constants_refuse_a_floor_that_is_not_positive(r_floor):
+    with pytest.raises(ValueError, match="radius floor must be positive"):
+        floor_bound_constants(TETRA, r_floor)
 
 
 def test_floor_constants_mixed_weights_reflect_phi_bar():
@@ -421,6 +427,28 @@ def test_lemma52_suite():
     assert tight > loose
 
 
+def test_prop31_and_lemma52_list_their_violations(monkeypatch):
+    # a grid minimum a half below 1 + c; thresholds that fall as epsilon
+    # shrinks, the one at 1e-6 not found
+    monkeypatch.setattr(verify, "cosine_inequality_bruteforce",
+                        lambda c, grid_n: (0.5 + c, (0.0, 0.0, 0.0)))
+    rep = run_prop31(20, 7)
+    assert not rep.passed
+    assert rep.violations == [{"sample": f"c={c:g}", "quantity": "grid_minimum",
+                               "value": 0.5 + c, "bound": 1.0 + c} for c in verify.C_VALUES]
+    thresholds = {1e-3: (5.0, True), 1e-6: (4.0, False), math.pi: (0.1, True)}
+    monkeypatch.setattr(verify, "angle_decay_threshold", lambda w, eps, seed: thresholds[eps])
+    rep = run_lemma52(7)
+    assert not rep.passed
+    for name in ("zero", "mixed0", "mixed1"):
+        sample = f"{name}:eps=1e-06"
+        assert [v for v in rep.violations if v["sample"] == sample] == [
+            {"sample": sample, "quantity": "threshold_not_found", "value": 4.0,
+             "bound": RADIUS_CAP},
+            {"sample": sample, "quantity": "threshold_monotonicity", "value": 4.0, "bound": 5.0}]
+    assert len(rep.violations) == 6
+
+
 def test_weight_triples_all_admissible():
     triples = default_weight_triples(20, 42)
     assert len(triples) == 20
@@ -456,13 +484,17 @@ def test_suite_args_refuse_what_is_no_integer(name, size, seed, what):
     (lambda: FlowConfig(p="3"), "p"), (lambda: FlowConfig(k_tol=None), "k_tol"),
     (lambda: FlowConfig(dt=True, t_max=2.0), "dt"), (lambda: run_suite("spd", 2, mesh="x"), "mesh"),
     (lambda: TETRA.copies(2.5), "copy count"), (lambda: TETRA.copies(True), "copy count"),
-    (lambda: FlowConfig(t_max=10**400), "t_max"), (lambda: FlowConfig(dt=10**400, t_max=1.0), "dt")],
+    (lambda: FlowConfig(t_max=10**400), "t_max"), (lambda: FlowConfig(dt=10**400, t_max=1.0), "dt"),
+    (lambda: apply_p_delta(assemble(TETRA, np.ones(4)), np.zeros(4), "3"), "p"),
+    (lambda: step(TETRA, np.ones(4), 0.01, "2"), "p"),
+    (lambda: step(TETRA, np.ones(4), "0.01", 2.0), "dt")],
     ids=["p_str", "k_tol_none", "dt_bool", "mesh_str", "copies_float", "copies_bool",
-         "t_max_beyond_float", "dt_beyond_float"])
+         "t_max_beyond_float", "dt_beyond_float", "apply_p_str", "step_p_str", "step_dt_str"])
 def test_library_refuses_an_argument_of_the_wrong_type(call, name):
     # before, the first two raised TypeError from a comparison, dt = True ran
     # as 1, the mesh raised AttributeError, 2.5 copies TypeError, True copies
-    # gave a mesh, and an int beyond float range OverflowError from t_max / dt
+    # gave a mesh, an int beyond float range OverflowError from t_max / dt, a
+    # string p TypeError from p > 1, and step parsed a string dt
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call()
 
@@ -810,6 +842,28 @@ def test_union_jacobians_check_the_metrics_drawn_before_the_sampler_gives_up(mon
     assert str(got.value) == str(want.value)
 
 
+def test_jacobians_check_the_octahedron_metrics_drawn_before_its_sampler_gives_up(monkeypatch):
+    # with 800 tries at seed 0 the triangles' and tetra's weights pass, and
+    # the octahedron's sampler gives up at its 6th metric: the 5 before it
+    # are checked and its error raised, as in the loop
+    monkeypatch.setattr(verify, "MAX_WEIGHT_TRIES", 800)
+    assert len(verify._mesh_metrics(_OCTA, 0, "jacobians:octa", 20, 5.0, keep_even=True)[0]) == 5
+    reports = []
+
+    class Kept(verify.SweepReport):
+        def __init__(self, *args):
+            super().__init__(*args)
+            reports.append(self)
+
+    monkeypatch.setattr(verify, "SweepReport", Kept)
+    for run in (oracles.run_jacobians_loop, run_jacobians):
+        with pytest.raises(CpflowError, match="weight rejection sampling did not terminate"):
+            run(4, 0, mesh=TETRA)
+    want, got = reports
+    assert "nonadjacent_fd_entry" in got.sups
+    assert _report(got) == _report(want)
+
+
 def test_stacked_metric_at_a_radius_of_13_alone_takes_a_tenth_of_the_step():
     rng = sample_rng(4, 0)
     phi = np.array([sample_star_mesh_weights(_OCTA, rng).phi for _ in range(5)])
@@ -823,6 +877,23 @@ def test_stacked_metric_at_a_radius_of_13_alone_takes_a_tenth_of_the_step():
         assert fd[i].tobytes() == want.tobytes()
     loop_at_fd_step = oracles.fd_curvature_jacobian_loop(_OCTA.with_weights(phi[2]), r[2])
     assert fd[2].tobytes() == loop_at_fd_step.tobytes()     # the loop's own rule agrees
+
+
+def test_stencil_at_a_radius_of_15_leaves_the_admissible_set():
+    # u(15) = -6.1e-7, so even a tenth of FD_STEP reaches u >= 0
+    assert u_of_r(15.0) + verify.FD_STEP / 10 >= 0.0
+    with pytest.raises(DegenerateFaceError, match="^finite-difference stencil leaves"):
+        fd_angle_jacobian(TrianglePacking([15.0, 1.0, 1.0], [0.0, 0.0, 0.0]))
+
+
+def test_stacked_radii_with_one_bad_metric_raise_what_that_metric_raises():
+    r = np.ones((3, _OCTA.vertex_count))
+    r[1, 4] = 0.0
+    with pytest.raises(RadiusOverflowError) as want:
+        fd_curvature_jacobian(_OCTA, r[1])
+    with pytest.raises(RadiusOverflowError) as got:
+        fd_curvature_jacobian(_OCTA, r)
+    assert str(got.value) == str(want.value) == "radius at vertex 4 = 0.0 outside (0, 700.0]"
 
 
 @pytest.mark.parametrize("suite", [run_spd, run_jacobians])
